@@ -46,51 +46,45 @@ def _parse_int(text: str, what: str) -> int:
         raise InputError(f"{what}: {text!r} is not an integer") from e
 
 
+# name -> (builder, accepted argument counts, usage, (label, parser) per
+# argument); omitted trailing arguments take the builder's defaults
+_BUILTINS = {
+    "interval": (
+        polytope.interval, (1,), "exactly one parameter: interval:LEN",
+        (("interval length", _parse_fraction),),
+    ),
+    "cube": (
+        polytope.hypercube, (1, 2), "one or two parameters: cube:N[,SIDE]",
+        (("cube dimension", _parse_int), ("cube side", _parse_fraction)),
+    ),
+    "simplex": (
+        polytope.dilated_simplex, (1, 2),
+        "one or two parameters: simplex:N[,DILATION]",
+        (("simplex dimension", _parse_int), ("simplex dilation", _parse_fraction)),
+    ),
+    "trapezoid": (
+        polytope.trapezoid, (0, 2),
+        "zero or two parameters: trapezoid[:WIDTH,HEIGHT]",
+        (("trapezoid width", _parse_fraction),
+         ("trapezoid height", _parse_fraction)),
+    ),
+    "prism": (
+        polytope.prism, (0, 2), "zero or two parameters: prism[:DILATION,HEIGHT]",
+        (("prism dilation", _parse_fraction), ("prism height", _parse_fraction)),
+    ),
+}
+
+
 def _build_builtin(text: str) -> Polytope:
     name, _, argstr = text.partition(":")
     name = name.strip().lower()
     args = [a for a in argstr.split(",") if a.strip()] if argstr else []
-    if name == "interval":
-        if len(args) != 1:
-            raise InputError("interval takes exactly one parameter: interval:LEN")
-        return polytope.interval(_parse_fraction(args[0], "interval length"))
-    if name == "cube":
-        if not 1 <= len(args) <= 2:
-            raise InputError("cube takes one or two parameters: cube:N[,SIDE]")
-        n = _parse_int(args[0], "cube dimension")
-        side = _parse_fraction(args[1], "cube side") if len(args) == 2 else 1
-        return polytope.hypercube(n, side)
-    if name == "simplex":
-        if not 1 <= len(args) <= 2:
-            raise InputError(
-                "simplex takes one or two parameters: simplex:N[,DILATION]"
-            )
-        n = _parse_int(args[0], "simplex dimension")
-        d = _parse_fraction(args[1], "simplex dilation") if len(args) == 2 else 1
-        return polytope.dilated_simplex(n, d)
-    if name == "trapezoid":
-        if args and len(args) != 2:
-            raise InputError(
-                "trapezoid takes zero or two parameters: trapezoid[:WIDTH,HEIGHT]"
-            )
-        if args:
-            return polytope.trapezoid(
-                _parse_fraction(args[0], "trapezoid width"),
-                _parse_fraction(args[1], "trapezoid height"),
-            )
-        return polytope.trapezoid()
-    if name == "prism":
-        if args and len(args) != 2:
-            raise InputError(
-                "prism takes zero or two parameters: prism[:DILATION,HEIGHT]"
-            )
-        if args:
-            return polytope.prism(
-                _parse_fraction(args[0], "prism dilation"),
-                _parse_fraction(args[1], "prism height"),
-            )
-        return polytope.prism()
-    raise InputError(f"unknown builtin {name!r}; {_BUILTIN_HELP}")
+    if name not in _BUILTINS:
+        raise InputError(f"unknown builtin {name!r}; {_BUILTIN_HELP}")
+    builder, counts, usage, params = _BUILTINS[name]
+    if len(args) not in counts:
+        raise InputError(f"{name} takes {usage}")
+    return builder(*(parse(a, label) for a, (label, parse) in zip(args, params)))
 
 
 def _load_polytope(ns) -> tuple[Polytope, str, str]:
@@ -202,15 +196,16 @@ def _cmd_count(ns, out) -> int:
     print(f"lattice points: {total}", file=out)
     for c in sorted(census):
         print(f"  codim {c}: {census[c]}", file=out)
-    if ns.y is None:
-        count = latticegen.weighted_count_y(poly)
+    w = _weight_param(ns) if ns.y is not None else None
+    latticegen.require_lattice_hypotheses(poly, "weighted counting")
+    count = latticegen.census_weight_y(census)
+    if w is None:
         print(f"weighted count: {latticegen.format_census(census)}", file=out)
         print(f"reduced: {count}", file=out)
     else:
-        w = _weight_param(ns)
-        count = latticegen.weighted_count(poly, w)
         print(
-            f"weighted count at y = {w.y}: {_maybe_decimal(count, ns.decimal)}",
+            f"weighted count at y = {w.y}: "
+            f"{_maybe_decimal(count(w.y), ns.decimal)}",
             file=out,
         )
     return 0
@@ -250,10 +245,9 @@ def _cmd_brion(ns, out) -> int:
     print(_describe(poly), file=out)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}", file=out)
-    cleared = latticegen.weighted_sum_poly(poly)
     n = poly.dim
     den = "(1+y)" if n == 1 else f"(1+y)^{n}"
-    print(f"weighted lattice sum: ({cleared}) / {den}", file=out)
+    print(f"weighted lattice sum: ({report.rhs.num}) / {den}", file=out)
     if not report.equal:
         print("check: FAIL (vertex sum differs from lattice sum)", file=out)
         return 1

@@ -12,8 +12,13 @@ and the sum over vertices collapses to the polynomial
 
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
-Everything here needs determinant +-1 edge bases at every vertex and
-integer vertices; anything else raises HypothesisError.
+
+The lattice side of every identity comes from one enumeration of the
+polytope's lattice points, each paired with its codimension.  Weighted
+quantities are computed symbolically in y; a concrete y only evaluates
+the symbolic answer.  Enumeration and the truncated cone series hold for
+any simple polytope; everything else needs determinant +-1 edge bases at
+every vertex and integer vertices, and raises HypothesisError otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from .laurent import LaurentPoly, RationalFunction
 from .linalg import canonical_direction
 from .polarize import polarize_cones
 from .polytope import Polytope, fmt_point
-from .weights import CheckResult, WeightParam, check_decomposition_at
+from .weights import (
+    CheckResult,
+    WeightParam,
+    check_decomposition_at,
+    polytope_weight_y,
+    signed_cone_sum_y,
+)
 from .ypoly import ONE_PLUS_Y, Y, YFrac
 
 
@@ -65,11 +76,16 @@ def lattice_points(poly: Polytope) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in box_points(lo, hi) if poly.contains(p))
 
 
+def _points_and_codims(poly: Polytope):
+    """Each lattice point of the polytope with the codimension of its face."""
+    for p in lattice_points(poly):
+        yield p, poly.face_codim(p)
+
+
 def codim_census(poly: Polytope) -> dict[int, int]:
     """How many lattice points sit on faces of each codimension."""
     census: dict[int, int] = {}
-    for p in lattice_points(poly):
-        c = len(poly.active_facets(p))
+    for _, c in _points_and_codims(poly):
         census[c] = census.get(c, 0) + 1
     return census
 
@@ -93,21 +109,23 @@ def format_census(census: dict[int, int]) -> str:
 # -- weighted counts ----------------------------------------------------
 
 
-def weighted_count_y(poly: Polytope) -> YFrac:
-    """Symbolic weighted lattice count: sum of (1/(1+y))**codim."""
-    require_lattice_hypotheses(poly, "weighted counting")
+def census_weight_y(census: dict[int, int]) -> YFrac:
+    """Symbolic weighted count of a census: sum of count * (1/(1+y))**codim."""
     total = YFrac(0)
-    for c, count in codim_census(poly).items():
+    for c, count in census.items():
         total = total + count * YFrac(1, c)
     return total
 
 
-def weighted_count(poly: Polytope, w: WeightParam) -> Fraction:
+def weighted_count_y(poly: Polytope) -> YFrac:
+    """Symbolic weighted lattice count: sum of (1/(1+y))**codim."""
     require_lattice_hypotheses(poly, "weighted counting")
-    total = Fraction(0)
-    for c, count in codim_census(poly).items():
-        total += count * w.on_face**c
-    return total
+    return census_weight_y(codim_census(poly))
+
+
+def weighted_count(poly: Polytope, w: WeightParam) -> Fraction:
+    """The symbolic weighted count evaluated at w.y."""
+    return weighted_count_y(poly)(w.y)
 
 
 # -- generating functions ------------------------------------------------
@@ -186,11 +204,9 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     """
     require_lattice_hypotheses(poly, "the weighted lattice sum")
     n = poly.dim
-    terms = {}
-    for p in lattice_points(poly):
-        c = len(poly.active_facets(p))
-        terms[p] = ONE_PLUS_Y ** (n - c)
-    return LaurentPoly(n, terms)
+    return LaurentPoly(
+        n, {p: ONE_PLUS_Y ** (n - c) for p, c in _points_and_codims(poly)}
+    )
 
 
 class BrionReport(NamedTuple):
@@ -253,8 +269,7 @@ def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     if any(a == 0 for a in zt):
         raise ValueError("evaluation point must have nonzero coordinates")
     total = Fraction(0)
-    for p in lattice_points(poly):
-        c = len(poly.active_facets(p))
+    for p, c in _points_and_codims(poly):
         total += w.on_face**c * _monomial_value(zt, p)
     return total
 
@@ -282,8 +297,6 @@ def coefficient_extract(poly: Polytope, xi: Sequence, alpha: Sequence[int]) -> Y
     directly from the lattice series, with no polytope-side shortcut.
     """
     require_lattice_hypotheses(poly, "coefficient extraction")
-    from .weights import signed_cone_sum_y
-
     cones = polarize_cones(poly, xi)
     return signed_cone_sum_y(cones, tuple(int(a) for a in alpha))
 
@@ -291,10 +304,7 @@ def coefficient_extract(poly: Polytope, xi: Sequence, alpha: Sequence[int]) -> Y
 def multiplicity(poly: Polytope, alpha: Sequence[int]) -> YFrac:
     """Predicted z^alpha coefficient: (1/(1+y))**codim inside, else 0."""
     require_lattice_hypotheses(poly, "multiplicity prediction")
-    c = poly.face_codim(tuple(int(a) for a in alpha))
-    if c is None:
-        return YFrac(0)
-    return YFrac(1, c)
+    return polytope_weight_y(poly, tuple(int(a) for a in alpha))
 
 
 class MultiplicityReport(NamedTuple):

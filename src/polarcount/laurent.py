@@ -10,6 +10,7 @@ rational content.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .ypoly import YPoly, _as_ypoly
@@ -166,8 +167,8 @@ class LaurentPoly:
                     total = abs(a)
                 else:
                     total = Fraction(
-                        _gcd_int(total.numerator * a.denominator,
-                                 a.numerator * total.denominator),
+                        gcd(total.numerator * a.denominator,
+                            a.numerator * total.denominator),
                         total.denominator * a.denominator,
                     )
         return total
@@ -196,12 +197,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {self.terms!r})"
 
 
-def _gcd_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
-
-
 class RationalFunction:
     """Quotient of Laurent polynomials; the denominator is never zero."""
 
@@ -214,10 +209,6 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p, LaurentPoly.const(p.nvars, 1))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -262,7 +253,7 @@ class RationalFunction:
         num, den = self.num * unshift, self.den * unshift
         cn, cd = num.content(), den.content()
         c = Fraction(
-            _gcd_int(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
+            gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
             cn.denominator * cd.denominator,
         )
         if c not in (0, 1):

@@ -38,14 +38,6 @@ def vscale(c, u: Sequence) -> Vec:
     return tuple(Fraction(c) * a for a in u)
 
 
-def vneg(u: Sequence) -> Vec:
-    return tuple(-Fraction(a) for a in u)
-
-
-def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
-
-
 def _eliminate(rows: list[list[Fraction]], cols: Optional[int] = None) -> int:
     """In-place Gauss-Jordan over the first cols columns; returns the rank.
 

@@ -237,9 +237,13 @@ class Polytope:
         For a simple polytope this is the number of tight facets:
         dim for a vertex, 1 on the relative interior of a facet, 0 inside.
         """
-        if not self.contains(x):
-            return None
-        return len(self.active_facets(x))
+        codim = 0
+        for f in self.facets:
+            d = dot(f.normal, x)
+            if d < f.offset:
+                return None
+            codim += d == f.offset
+        return codim
 
     def vertex_index(self, point: Sequence) -> int:
         return self._index[tuple(Fraction(a) for a in point)]

@@ -18,7 +18,7 @@ from .latticegen import box_points
 from .linalg import dot, vadd, vsub
 from .polarize import PolarizedCone
 from .polytope import Polytope
-from .weights import WeightParam, polytope_weight, polytope_weight_y
+from .weights import WeightParam, polytope_weight_y
 
 _PALETTE = (
     "#1f77b4",
@@ -148,15 +148,12 @@ def render_svg(
 
     for p in box_points(lo, hi):
         x, y = px(p)
-        if poly.contains(p):
+        weight = polytope_weight_y(poly, p)
+        if weight:
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#111"/>'
             )
-            label = (
-                str(polytope_weight(poly, p, w))
-                if w is not None
-                else str(polytope_weight_y(poly, p))
-            )
+            label = str(weight(w.y) if w is not None else weight)
             out.append(
                 f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
                 f'font-size="10" fill="#333">{label}</text>'

@@ -109,19 +109,15 @@ def check_decomposition_at(
 ) -> CheckResult:
     """Compare polytope weight with the signed cone sum at one point.
 
-    With w = None the comparison is symbolic, covering every admissible
-    y at once; otherwise both sides are Fractions at w.y.
+    Both sides are computed symbolically in y.  With w = None they are
+    compared as such, covering every admissible y at once; otherwise both
+    are evaluated at w.y and compared as Fractions.
     """
     xt = tuple(Fraction(a) for a in x)
-    if w is None:
-        lhs = polytope_weight_y(poly, xt)
-        rhs = signed_cone_sum_y(cones, xt)
-    else:
-        lhs = polytope_weight(poly, xt, w)
-        rhs = sum(
-            (cone.sign * cone_weight(cone, xt, w) for cone in cones),
-            Fraction(0),
-        )
+    lhs = polytope_weight_y(poly, xt)
+    rhs = signed_cone_sum_y(cones, xt)
+    if w is not None:
+        lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

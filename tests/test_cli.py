@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import DATA_DIR
+from polarcount import latticegen
 from polarcount.cli import main
 
 
@@ -116,6 +117,29 @@ def test_chi_zero_z_rejected(capsys):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--builtin", "simplex:2,4"),
+        ("count", "--builtin", "simplex:2,4", "--y", "1/2"),
+        ("chi", "--builtin", "cube:2", "--y", "1", "--z", "2,3"),
+        ("brion", "--builtin", "trapezoid"),
+    ],
+)
+def test_one_lattice_enumeration_per_command(capsys, monkeypatch, argv):
+    calls = []
+    enumerate_box = latticegen.lattice_points
+
+    def counted(poly):
+        calls.append(poly)
+        return enumerate_box(poly)
+
+    monkeypatch.setattr(latticegen, "lattice_points", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_brion_pass(capsys):
     code, out, _ = run(capsys, "brion", "--builtin", "trapezoid")
     assert code == 0
@@ -195,6 +219,69 @@ def test_builtin_bad_params(capsys):
     assert code == 2
     code, _, err = run(capsys, "vertices", "--builtin", "interval")
     assert code == 2
+
+
+_INTERVAL_USAGE = "interval takes exactly one parameter: interval:LEN"
+_CUBE_USAGE = "cube takes one or two parameters: cube:N[,SIDE]"
+_SIMPLEX_USAGE = "simplex takes one or two parameters: simplex:N[,DILATION]"
+_TRAPEZOID_USAGE = (
+    "trapezoid takes zero or two parameters: trapezoid[:WIDTH,HEIGHT]"
+)
+_PRISM_USAGE = "prism takes zero or two parameters: prism[:DILATION,HEIGHT]"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("interval", _INTERVAL_USAGE),
+        ("interval:1,2", _INTERVAL_USAGE),
+        ("interval:x", "interval length: 'x' is not a rational number"),
+        ("cube", _CUBE_USAGE),
+        ("cube:2,1,1", _CUBE_USAGE),
+        ("cube:x", "cube dimension: 'x' is not an integer"),
+        ("cube:2,s", "cube side: 's' is not a rational number"),
+        ("simplex", _SIMPLEX_USAGE),
+        ("simplex:2,1,1", _SIMPLEX_USAGE),
+        ("simplex:1/2", "simplex dimension: '1/2' is not an integer"),
+        ("simplex:2,d", "simplex dilation: 'd' is not a rational number"),
+        ("trapezoid:3", _TRAPEZOID_USAGE),
+        ("trapezoid:3,1,1", _TRAPEZOID_USAGE),
+        ("trapezoid:w,1", "trapezoid width: 'w' is not a rational number"),
+        ("trapezoid:3,h", "trapezoid height: 'h' is not a rational number"),
+        ("prism:2", _PRISM_USAGE),
+        ("prism:2,1,1", _PRISM_USAGE),
+        ("prism:a,1", "prism dilation: 'a' is not a rational number"),
+        ("prism:2,h", "prism height: 'h' is not a rational number"),
+        ("dodecahedron", "unknown builtin 'dodecahedron'; builtin polytope: "
+         "interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
+         "trapezoid[:WIDTH,HEIGHT], prism[:DILATION,HEIGHT]"),
+    ],
+)
+def test_builtin_parse_errors(capsys, spec, message):
+    code, out, err = run(capsys, "vertices", "--builtin", spec)
+    assert code == 2
+    assert out == "command: vertices\n"
+    assert err.splitlines()[0] == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "spec, described",
+    [
+        ("interval:3", "dim 1, 2 facets, 2 vertices"),
+        ("cube:2", "dim 2, 4 facets, 4 vertices"),
+        ("cube:3,2", "dim 3, 6 facets, 8 vertices"),
+        ("simplex:2", "dim 2, 3 facets, 3 vertices"),
+        ("simplex:3,2", "dim 3, 4 facets, 4 vertices"),
+        ("trapezoid", "dim 2, 4 facets, 4 vertices"),
+        ("trapezoid:3,1", "dim 2, 4 facets, 4 vertices"),
+        ("prism", "dim 3, 5 facets, 6 vertices"),
+        ("prism:2,1", "dim 3, 5 facets, 6 vertices"),
+    ],
+)
+def test_builtin_accepted_arities(capsys, spec, described):
+    code, out, _ = run(capsys, "vertices", "--builtin", spec)
+    assert code == 0
+    assert f"polytope: {described}, regular, integral" in out
 
 
 def test_missing_input(capsys):

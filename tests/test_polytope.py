@@ -5,8 +5,9 @@ import pytest
 
 import polarcount as pc
 from conftest import DATA_DIR
+from polarcount.latticegen import box_points
 from polarcount.linalg import det
-from zoo import square_half, triangle_nonregular
+from zoo import decomposition_zoo, square_half, triangle_nonregular
 
 
 def points(poly):
@@ -139,6 +140,11 @@ def test_face_codim():
     assert P.face_codim((0, 0)) == 2
     assert P.face_codim((5, 5)) is None
     assert P.face_codim((2, 0)) == 2
+    for name, Q in decomposition_zoo():
+        lo, hi = Q.integer_box(2)
+        for p in box_points(lo, hi):
+            expected = len(Q.active_facets(p)) if Q.contains(p) else None
+            assert Q.face_codim(p) == expected, (name, p)
 
 
 def test_contains_and_boxes():
