@@ -13,24 +13,27 @@ and the sum over vertices collapses to the polynomial
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
-The lattice side of every identity comes from one enumeration of the
-polytope's lattice points, each paired with its codimension.  Weighted
-quantities are computed symbolically in y; a concrete y only evaluates
-the symbolic answer.  Enumeration and the truncated cone series hold for
-any simple polytope; everything else needs determinant +-1 edge bases at
-every vertex and integer vertices, and raises HypothesisError otherwise.
+The lattice side of every identity comes from one enumeration,
+lattice_points, which scans the integer box row by row with the facets
+scaled to integer normals and offsets, and maps each lattice point to
+the codimension of its face.  Weighted quantities are computed
+symbolically in y; a concrete y only evaluates the symbolic answer.
+Enumeration and the truncated cone series hold for any simple polytope;
+everything else needs determinant +-1 edge bases at every vertex and
+integer vertices, and raises HypothesisError otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
 from .linalg import canonical_direction
 from .polarize import polarize_cones
-from .polytope import Polytope, fmt_point
+from .polytope import HalfSpace, Polytope, fmt_point
 from .weights import (
     CheckResult,
     WeightParam,
@@ -70,22 +73,59 @@ def box_points(lo: Sequence[int], hi: Sequence[int]):
     return iter_product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def lattice_points(poly: Polytope) -> tuple[tuple[int, ...], ...]:
-    """All lattice points of the polytope, lexicographically sorted."""
+def _integer_facet(f: HalfSpace) -> tuple[tuple[int, ...], int]:
+    """The facet <a, x> >= b scaled by the lcm of its denominators."""
+    scale = lcm(f.offset.denominator, *(a.denominator for a in f.normal))
+    return tuple(int(a * scale) for a in f.normal), int(f.offset * scale)
+
+
+def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
+    """Each lattice point of the polytope, in lexicographic order, mapped
+    to the codimension of the smallest face containing it.
+
+    One integer row scan.  For each prefix of the first n-1 coordinates
+    in the integer box, a facet <a, x> >= b with residual
+    r = b - <a[:n-1], prefix> bounds the last coordinate below by
+    ceil(r/a_n) when a_n > 0 and above by floor(r/a_n) when a_n < 0;
+    with a_n = 0 it empties the row when r > 0 and is tight on all of it
+    when r = 0.  A facet with a_n != 0 is tight at the last coordinate
+    r/a_n when that is an integer.
+    """
     lo, hi = poly.integer_box()
-    return tuple(p for p in box_points(lo, hi) if poly.contains(p))
-
-
-def _points_and_codims(poly: Polytope):
-    """Each lattice point of the polytope with the codimension of its face."""
-    for p in lattice_points(poly):
-        yield p, poly.face_codim(p)
+    facets = [_integer_facet(f) for f in poly.facets]
+    points: dict[tuple[int, ...], int] = {}
+    for prefix in box_points(lo[:-1], hi[:-1]):
+        first, last = lo[-1], hi[-1]
+        row_tight = 0
+        tight_at = []
+        for a, b in facets:
+            r = b - sum(ai * pi for ai, pi in zip(a, prefix))
+            an = a[-1]
+            if an > 0:
+                first = max(first, -(-r // an))
+            elif an < 0:
+                last = min(last, r // an)
+            elif r > 0:
+                break
+            else:
+                row_tight += r == 0
+                continue
+            if r % an == 0:
+                tight_at.append(r // an)
+        else:
+            codims = [row_tight] * (last - first + 1)
+            for t in tight_at:
+                if first <= t <= last:
+                    codims[t - first] += 1
+            for x, c in zip(range(first, last + 1), codims):
+                points[(*prefix, x)] = c
+    return points
 
 
 def codim_census(poly: Polytope) -> dict[int, int]:
     """How many lattice points sit on faces of each codimension."""
     census: dict[int, int] = {}
-    for _, c in _points_and_codims(poly):
+    for c in lattice_points(poly).values():
         census[c] = census.get(c, 0) + 1
     return census
 
@@ -205,7 +245,7 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     require_lattice_hypotheses(poly, "the weighted lattice sum")
     n = poly.dim
     return LaurentPoly(
-        n, {p: ONE_PLUS_Y ** (n - c) for p, c in _points_and_codims(poly)}
+        n, {p: ONE_PLUS_Y ** (n - c) for p, c in lattice_points(poly).items()}
     )
 
 
@@ -268,9 +308,17 @@ def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     zt = tuple(Fraction(a) for a in z)
     if any(a == 0 for a in zt):
         raise ValueError("evaluation point must have nonzero coordinates")
+    face_powers = [w.on_face**c for c in range(poly.dim + 1)]
+    lo, hi = poly.integer_box()
+    coord_powers = [
+        {e: zi**e for e in range(a, b + 1)} for zi, a, b in zip(zt, lo, hi)
+    ]
     total = Fraction(0)
-    for p, c in _points_and_codims(poly):
-        total += w.on_face**c * _monomial_value(zt, p)
+    for p, c in lattice_points(poly).items():
+        term = face_powers[c]
+        for powers, e in zip(coord_powers, p):
+            term *= powers[e]
+        total += term
     return total
 
 

@@ -97,7 +97,7 @@ def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     for cone in cones:
         wgt = cone_weight_y(cone, x)
         if wgt:
-            total = total + (cone.sign * YFrac(1)) * wgt
+            total = total + wgt if cone.sign > 0 else total - wgt
     return total
 
 

@@ -1,7 +1,3 @@
-import sys
 from pathlib import Path
-
-# make zoo.py importable regardless of how pytest was invoked
-sys.path.insert(0, str(Path(__file__).parent))
 
 DATA_DIR = Path(__file__).parent.parent / "polytopes"

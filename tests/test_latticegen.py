@@ -2,11 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcount as pc
+from polarcount.latticegen import box_points
 from polarcount.laurent import LaurentPoly, RationalFunction
 from polarcount.ypoly import ONE_PLUS_Y, YFrac, YPoly
-from zoo import brion_zoo, regular_zoo, square_half, triangle_nonregular
+from zoo import (
+    brion_zoo,
+    decomposition_zoo,
+    regular_zoo,
+    square_half,
+    triangle_nonregular,
+)
 
 
 def test_lattice_point_counts():
@@ -15,12 +24,110 @@ def test_lattice_point_counts():
     assert len(pc.lattice_points(pc.hypercube(3, 1))) == 8
     assert len(pc.lattice_points(pc.dilated_simplex(2, 4))) == 15
     assert len(pc.lattice_points(pc.prism(2, 1))) == 12
-    assert pc.lattice_points(pc.trapezoid()) == (
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (1, 1),
-        (2, 0),
+    points = pc.lattice_points(pc.trapezoid())
+    assert points == {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 2, (2, 0): 2}
+    assert list(points) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+
+
+def brute_force_points(P):
+    """face_codim at every point of the integer box, in lexicographic order."""
+    codims = ((p, P.face_codim(p)) for p in box_points(*P.integer_box()))
+    return {p: c for p, c in codims if c is not None}
+
+
+def affine_image(P, M, shift=None, scales=None):
+    """S P + shift, where S is unimodular and M = S^-T maps each facet normal.
+
+    Facet <a, x> >= b becomes <Ma, x> >= b + <Ma, shift>, multiplied by a
+    positive scale, which leaves the half-space unchanged.
+    """
+    n = P.dim
+    shift = shift or (0,) * n
+    scales = scales or (1,) * len(P.facets)
+    facets = []
+    for f, q in zip(P.facets, scales):
+        a = tuple(sum(M[i][j] * f.normal[j] for j in range(n)) for i in range(n))
+        b = f.offset + sum(ai * ti for ai, ti in zip(a, shift))
+        facets.append((tuple(q * ai for ai in a), q * b))
+    return pc.Polytope(facets)
+
+
+SHEARS = {
+    2: (((1, 0), (2, 1)), ((1, 2), (0, 1)), ((3, 2), (1, 1))),
+    3: (
+        ((1, 0, 0), (0, 1, 0), (2, -1, 1)),
+        ((1, 0, 2), (0, 1, -1), (0, 0, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, -3, 1)),
+    ),
+}
+
+
+def row_scan_cases():
+    cases = decomposition_zoo() + [
+        ("interval-5/2", pc.interval(Fraction(5, 2))),
+        (
+            "interval-1/3..8/3",
+            affine_image(pc.interval(Fraction(7, 3)), ((1,),), (Fraction(1, 3),)),
+        ),
+        (
+            "interval-(-7/2)..(-1/2)",
+            affine_image(pc.interval(3), ((-1,),), (Fraction(-1, 2),)),
+        ),
+        (
+            "from_dict-pq",
+            pc.from_dict(
+                {
+                    "dim": 2,
+                    "facets": [
+                        ["2/3", 0, "1/3"],
+                        [0, "5/2", "-5/6"],
+                        ["-1/4", "-1/4", "-7/8"],
+                    ],
+                }
+            ),
+        ),
+    ]
+    for name, P in decomposition_zoo():
+        for k, M in enumerate(SHEARS.get(P.dim, ())):
+            cases.append((f"{name}-shear{k}", affine_image(P, M)))
+    return [pytest.param(P, id=name) for name, P in cases]
+
+
+@pytest.mark.parametrize("P", row_scan_cases())
+def test_row_scan_matches_brute_force(P):
+    expected = brute_force_points(P)
+    assert list(pc.lattice_points(P).items()) == list(expected.items())
+
+
+@st.composite
+def unimodular(draw, n):
+    """A diagonal of +-1 followed by up to three integer row shears."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        M[i][i] = draw(st.sampled_from((1, -1)))
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
+            M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+positive_fractions = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_scan_matches_brute_force_on_images(data):
+    zoo = dict(decomposition_zoo())
+    P = zoo[data.draw(st.sampled_from(sorted(zoo)))]
+    M = data.draw(unimodular(P.dim))
+    shift = data.draw(st.tuples(*[small_fractions] * P.dim))
+    scales = data.draw(st.tuples(*[positive_fractions] * len(P.facets)))
+    image = affine_image(P, M, shift, scales)
+    assert list(pc.lattice_points(image).items()) == list(
+        brute_force_points(image).items()
     )
 
 
@@ -88,7 +195,9 @@ def test_enumeration_has_no_gate():
     nonreg = triangle_nonregular()
     assert len(pc.lattice_points(nonreg)) == 4
     assert pc.codim_census(nonreg) == {1: 1, 2: 3}
-    assert pc.lattice_points(square_half()) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    points = pc.lattice_points(square_half())
+    assert points == {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    assert list(points) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_vertex_genfun_interval():
