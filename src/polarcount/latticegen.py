@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
 from .linalg import canonical_direction
 from .polarize import polarize_cones
-from .polytope import HalfSpace, Polytope, fmt_point
+from .polytope import Polytope, fmt_point
 from .weights import (
     CheckResult,
     WeightParam,
@@ -73,26 +72,20 @@ def box_points(lo: Sequence[int], hi: Sequence[int]):
     return iter_product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def _integer_facet(f: HalfSpace) -> tuple[tuple[int, ...], int]:
-    """The facet <a, x> >= b scaled by the lcm of its denominators."""
-    scale = lcm(f.offset.denominator, *(a.denominator for a in f.normal))
-    return tuple(int(a * scale) for a in f.normal), int(f.offset * scale)
-
-
 def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
     """Each lattice point of the polytope, in lexicographic order, mapped
     to the codimension of the smallest face containing it.
 
-    One integer row scan.  For each prefix of the first n-1 coordinates
-    in the integer box, a facet <a, x> >= b with residual
-    r = b - <a[:n-1], prefix> bounds the last coordinate below by
-    ceil(r/a_n) when a_n > 0 and above by floor(r/a_n) when a_n < 0;
+    One integer row scan over Polytope.integer_facets.  For each prefix
+    of the first n-1 coordinates in the integer box, a facet <a, x> >= b
+    with residual r = b - <a[:n-1], prefix> bounds the last coordinate
+    below by ceil(r/a_n) when a_n > 0 and above by floor(r/a_n) when a_n < 0;
     with a_n = 0 it empties the row when r > 0 and is tight on all of it
     when r = 0.  A facet with a_n != 0 is tight at the last coordinate
     r/a_n when that is an integer.
     """
     lo, hi = poly.integer_box()
-    facets = [_integer_facet(f) for f in poly.facets]
+    facets = poly.integer_facets
     points: dict[tuple[int, ...], int] = {}
     for prefix in box_points(lo[:-1], hi[:-1]):
         first, last = lo[-1], hi[-1]
@@ -244,9 +237,8 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     """
     require_lattice_hypotheses(poly, "the weighted lattice sum")
     n = poly.dim
-    return LaurentPoly(
-        n, {p: ONE_PLUS_Y ** (n - c) for p, c in lattice_points(poly).items()}
-    )
+    powers = [ONE_PLUS_Y ** (n - c) for c in range(n + 1)]
+    return LaurentPoly(n, {p: powers[c] for p, c in lattice_points(poly).items()})
 
 
 class BrionReport(NamedTuple):
@@ -279,14 +271,19 @@ def _monomial_value(z: Sequence[Fraction], expo: Sequence[int]) -> Fraction:
     return val
 
 
-def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
-    """Sum of vertex terms evaluated at a concrete z with nonzero coordinates."""
-    require_lattice_hypotheses(poly, "vertex-sum evaluation")
+def _evaluation_point(poly: Polytope, z: Sequence) -> tuple[Fraction, ...]:
     zt = tuple(Fraction(a) for a in z)
     if len(zt) != poly.dim:
         raise ValueError(f"expected {poly.dim} coordinates, got {len(zt)}")
     if any(a == 0 for a in zt):
         raise ValueError("evaluation point must have nonzero coordinates")
+    return zt
+
+
+def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
+    """Sum of vertex terms evaluated at a concrete z with nonzero coordinates."""
+    require_lattice_hypotheses(poly, "vertex-sum evaluation")
+    zt = _evaluation_point(poly, z)
     total = Fraction(0)
     for v in poly.vertices:
         term = _monomial_value(zt, tuple(int(a) for a in v.point))
@@ -305,9 +302,7 @@ def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
 def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     """Direct weighted sum over lattice points at a concrete z."""
     require_lattice_hypotheses(poly, "weighted lattice evaluation")
-    zt = tuple(Fraction(a) for a in z)
-    if any(a == 0 for a in zt):
-        raise ValueError("evaluation point must have nonzero coordinates")
+    zt = _evaluation_point(poly, z)
     face_powers = [w.on_face**c for c in range(poly.dim + 1)]
     lo, hi = poly.integer_box()
     coord_powers = [

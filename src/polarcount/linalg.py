@@ -58,11 +58,11 @@ def _eliminate(rows: list[list[Fraction]], cols: Optional[int] = None) -> int:
             continue
         rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
         pv = rows[rank_][col]
-        rows[rank_] = [a / pv for a in rows[rank_]]
+        rows[rank_] = [a / pv if a else a for a in rows[rank_]]
         for r in range(m):
             if r != rank_ and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank_])]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[rank_])]
         rank_ += 1
     return rank_
 

@@ -1,11 +1,23 @@
 """Simple convex polytopes from facet inequalities, with exact arithmetic.
 
 A polytope is the set {x : <x, u_i> >= lam_i for each facet}.  The
-constructor enumerates vertices, computes the primitive edge directions
-at each vertex, and rejects anything that is not a bounded simple
-polytope with irredundant facets.  Simplicity means every vertex lies
-on exactly dim facets; it is what makes tangent cones simplicial and
-the whole decomposition machinery well defined.
+constructor finds the vertices, the primitive edge directions at each
+vertex and the edges between vertices, and rejects anything that is not
+a bounded simple polytope with irredundant facets.  Simplicity means
+every vertex lies on exactly dim facets; it is what makes tangent cones
+simplicial and the whole decomposition machinery well defined.
+
+Vertices are found by walking the vertex graph (pivoting in the manner
+of Avis and Fukuda, simplified for simple polytopes).  A depth-first
+search over facet subsets in lexicographic order finds one vertex; at
+each vertex one exact inverse of the dim active normals gives the point
+and the dim edge directions, and a ratio test over the facets, scaled
+once to integer normals and offsets, finds the neighbour along each
+edge.  The cost is about vertices * dim * facets integer dot products
+plus one dim x dim inverse per vertex, rather than one solve per
+dim-subset of the facets.  A tie in a ratio test is a non-simple
+vertex, an edge no facet blocks is an unbounded ray, and a facet no
+vertex touches is redundant.
 """
 
 from __future__ import annotations
@@ -14,20 +26,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
-from .linalg import (
-    det,
-    dot,
-    primitive,
-    rank,
-    solve_linear,
-    vadd,
-    vec,
-    vsub,
-)
+from .linalg import det, dot, inverse, primitive, vadd, vec
 
 
 class PolytopeError(ValueError):
@@ -69,6 +71,11 @@ class HalfSpace:
     def tight(self, x: Sequence) -> bool:
         return dot(self.normal, x) == self.offset
 
+    def integer(self) -> tuple[tuple[int, ...], int]:
+        """Normal and offset scaled by the lcm of their denominators."""
+        scale = lcm(self.offset.denominator, *(a.denominator for a in self.normal))
+        return tuple(int(a * scale) for a in self.normal), int(self.offset * scale)
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -98,6 +105,7 @@ class Polytope:
     Attributes:
         dim:      ambient dimension n
         facets:   tuple of HalfSpace
+        integer_facets: (normal, offset) per facet, scaled to integers
         vertices: tuple of Vertex, sorted by point
         regular:  True when every vertex edge matrix has determinant +-1
         integral: True when every vertex has integer coordinates
@@ -120,15 +128,9 @@ class Polytope:
             )
         self.dim = n
         self.facets = hs
+        self.integer_facets = tuple(f.integer() for f in hs)
         self._reject_duplicate_facets()
-        self.vertices = self._enumerate_vertices()
-        if not self.vertices:
-            raise UnboundedError(
-                "inequality system has no vertices: the region is empty "
-                "or unbounded with no corner"
-            )
-        self._attach_edges()
-        self._reject_redundant_facets()
+        self.vertices, self._edges = self._walk()
         self.regular = all(
             abs(det(v.edges)) == 1 for v in self.vertices
         )
@@ -155,73 +157,135 @@ class Polytope:
                 )
             seen[key] = i
 
-    def _enumerate_vertices(self) -> tuple:
-        n = len(self.facets[0].normal)
-        found = {}
-        for subset in combinations(range(len(self.facets)), n):
-            rows = [self.facets[i].normal for i in subset]
-            rhs = [self.facets[i].offset for i in subset]
-            x = solve_linear(rows, rhs)
-            if x is None or x in found:
-                continue
-            if all(f.holds(x) for f in self.facets):
-                active = tuple(
-                    i for i, f in enumerate(self.facets) if f.tight(x)
-                )
-                if len(active) > n:
-                    raise NonSimpleError(
-                        f"vertex {fmt_point(x)} lies on {len(active)} facets "
-                        f"(indices {list(active)}); a simple {n}-polytope "
-                        f"allows exactly {n}"
-                    )
-                found[x] = active
-        return tuple(
-            Vertex(point=x, active=found[x], edges=())
-            for x in sorted(found)
-        )
+    def _first_vertex(self) -> tuple[int, ...]:
+        """Active facets of the first vertex in lexicographic subset order.
 
-    def _edge_direction(self, active: tuple[int, ...], relaxed: int) -> tuple[int, ...]:
-        """Primitive direction into the polytope when one facet is relaxed.
-
-        Solves <d, u_k> = 0 for the kept facets and <d, u_relaxed> = 1,
-        which points to the feasible side.
+        Depth first over the n-subsets of facets in lexicographic order,
+        carrying the reduced rows [normal | offset] of the prefix: a
+        prefix whose normals are linearly dependent is pruned, since no
+        extension of it has a unique solution.  The first full subset
+        whose solution satisfies every facet gives the vertex.
         """
-        rows = [self.facets[i].normal for i in active if i != relaxed]
-        rows.append(self.facets[relaxed].normal)
-        rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-        d = solve_linear(rows, rhs)
-        if d is None:
-            raise PolytopeError(
-                f"active facets {list(active)} are linearly dependent"
+        n, facets = self.dim, self.integer_facets
+
+        def extend(first: int, basis: list) -> Optional[tuple]:
+            if len(basis) == n:
+                x = [Fraction(0)] * n
+                for pivot, row in basis:
+                    x[pivot] = row[n]
+                return tuple(x) if self.contains(x) else None
+            for i in range(first, len(facets) - (n - len(basis)) + 1):
+                normal, offset = facets[i]
+                row = [Fraction(a) for a in (*normal, offset)]
+                for pivot, b in basis:
+                    if row[pivot]:
+                        c = row[pivot]
+                        row = [r - c * s for r, s in zip(row, b)]
+                pivot = next((k for k in range(n) if row[k]), None)
+                if pivot is None:
+                    continue
+                row = [r / row[pivot] for r in row]
+                reduced = [
+                    (p, [s - b[pivot] * r for s, r in zip(b, row)] if b[pivot] else b)
+                    for p, b in basis
+                ]
+                x = extend(i + 1, reduced + [(pivot, row)])
+                if x is not None:
+                    return x
+            return None
+
+        x = extend(0, [])
+        if x is None:
+            raise UnboundedError(
+                "inequality system has no vertices: the region is empty "
+                "or unbounded with no corner"
             )
-        return primitive(d)
+        active = self.active_facets(x)
+        if len(active) > n:
+            raise _non_simple(x, active, n)
+        return active
 
-    def _attach_edges(self):
-        out = []
-        for v in self.vertices:
-            dirs = tuple(self._edge_direction(v.active, j) for j in v.active)
-            for d in dirs:
-                if all(dot(d, f.normal) >= 0 for f in self.facets):
-                    raise UnboundedError(
-                        f"edge at vertex {fmt_point(v.point)} along {d} "
-                        f"never leaves the feasible region"
+    def _walk(self) -> tuple[tuple, tuple]:
+        """Every vertex with its edges, by pivoting along the vertex graph.
+
+        At a vertex with active facets S, the inverse of the normals in S
+        gives the point (inverse times offsets) and, column by column, the
+        edge directions.  Along each edge a ratio test over the integer
+        facets finds the nearest facet that blocks it; the neighbour's
+        active set is S with the relaxed facet swapped for the blocking
+        one.  A tie makes the neighbour non-simple, and an edge no facet
+        blocks is an unbounded ray.  Returns the vertices sorted by point
+        and the edges as sorted index pairs.
+        """
+        n, facets = self.dim, self.integer_facets
+        start = self._first_vertex()
+        graph = {}
+        unbounded = {}
+        todo = [start]
+        queued = {start}
+        while todo:
+            active = todo.pop()
+            inv = inverse([facets[i][0] for i in active])
+            point = tuple(
+                sum(r * facets[i][1] for r, i in zip(row, active)) for row in inv
+            )
+            dirs = tuple(primitive(col) for col in zip(*inv))
+            denom = lcm(*(a.denominator for a in point))
+            scaled = [int(a * denom) for a in point]
+            slack = [
+                sum(a * x for a, x in zip(normal, scaled)) - offset * denom
+                for normal, offset in facets
+            ]
+            neighbours = []
+            for relaxed, d in zip(active, dirs):
+                # nearest facets along d: least slack / rate, rate = -<a, d> > 0
+                blocking, near_s, near_r = [], 0, 1
+                for i, (normal, _) in enumerate(facets):
+                    rate = -sum(a * x for a, x in zip(normal, d))
+                    if rate <= 0:
+                        continue
+                    s = slack[i]
+                    if not blocking or s * near_r < near_s * rate:
+                        blocking, near_s, near_r = [i], s, rate
+                    elif s * near_r == near_s * rate:
+                        blocking.append(i)
+                if not blocking:
+                    unbounded.setdefault(point, d)
+                    continue
+                nxt = tuple(sorted({*active, *blocking} - {relaxed}))
+                if len(blocking) > 1:
+                    t = Fraction(near_s, near_r * denom)
+                    raise _non_simple(
+                        tuple(x + t * a for x, a in zip(point, d)), nxt, n
                     )
-            out.append(Vertex(point=v.point, active=v.active, edges=dirs))
-        self.vertices = tuple(out)
+                neighbours.append(nxt)
+                if nxt not in queued:
+                    queued.add(nxt)
+                    todo.append(nxt)
+            graph[active] = (point, dirs, neighbours)
 
-    def _reject_redundant_facets(self):
-        for i in range(len(self.facets)):
-            incident = [v.point for v in self.vertices if i in v.active]
-            if not incident:
+        order = sorted(graph, key=lambda active: graph[active][0])
+        for active in order:
+            point = graph[active][0]
+            if point in unbounded:
+                raise UnboundedError(
+                    f"edge at vertex {fmt_point(point)} along {unbounded[point]} "
+                    f"never leaves the feasible region"
+                )
+        touched = set().union(*graph)
+        for i in range(len(facets)):
+            if i not in touched:
                 raise RedundantFacetError(
                     f"facet {i} touches no vertex; the inequality is redundant"
                 )
-            diffs = [vsub(p, incident[0]) for p in incident[1:]]
-            if rank(diffs) < self.dim - 1:
-                raise RedundantFacetError(
-                    f"facet {i} supports a face of dimension "
-                    f"{rank(diffs)} < {self.dim - 1}; the inequality is redundant"
-                )
+        index = {active: k for k, active in enumerate(order)}
+        vertices = tuple(
+            Vertex(point=graph[a][0], active=a, edges=graph[a][1]) for a in order
+        )
+        edges = sorted({
+            tuple(sorted((index[a], index[b]))) for a in order for b in graph[a][2]
+        })
+        return vertices, tuple(edges)
 
     # -- queries -----------------------------------------------------
 
@@ -249,13 +313,8 @@ class Polytope:
         return self._index[tuple(Fraction(a) for a in point)]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of vertex indices sharing dim-1 facets, each pair once."""
-        out = []
-        for i, j in combinations(range(len(self.vertices)), 2):
-            shared = set(self.vertices[i].active) & set(self.vertices[j].active)
-            if len(shared) == self.dim - 1:
-                out.append((i, j))
-        return tuple(out)
+        """Pairs of adjacent vertex indices, each pair once, in sorted order."""
+        return self._edges
 
     def tangent_cone(self, vertex_index: int) -> TangentCone:
         v = self.vertices[vertex_index]
@@ -294,6 +353,13 @@ class Polytope:
 
 def fmt_point(x: Sequence) -> str:
     return "(" + ", ".join(str(Fraction(a)) for a in x) + ")"
+
+
+def _non_simple(x: Sequence, active: tuple[int, ...], n: int) -> NonSimpleError:
+    return NonSimpleError(
+        f"vertex {fmt_point(x)} lies on {len(active)} facets "
+        f"(indices {list(active)}); a simple {n}-polytope allows exactly {n}"
+    )
 
 
 # -- builders ---------------------------------------------------------

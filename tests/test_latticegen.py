@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import polarcount as pc
 from polarcount.latticegen import box_points
 from polarcount.laurent import LaurentPoly, RationalFunction
 from polarcount.ypoly import ONE_PLUS_Y, YFrac, YPoly
 from zoo import (
+    affine_image,
     brion_zoo,
     decomposition_zoo,
     regular_zoo,
+    sheared_zoo,
     square_half,
     triangle_nonregular,
+    zoo_images,
 )
 
 
@@ -33,33 +35,6 @@ def brute_force_points(P):
     """face_codim at every point of the integer box, in lexicographic order."""
     codims = ((p, P.face_codim(p)) for p in box_points(*P.integer_box()))
     return {p: c for p, c in codims if c is not None}
-
-
-def affine_image(P, M, shift=None, scales=None):
-    """S P + shift, where S is unimodular and M = S^-T maps each facet normal.
-
-    Facet <a, x> >= b becomes <Ma, x> >= b + <Ma, shift>, multiplied by a
-    positive scale, which leaves the half-space unchanged.
-    """
-    n = P.dim
-    shift = shift or (0,) * n
-    scales = scales or (1,) * len(P.facets)
-    facets = []
-    for f, q in zip(P.facets, scales):
-        a = tuple(sum(M[i][j] * f.normal[j] for j in range(n)) for i in range(n))
-        b = f.offset + sum(ai * ti for ai, ti in zip(a, shift))
-        facets.append((tuple(q * ai for ai in a), q * b))
-    return pc.Polytope(facets)
-
-
-SHEARS = {
-    2: (((1, 0), (2, 1)), ((1, 2), (0, 1)), ((3, 2), (1, 1))),
-    3: (
-        ((1, 0, 0), (0, 1, 0), (2, -1, 1)),
-        ((1, 0, 2), (0, 1, -1), (0, 0, 1)),
-        ((1, 1, 0), (0, 1, 0), (0, -3, 1)),
-    ),
-}
 
 
 def row_scan_cases():
@@ -87,9 +62,7 @@ def row_scan_cases():
             ),
         ),
     ]
-    for name, P in decomposition_zoo():
-        for k, M in enumerate(SHEARS.get(P.dim, ())):
-            cases.append((f"{name}-shear{k}", affine_image(P, M)))
+    cases += sheared_zoo()
     return [pytest.param(P, id=name) for name, P in cases]
 
 
@@ -99,33 +72,9 @@ def test_row_scan_matches_brute_force(P):
     assert list(pc.lattice_points(P).items()) == list(expected.items())
 
 
-@st.composite
-def unimodular(draw, n):
-    """A diagonal of +-1 followed by up to three integer row shears."""
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        M[i][i] = draw(st.sampled_from((1, -1)))
-    if n > 1:
-        for _ in range(draw(st.integers(0, 3))):
-            i, j = draw(st.permutations(range(n)))[:2]
-            c = draw(st.integers(-2, 2))
-            M[i] = [x + c * y for x, y in zip(M[i], M[j])]
-    return M
-
-
-small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-positive_fractions = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
-
-
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_row_scan_matches_brute_force_on_images(data):
-    zoo = dict(decomposition_zoo())
-    P = zoo[data.draw(st.sampled_from(sorted(zoo)))]
-    M = data.draw(unimodular(P.dim))
-    shift = data.draw(st.tuples(*[small_fractions] * P.dim))
-    scales = data.draw(st.tuples(*[positive_fractions] * len(P.facets)))
-    image = affine_image(P, M, shift, scales)
+@given(image=zoo_images())
+def test_row_scan_matches_brute_force_on_images(image):
     assert list(pc.lattice_points(image).items()) == list(
         brute_force_points(image).items()
     )
@@ -280,6 +229,14 @@ def test_chi_rejects_zero_coordinates():
         pc.chi_y_vertex_sum(pc.hypercube(2, 1), pc.WeightParam(1), (0, 5))
     with pytest.raises(ValueError):
         pc.chi_y_vertex_sum(pc.hypercube(2, 1), pc.WeightParam(1), (2,))
+
+
+@pytest.mark.parametrize("z", [(2,), (2, 3, 5)], ids=["short", "long"])
+@pytest.mark.parametrize("side", [pc.chi_y_vertex_sum, pc.chi_y_lattice_sum])
+def test_chi_rejects_wrong_length_z(side, z):
+    with pytest.raises(ValueError) as err:
+        side(pc.hypercube(2, 1), pc.WeightParam(1), z)
+    assert str(err.value) == f"expected 2 coordinates, got {len(z)}"
 
 
 def test_multiplicity_both_routes_agree():

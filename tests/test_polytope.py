@@ -1,13 +1,22 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcount as pc
 from conftest import DATA_DIR
 from polarcount.latticegen import box_points
-from polarcount.linalg import det
-from zoo import decomposition_zoo, square_half, triangle_nonregular
+from polarcount.linalg import det, dot, primitive, solve_linear
+from zoo import (
+    decomposition_zoo,
+    sheared_zoo,
+    square_half,
+    triangle_nonregular,
+    zoo_images,
+)
 
 
 def points(poly):
@@ -68,13 +77,32 @@ def test_nonregular_triangle_flags_and_failing_vertex():
 
 
 def test_octahedron_rejected_as_non_simple():
+    # every vertex is non-simple; the first one met is the one reported
     with pytest.raises(pc.NonSimpleError) as err:
         pc.from_file(DATA_DIR / "octahedron.json")
-    assert "facets" in str(err.value)
+    assert str(err.value) == (
+        "vertex (-1, 0, 0) lies on 4 facets (indices [0, 1, 2, 3]); "
+        "a simple 3-polytope allows exactly 3"
+    )
+
+
+def test_start_vertex_is_the_first_in_subset_order():
+    # facets 0 and 1 are parallel, so every subset holding both is skipped;
+    # the first vertex in lexicographic subset order solves facets 0, 2, 3
+    normals = [(1, 1, 1), (-1, -1, -1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+               (-1, 1, 1), (-1, 1, -1), (-1, -1, 1)]
+    with pytest.raises(pc.NonSimpleError) as err:
+        pc.Polytope([(u, -1) for u in normals])
+    assert str(err.value) == (
+        "vertex (-1, 0, 0) lies on 4 facets (indices [0, 2, 3, 4]); "
+        "a simple 3-polytope allows exactly 3"
+    )
 
 
 def test_pyramid_apex_rejected_as_non_simple():
-    with pytest.raises(pc.NonSimpleError):
+    # the walk starts at the simple vertex (0, 0, 0) and meets the apex
+    # through a tie in the ratio test
+    with pytest.raises(pc.NonSimpleError) as err:
         pc.Polytope(
             [
                 ((1, 0, 0), 0),
@@ -84,11 +112,30 @@ def test_pyramid_apex_rejected_as_non_simple():
                 ((0, -1, -1), -1),
             ]
         )
+    assert str(err.value) == (
+        "vertex (0, 0, 1) lies on 4 facets (indices [0, 1, 3, 4]); "
+        "a simple 3-polytope allows exactly 3"
+    )
 
 
 def test_unbounded_detected():
-    with pytest.raises(pc.UnboundedError):
+    with pytest.raises(pc.UnboundedError) as err:
         pc.Polytope([((1, 0), 0), ((0, 1), 0), ((1, 2), -1)])
+    assert str(err.value) == (
+        "edge at vertex (0, 0) along (1, 0) never leaves the feasible region"
+    )
+
+
+def test_unbounded_ray_reported_after_the_walk():
+    # the walk visits (0, 0, 0), (3, 0, 0) and (0, 3, 0), each with an
+    # unblocked edge along e3; the first vertex in sorted order is named
+    with pytest.raises(pc.UnboundedError) as err:
+        pc.Polytope(
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), -3)]
+        )
+    assert str(err.value) == (
+        "edge at vertex (0, 0, 0) along (0, 0, 1) never leaves the feasible region"
+    )
 
 
 def test_empty_region_detected():
@@ -97,7 +144,7 @@ def test_empty_region_detected():
 
 
 def test_redundant_facet_detected():
-    with pytest.raises(pc.RedundantFacetError):
+    with pytest.raises(pc.RedundantFacetError) as err:
         pc.Polytope(
             [
                 ((1, 0), 0),
@@ -107,6 +154,9 @@ def test_redundant_facet_detected():
                 ((1, 0), -1),  # x >= -1 never touches the square
             ]
         )
+    assert str(err.value) == (
+        "facet 4 touches no vertex; the inequality is redundant"
+    )
 
 
 def test_duplicate_facet_detected():
@@ -244,3 +294,106 @@ def test_data_files_all_load_or_fail_as_documented():
     assert not P.regular
     raw = json.loads((DATA_DIR / "square.json").read_text())
     assert raw["dim"] == 2
+
+
+# -- the vertex-graph walk against the subset scan ------------------------
+
+
+def subset_scan(facets):
+    """Vertices, flags and edges by brute force over facet subsets.
+
+    Solves every n-subset of the facets, keeps the feasible solutions,
+    and finds the edge obtained by relaxing each active facet by solving
+    <d, u_k> = 0 for the kept facets and <d, u_relaxed> = 1.  Two
+    vertices are adjacent when they share n-1 facets.  Raises the class
+    of error the constructor must raise, without its message.
+    """
+    n = len(facets[0].normal)
+    found = {}
+    for subset in combinations(range(len(facets)), n):
+        x = solve_linear(
+            [facets[i].normal for i in subset], [facets[i].offset for i in subset]
+        )
+        if x is not None and all(f.holds(x) for f in facets):
+            found[x] = tuple(i for i, f in enumerate(facets) if f.tight(x))
+    if any(len(active) > n for active in found.values()):
+        raise pc.NonSimpleError
+    if not found:
+        raise pc.UnboundedError
+    vertices = []
+    for x in sorted(found):
+        active = found[x]
+        edges = []
+        for relaxed in active:
+            rows = [facets[i].normal for i in active if i != relaxed]
+            rows.append(facets[relaxed].normal)
+            edges.append(primitive(solve_linear(rows, [0] * (n - 1) + [1])))
+        vertices.append(pc.Vertex(point=x, active=active, edges=tuple(edges)))
+    if any(
+        all(dot(d, f.normal) >= 0 for f in facets) for v in vertices for d in v.edges
+    ):
+        raise pc.UnboundedError
+    if len({i for v in vertices for i in v.active}) < len(facets):
+        raise pc.RedundantFacetError
+    pairs = tuple(
+        (i, j)
+        for i, j in combinations(range(len(vertices)), 2)
+        if len(set(vertices[i].active) & set(vertices[j].active)) == n - 1
+    )
+    return {
+        "vertices": tuple(vertices),
+        "regular": all(abs(det(v.edges)) == 1 for v in vertices),
+        "integral": all(a.denominator == 1 for v in vertices for a in v.point),
+        "edges": pairs,
+    }
+
+
+def walked(P):
+    return {
+        "vertices": P.vertices,
+        "regular": P.regular,
+        "integral": P.integral,
+        "edges": P.edges(),
+    }
+
+
+def construction_cases():
+    cases = decomposition_zoo()
+    cases += [(f"cube{n}", pc.hypercube(n)) for n in range(2, 6)]
+    cases += [(f"simplex{n}", pc.dilated_simplex(n)) for n in range(2, 7)]
+    cases += [("prism-default", pc.prism()), *sheared_zoo()]
+    return [pytest.param(P, id=name) for name, P in cases]
+
+
+@pytest.mark.parametrize("P", construction_cases())
+def test_walk_matches_subset_scan(P):
+    assert walked(P) == subset_scan(P.facets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=zoo_images())
+def test_walk_matches_subset_scan_on_images(image):
+    assert walked(image) == subset_scan(image.facets)
+
+
+@st.composite
+def facet_systems(draw):
+    """n+1 to n+4 facets with distinct primitive normals, so no two define
+    the same half-space; most are rejected, some are simple polytopes."""
+    n = draw(st.integers(2, 3))
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive)
+    normals = draw(st.lists(normal, min_size=n + 1, max_size=n + 4, unique=True))
+    offsets = draw(st.lists(st.integers(-3, 0), min_size=len(normals), max_size=len(normals)))
+    return [pc.HalfSpace(u, b) for u, b in zip(normals, offsets)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(facets=facet_systems())
+def test_walk_accepts_and_rejects_like_subset_scan(facets):
+    try:
+        expected = subset_scan(facets)
+    except pc.PolytopeError as e:
+        with pytest.raises(type(e)):
+            pc.Polytope(facets)
+    else:
+        assert walked(pc.Polytope(facets)) == expected

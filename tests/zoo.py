@@ -6,6 +6,8 @@ checks must never depend on shared mutable state.
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 import polarcount as pc
 
 # seeds chosen so the moment-curve walk lands in at least two different
@@ -64,3 +66,72 @@ def brion_zoo() -> list[tuple[str, pc.Polytope]]:
         ("simplex2d3", pc.dilated_simplex(2, 3)),
         ("trapezoid", pc.trapezoid()),
     ]
+
+
+# -- affine images ----------------------------------------------------
+
+
+def affine_image(P, M, shift=None, scales=None):
+    """S P + shift, where S is unimodular and M = S^-T maps each facet normal.
+
+    Facet <a, x> >= b becomes <Ma, x> >= b + <Ma, shift>, multiplied by a
+    positive scale, which leaves the half-space unchanged.
+    """
+    n = P.dim
+    shift = shift or (0,) * n
+    scales = scales or (1,) * len(P.facets)
+    facets = []
+    for f, q in zip(P.facets, scales):
+        a = tuple(sum(M[i][j] * f.normal[j] for j in range(n)) for i in range(n))
+        b = f.offset + sum(ai * ti for ai, ti in zip(a, shift))
+        facets.append((tuple(q * ai for ai in a), q * b))
+    return pc.Polytope(facets)
+
+
+SHEARS = {
+    2: (((1, 0), (2, 1)), ((1, 2), (0, 1)), ((3, 2), (1, 1))),
+    3: (
+        ((1, 0, 0), (0, 1, 0), (2, -1, 1)),
+        ((1, 0, 2), (0, 1, -1), (0, 0, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, -3, 1)),
+    ),
+}
+
+
+@st.composite
+def unimodular(draw, n):
+    """A diagonal of +-1 followed by up to three integer row shears."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        M[i][i] = draw(st.sampled_from((1, -1)))
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
+            M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+positive_fractions = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+
+
+def sheared_zoo() -> list[tuple[str, pc.Polytope]]:
+    """Each 2-d and 3-d decomposition_zoo member under each of SHEARS."""
+    return [
+        (f"{name}-shear{k}", affine_image(P, M))
+        for name, P in decomposition_zoo()
+        for k, M in enumerate(SHEARS.get(P.dim, ()))
+    ]
+
+
+@st.composite
+def zoo_images(draw):
+    """A decomposition_zoo member under a random unimodular map, a rational
+    translation and a positive rational scale per facet."""
+    zoo = dict(decomposition_zoo())
+    P = zoo[draw(st.sampled_from(sorted(zoo)))]
+    M = draw(unimodular(P.dim))
+    shift = draw(st.tuples(*[small_fractions] * P.dim))
+    scales = draw(st.tuples(*[positive_fractions] * len(P.facets)))
+    return affine_image(P, M, shift, scales)
