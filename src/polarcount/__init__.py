@@ -50,7 +50,6 @@ from .polytope import (
     PolytopeError,
     PolytopeFormatError,
     RedundantFacetError,
-    TangentCone,
     UnboundedError,
     Vertex,
     dilated_simplex,
@@ -77,9 +76,7 @@ from .weights import (
     check_decomposition,
     check_decomposition_at,
     cone_face_counts,
-    cone_weight,
     cone_weight_y,
-    polytope_weight,
     polytope_weight_y,
     sample_points,
     signed_cone_sum_y,

@@ -105,19 +105,26 @@ def _load_polytope(ns) -> tuple[Polytope, str, str]:
     raise InputError("no polytope given: pass a file or --builtin NAME")
 
 
-def _describe(poly: Polytope) -> str:
-    return (
+def _load_and_describe(ns, out) -> Polytope:
+    """Load the polytope and print the input and polytope lines."""
+    poly, source, digest = _load_polytope(ns)
+    print(f"input: {source} (sha256 {digest})", file=out)
+    print(
         f"polytope: dim {poly.dim}, {len(poly.facets)} facets, "
         f"{len(poly.vertices)} vertices, "
         f"{'regular' if poly.regular else 'not regular'}, "
-        f"{'integral' if poly.integral else 'not integral'}"
+        f"{'integral' if poly.integral else 'not integral'}",
+        file=out,
     )
+    return poly
 
 
 def _maybe_decimal(value: Fraction, places) -> str:
     exact = str(value)
     if places is None:
         return exact
+    if places < 0:
+        raise InputError("--decimal must be nonnegative")
     approx = f"{float(value):.{places}f}"
     return f"{exact} (~{approx})"
 
@@ -134,9 +141,7 @@ def _weight_param(ns) -> WeightParam:
 
 
 def _cmd_vertices(ns, out) -> int:
-    poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
-    print(_describe(poly), file=out)
+    poly = _load_and_describe(ns, out)
     for i, v in enumerate(poly.vertices):
         edges = ", ".join(str(e) for e in v.edges)
         print(
@@ -148,9 +153,9 @@ def _cmd_vertices(ns, out) -> int:
 
 
 def _cmd_decompose(ns, out) -> int:
-    poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
-    print(_describe(poly), file=out)
+    if ns.random_points < 0:
+        raise InputError("--random-points must be nonnegative")
+    poly = _load_and_describe(ns, out)
     w = _weight_param(ns) if ns.y is not None else None
     xi = find_polarizing(poly, seed=ns.seed)
     print(f"xi: {fmt_point(xi)}", file=out)
@@ -188,9 +193,7 @@ def _cmd_decompose(ns, out) -> int:
 
 
 def _cmd_count(ns, out) -> int:
-    poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
-    print(_describe(poly), file=out)
+    poly = _load_and_describe(ns, out)
     census = latticegen.codim_census(poly)
     total = sum(census.values())
     print(f"lattice points: {total}", file=out)
@@ -212,9 +215,7 @@ def _cmd_count(ns, out) -> int:
 
 
 def _cmd_chi(ns, out) -> int:
-    poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
-    print(_describe(poly), file=out)
+    poly = _load_and_describe(ns, out)
     w = _weight_param(ns)
     zparts = [p for p in ns.z.split(",") if p.strip()]
     if len(zparts) != poly.dim:
@@ -240,9 +241,7 @@ def _cmd_chi(ns, out) -> int:
 
 
 def _cmd_brion(ns, out) -> int:
-    poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
-    print(_describe(poly), file=out)
+    poly = _load_and_describe(ns, out)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}", file=out)
     n = poly.dim
@@ -289,6 +288,8 @@ def _cmd_series(ns, out) -> int:
 
 
 def _cmd_svg(ns, out) -> int:
+    if ns.margin < 0:
+        raise InputError("--margin must be nonnegative")
     poly, source, digest = _load_polytope(ns)
     if poly.dim != 2:
         raise InputError(
@@ -303,8 +304,11 @@ def _cmd_svg(ns, out) -> int:
     if ns.out == "-":
         print(text, file=out)
     else:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {ns.out}: {e}") from e
         print("command: svg", file=out)
         print(f"input: {source} (sha256 {digest})", file=out)
         print(f"wrote {ns.out}", file=out)

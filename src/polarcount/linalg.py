@@ -34,10 +34,6 @@ def vsub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) - b for a, b in zip(u, v))
 
 
-def vscale(c, u: Sequence) -> Vec:
-    return tuple(Fraction(c) * a for a in u)
-
-
 def _eliminate(rows: list[list[Fraction]], cols: Optional[int] = None) -> int:
     """In-place Gauss-Jordan over the first cols columns; returns the rank.
 

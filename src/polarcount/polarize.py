@@ -62,10 +62,12 @@ def is_polarizing(poly: Polytope, xi: Sequence) -> bool:
 def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
     """Deterministic small polarizing vector.
 
-    Walks the moment curve (1, t, t**2, ...) for t = seed, seed+1, ...;
-    each edge direction kills at most dim-1 values of t, so the walk
-    ends quickly.  A seeded random fallback guards the (never observed)
-    case of a long run of bad t.
+    Walks the moment curve (1, t, t**2, ...) for t = seed, seed+1, ...,
+    skipping t = 0.  An edge direction d pairs with the curve as a
+    nonzero polynomial in t of degree below dim, so it rules out at most
+    dim-1 values of t.  There are at most dim * vertices / 2 directions
+    up to sign, fewer than budget - 1 bad values in all, so the walk
+    always ends within the budget.
     """
     n = poly.dim
     edge_count = sum(len(v.edges) for v in poly.vertices)
@@ -75,11 +77,6 @@ def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
             continue
         xi = tuple(Fraction(t) ** k for k in range(n))
         if is_polarizing(poly, xi):
-            return xi
-    rng = random.Random(seed)
-    for _ in range(1000):
-        xi = tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 7)) for _ in range(n))
-        if any(a != 0 for a in xi) and is_polarizing(poly, xi):
             return xi
     raise PolarizationError("could not find a polarizing vector")
 
@@ -121,17 +118,13 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
     return tuple(cones)
 
 
-def cone_coordinates(cone: PolarizedCone, x: Sequence) -> tuple:
-    """Coordinates of x - apex in the generator basis."""
-    return matvec(cone.inverse_rows, vsub(x, cone.apex))
-
-
 def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
-    """Generator coordinates of x when x lies in the closed cone.
+    """Coordinates of x - apex in the generator basis, when x lies in the
+    closed cone.
 
     Membership requires every coordinate >= 0; returns None otherwise.
     """
-    coords = cone_coordinates(cone, x)
+    coords = matvec(cone.inverse_rows, vsub(x, cone.apex))
     if any(c < 0 for c in coords):
         return None
     return coords

@@ -91,14 +91,6 @@ class Vertex:
     edges: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class TangentCone:
-    """point + cone(generators): the local model of the polytope at a vertex."""
-
-    apex: tuple
-    generators: tuple[tuple[int, ...], ...]
-
-
 class Polytope:
     """Bounded simple polytope with irredundant facets.
 
@@ -138,7 +130,6 @@ class Polytope:
             all(Fraction(a).denominator == 1 for a in v.point)
             for v in self.vertices
         )
-        self._index = {v.point: i for i, v in enumerate(self.vertices)}
 
     # -- construction ------------------------------------------------
 
@@ -309,16 +300,9 @@ class Polytope:
             codim += d == f.offset
         return codim
 
-    def vertex_index(self, point: Sequence) -> int:
-        return self._index[tuple(Fraction(a) for a in point)]
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs of adjacent vertex indices, each pair once, in sorted order."""
         return self._edges
-
-    def tangent_cone(self, vertex_index: int) -> TangentCone:
-        v = self.vertices[vertex_index]
-        return TangentCone(apex=v.point, generators=v.edges)
 
     def barycenter(self) -> tuple:
         n = len(self.vertices)

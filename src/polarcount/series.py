@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .ypoly import ONE_PLUS_Y, Y, YPoly
+from .ypoly import Y, YPoly
 
 
 class TruncatedSeries:

@@ -3,7 +3,7 @@
 Output is plain SVG 1.1 text with nothing external.  All geometry is
 computed in Fractions; floats appear only when coordinates are printed
 into the SVG, and for label placement, which is display-only.
-Conventions: one lattice unit is `unit` pixels, the origin sits at the
+Conventions: one lattice unit is `_UNIT` = 40 pixels, the origin sits at the
 lower left, and the mathematical y axis points up (flipped at emission,
 since SVG y points down).
 """
@@ -30,6 +30,8 @@ _PALETTE = (
     "#e377c2",
     "#17becf",
 )
+
+_UNIT = 40
 
 
 def _fmt(v) -> str:
@@ -85,7 +87,6 @@ def render_svg(
     cones: Optional[Sequence[PolarizedCone]] = None,
     w: Optional[WeightParam] = None,
     margin: int = 2,
-    unit: int = 40,
 ) -> str:
     """SVG text for a 2-dimensional polytope.
 
@@ -97,14 +98,14 @@ def render_svg(
     if poly.dim != 2:
         raise ValueError(f"figures are 2-dimensional only, got dim {poly.dim}")
     lo, hi = poly.integer_box(margin)
-    pad = unit
-    width = (hi[0] - lo[0]) * unit + 2 * pad
-    height = (hi[1] - lo[1]) * unit + 2 * pad
+    pad = _UNIT
+    width = (hi[0] - lo[0]) * _UNIT + 2 * pad
+    height = (hi[1] - lo[1]) * _UNIT + 2 * pad
 
     def px(p) -> tuple:
         return (
-            pad + (Fraction(p[0]) - lo[0]) * unit,
-            height - pad - (Fraction(p[1]) - lo[1]) * unit,
+            pad + (Fraction(p[0]) - lo[0]) * _UNIT,
+            height - pad - (Fraction(p[1]) - lo[1]) * _UNIT,
         )
 
     def pt_attr(p) -> str:
@@ -170,8 +171,8 @@ def render_svg(
             u = vadd(cone.generators[0], cone.generators[1])
             norm = float(dot(u, u)) ** 0.5 or 1.0
             ax, ay = px(cone.apex)
-            dx = float(u[0]) / norm * 0.55 * unit
-            dy = -float(u[1]) / norm * 0.55 * unit
+            dx = float(u[0]) / norm * 0.55 * _UNIT
+            dy = -float(u[1]) / norm * 0.55 * _UNIT
             mark = "+" if cone.sign > 0 else "-"
             out.append(
                 f'<text x="{float(ax) + dx:.2f}" y="{float(ay) + dy:.2f}" '
@@ -191,18 +192,18 @@ def render_svg(
         # arrow showing the polarizing direction, anchored top right
         norm = float(dot(xi, xi)) ** 0.5 or 1.0
         x0, y0 = width - pad * 1.8, pad * 0.8
-        dx = float(xi[0]) / norm * unit
-        dy = -float(xi[1]) / norm * unit
+        dx = float(xi[0]) / norm * _UNIT
+        dy = -float(xi[1]) / norm * _UNIT
         x1, y1 = x0 + dx, y0 + dy
         out.append(
             f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
             f'stroke="#111" stroke-width="1.5"/>'
         )
         # arrowhead: two short strokes angled back from the tip
-        bx, by = -dx / unit, -dy / unit
+        bx, by = -dx / _UNIT, -dy / _UNIT
         for s in (1.0, -1.0):
-            hx = (bx * 0.82 - by * 0.57 * s) * 0.3 * unit
-            hy = (bx * 0.57 * s + by * 0.82) * 0.3 * unit
+            hx = (bx * 0.82 - by * 0.57 * s) * 0.3 * _UNIT
+            hy = (bx * 0.57 * s + by * 0.82) * 0.3 * _UNIT
             out.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" '
                 f'x2="{x1 + hx:.2f}" y2="{y1 + hy:.2f}" '

@@ -39,10 +39,6 @@ class WeightParam:
     def on_face(self) -> Fraction:
         return Fraction(1, 1 + self.y)
 
-    @property
-    def on_flip(self) -> Fraction:
-        return self.y / (1 + self.y)
-
 
 def cone_face_counts(
     cone: PolarizedCone, x: Sequence
@@ -69,20 +65,12 @@ def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
     return YFrac.weight(*counts)
 
 
-def cone_weight(cone: PolarizedCone, x: Sequence, w: WeightParam) -> Fraction:
-    return cone_weight_y(cone, x)(w.y)
-
-
 def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
     """Symbolic weight of x against the polytope: (1/(1+y))**codim, 0 outside."""
     c = poly.face_codim(x)
     if c is None:
         return YFrac(0)
     return YFrac(1, c)
-
-
-def polytope_weight(poly: Polytope, x: Sequence, w: WeightParam) -> Fraction:
-    return polytope_weight_y(poly, x)(w.y)
 
 
 class CheckResult(NamedTuple):

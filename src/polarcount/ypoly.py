@@ -9,7 +9,6 @@ is YPoly / (1+y)**power, kept in lowest terms so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -118,14 +117,6 @@ class YPoly:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def content(self) -> Fraction:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        num = gcd(*(c.numerator for c in self.coeffs)) if self.coeffs else 0
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den) if num else Fraction(0)
-
     def div_one_plus_y(self):
         """Exact quotient by (1+y), or None when not divisible.
 
@@ -201,10 +192,6 @@ class YFrac:
             power = 0
         self.num = num
         self.power = power
-
-    @classmethod
-    def const(cls, c) -> "YFrac":
-        return cls(YPoly.const(c))
 
     @classmethod
     def weight(cls, unflipped_zeros: int, flipped_zeros: int) -> "YFrac":

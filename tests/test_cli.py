@@ -196,6 +196,35 @@ def test_svg_to_file(capsys, tmp_path):
     ET.fromstring(text)
 
 
+def test_svg_unwritable_out_rejected(capsys, tmp_path):
+    target = tmp_path / "missing" / "fig.svg"
+    code, out, err = run(capsys, "svg", "--builtin", "cube:2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0].startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, out_prefix, message",
+    [
+        (("count", "--builtin", "cube:2", "--y", "1/2", "--decimal", "-1"),
+         "command: count\n", "--decimal must be nonnegative"),
+        (("chi", "--builtin", "cube:2", "--y", "1/2", "--z", "2,3",
+          "--decimal", "-2"), "command: chi\n", "--decimal must be nonnegative"),
+        (("svg", "--builtin", "cube:2", "--margin", "-3"), "",
+         "--margin must be nonnegative"),
+        (("decompose", "--builtin", "cube:2", "--random-points", "-3"),
+         "command: decompose\n", "--random-points must be nonnegative"),
+    ],
+    ids=["count-decimal", "chi-decimal", "svg-margin", "decompose-random-points"],
+)
+def test_negative_counts_rejected(capsys, argv, out_prefix, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out.startswith(out_prefix)
+    assert err.splitlines()[0] == f"error: {message}"
+
+
 def test_svg_rejects_3d(capsys):
     code, _, err = run(capsys, "svg", "--builtin", "cube:3")
     assert code == 2

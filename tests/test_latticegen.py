@@ -152,7 +152,7 @@ def test_enumeration_has_no_gate():
 def test_vertex_genfun_interval():
     P = pc.interval(1)
     f0 = pc.vertex_genfun(P, 0)  # vertex 0, edge +1
-    z = LaurentPoly.variable(1, 0)
+    z = LaurentPoly.monomial(1, (1,))
     one = LaurentPoly.const(1, 1)
     expected = RationalFunction(
         one + LaurentPoly.const(1, pc.YPoly((0, 1))) * z,
@@ -170,7 +170,7 @@ def test_brion_check_across_zoo():
 def test_brion_interval_closed_form():
     # [0,1]: the sum collapses to (1 + z)/(1+y)
     report = pc.brion_check(pc.interval(1))
-    z = LaurentPoly.variable(1, 0)
+    z = LaurentPoly.monomial(1, (1,))
     one = LaurentPoly.const(1, 1)
     expected = RationalFunction(one + z, LaurentPoly.const(1, ONE_PLUS_Y))
     assert report.lhs.equivalent(expected)

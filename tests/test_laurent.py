@@ -23,6 +23,17 @@ safe_y = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(
 )
 
 
+def value(p, z, y):
+    """Value of a Laurent polynomial at z (no zero coordinate) and y."""
+    total = Fraction(0)
+    for expo, c in p.terms.items():
+        term = c(y)
+        for zi, e in zip(z, expo):
+            term *= Fraction(zi) ** e
+        total += term
+    return total
+
+
 def test_zero_coefficients_dropped():
     p = LaurentPoly(2, {(1, 0): 0, (0, 1): 2})
     assert p.terms == {(0, 1): YPoly((2,))}
@@ -35,7 +46,7 @@ def test_exponent_length_checked():
 
 
 def test_constructors():
-    z1 = LaurentPoly.variable(2, 0)
+    z1 = LaurentPoly.monomial(2, (1, 0))
     assert z1.terms == {(1, 0): YPoly((1,))}
     c = LaurentPoly.const(2, Fraction(1, 2))
     assert c.coefficient((0, 0)) == YPoly((Fraction(1, 2),))
@@ -44,7 +55,7 @@ def test_constructors():
 
 
 def test_arithmetic():
-    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    z1, z2 = LaurentPoly.monomial(2, (1, 0)), LaurentPoly.monomial(2, (0, 1))
     p = (1 + z1) * (1 + z2)
     assert p.coefficient((1, 1)) == YPoly((1,))
     assert p.coefficient((0, 0)) == YPoly((1,))
@@ -56,28 +67,17 @@ def test_arithmetic():
 
 def test_negative_exponents_and_eval():
     zinv = LaurentPoly.monomial(2, (-1, 0))
-    assert zinv.eval((2, 7), 0) == Fraction(1, 2)
+    assert value(zinv, (2, 7), 0) == Fraction(1, 2)
+    assert zinv * LaurentPoly.monomial(2, (1, 0)) == 1
     with pytest.raises(ValueError):
-        zinv.eval((0, 1), 0)
-    with pytest.raises(ValueError):
-        zinv.eval((1,), 0)
-
-
-def test_min_exponents():
-    p = LaurentPoly(2, {(-1, 2): 1, (3, -4): 1})
-    assert p.min_exponents() == (-1, -4)
-    assert LaurentPoly.zero(2).min_exponents() == (0, 0)
-
-
-def test_content():
-    p = LaurentPoly(2, {(0, 0): Fraction(2, 3), (1, 0): Fraction(4, 3)})
-    assert p.content() == Fraction(2, 3)
+        zinv * LaurentPoly.monomial(1, (1,))
 
 
 @given(polys2, polys2, points2, safe_y)
 def test_eval_is_ring_homomorphism(p, q, z, y):
-    assert (p + q).eval(z, y) == p.eval(z, y) + q.eval(z, y)
-    assert (p * q).eval(z, y) == p.eval(z, y) * q.eval(z, y)
+    assert value(p + q, z, y) == value(p, z, y) + value(q, z, y)
+    assert value(p - q, z, y) == value(p, z, y) - value(q, z, y)
+    assert value(p * q, z, y) == value(p, z, y) * value(q, z, y)
 
 
 def test_rational_function_rejects_zero_denominator():
@@ -87,39 +87,10 @@ def test_rational_function_rejects_zero_denominator():
 
 
 def test_equivalence_by_cross_multiplication():
-    z = LaurentPoly.variable(1, 0)
+    z = LaurentPoly.monomial(1, (1,))
     one = LaurentPoly.const(1, 1)
     # (1 - z^2)/(1 - z) == (1 + z)/1
     f = RationalFunction(one - z * z, one - z)
     g = RationalFunction(one + z, one)
     assert f.equivalent(g)
     assert not f.equivalent(RationalFunction(z, one))
-    assert f != g  # structural equality stays strict
-
-
-def test_normalize_cancels_monomials_and_content():
-    z = LaurentPoly.variable(1, 0)
-    # (2 z^3) / (4 z) -> z^2 / 2 after monomial and content cancellation
-    f = RationalFunction(2 * z**3, 4 * z).normalize()
-    assert f.num == z**2
-    assert f.den == LaurentPoly.const(1, 2)
-
-
-def test_rational_arithmetic_and_eval():
-    z = LaurentPoly.variable(1, 0)
-    one = LaurentPoly.const(1, 1)
-    f = RationalFunction(one, one - z)
-    g = RationalFunction(one, one + z)
-    s = f + g
-    assert s.eval((3,), 0) == Fraction(1, -2) + Fraction(1, 4)
-    assert (f * g).eval((3,), 0) == Fraction(1, -2) * Fraction(1, 4)
-    with pytest.raises(ZeroDivisionError):
-        f.eval((1,), 0)
-
-
-@given(polys2, polys2, polys2, points2, safe_y)
-def test_rational_addition_matches_pointwise(a, b, d, z, y):
-    if not d or d.eval(z, y) == 0:
-        return
-    f = RationalFunction(a, d) + RationalFunction(b, d)
-    assert f.eval(z, y) == (a.eval(z, y) + b.eval(z, y)) / d.eval(z, y)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polarcount as pc
-from polarcount.linalg import canonical_direction, dot, vadd, vscale
+from polarcount.linalg import canonical_direction, dot, vadd
 from zoo import SEEDS, decomposition_zoo, triangle_nonregular
 
 
@@ -22,6 +22,21 @@ def test_find_polarizing_walks_past_bad_seeds():
     assert xi == (1, 2)
     assert pc.find_polarizing(P, seed=7) == (1, 7)
     assert pc.is_polarizing(P, pc.find_polarizing(P, seed=-3))
+
+
+def test_find_polarizing_stays_on_the_moment_curve():
+    """Within the budget some t != 0 always polarizes, even from seeds whose
+    window contains t = 0: each edge direction kills at most dim-1 values
+    of t and there are at most dim * vertices / 2 directions up to sign."""
+    for name, P in decomposition_zoo():
+        n = P.dim
+        budget = max(8, n * len(P.vertices) * max(1, n - 1) + 1)
+        for seed in range(-budget, budget + 1):
+            xi = pc.find_polarizing(P, seed=seed)
+            t = xi[1] if n > 1 else seed + (seed == 0)
+            assert seed <= t < seed + budget and t != 0, (name, seed)
+            assert xi == tuple(Fraction(t) ** k for k in range(n)), (name, seed)
+            assert pc.is_polarizing(P, xi), (name, seed)
 
 
 def test_find_polarizing_deterministic():
@@ -85,7 +100,7 @@ def test_membership_roundtrip():
                 )
                 x = cone.apex
                 for mi, g in zip(m, cone.generators):
-                    x = vadd(x, vscale(mi, g))
+                    x = vadd(x, tuple(mi * a for a in g))
                 assert pc.cone_membership(cone, x) == m, (name, cone.apex)
 
 

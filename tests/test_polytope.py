@@ -216,9 +216,9 @@ def test_edges_pair_vertices():
 
 def test_tangent_cone_and_barycenter():
     P = pc.hypercube(2, 1)
-    cone = P.tangent_cone(0)
-    assert cone.apex == (0, 0)
-    assert cone.generators == ((1, 0), (0, 1))
+    apex = P.vertices[0]
+    assert apex.point == (0, 0)
+    assert apex.edges == ((1, 0), (0, 1))
     assert P.barycenter() == (Fraction(1, 2), Fraction(1, 2))
 
 

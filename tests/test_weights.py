@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polarcount as pc
-from polarcount.ypoly import Y, YFrac, YPoly
+from polarcount.ypoly import Y, YFrac
 from zoo import SEEDS, decomposition_zoo
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
@@ -16,7 +16,6 @@ def test_weight_param_rejects_minus_one():
     assert "y = -1" in str(err.value)
     w = pc.WeightParam(Fraction(1, 2))
     assert w.on_face == Fraction(2, 3)
-    assert w.on_flip == Fraction(1, 3)
 
 
 def test_polytope_weight_tracks_codimension():
@@ -25,8 +24,7 @@ def test_polytope_weight_tracks_codimension():
     assert pc.polytope_weight_y(P, (1, 0)) == YFrac(1, 1)
     assert pc.polytope_weight_y(P, (0, 0)) == YFrac(1, 2)
     assert pc.polytope_weight_y(P, (9, 9)) == YFrac(0)
-    w = pc.WeightParam(3)
-    assert pc.polytope_weight(P, (0, 0), w) == Fraction(1, 16)
+    assert pc.polytope_weight_y(P, (0, 0))(3) == Fraction(1, 16)
 
 
 def test_cone_weights_at_square_corner():
@@ -83,14 +81,13 @@ def test_y_zero_reduces_to_half_open_cover():
     P = pc.trapezoid()
     xi = (1, 2)
     cones = pc.polarize_cones(P, xi)
-    w0 = pc.WeightParam(0)
     for x in pc.sample_points(P, xi, random_count=10):
         covering = []
         for cone in cones:
             counts = pc.cone_face_counts(cone, x)
             if counts is not None and counts[1] == 0:
                 covering.append(cone)
-            weight = pc.cone_weight(cone, x, w0)
+            weight = pc.cone_weight_y(cone, x)(0)
             assert weight == (1 if counts is not None and counts[1] == 0 else 0)
         signed = sum(c.sign for c in covering)
         assert signed == (1 if P.contains(x) else 0)

@@ -51,12 +51,6 @@ def test_div_one_plus_y():
     assert YPoly(()).div_one_plus_y() == YPoly(())
 
 
-def test_content():
-    assert YPoly((Fraction(2, 3), Fraction(4, 9))).content() == Fraction(2, 9)
-    assert YPoly((6, -9)).content() == 3
-    assert YPoly(()).content() == 0
-
-
 def test_str_rendering():
     assert str(YPoly((1, 2))) == "2*y + 1"
     assert str(YPoly((0, -1))) == "-y"
