@@ -6,7 +6,8 @@ tangent cones with a generic vector, and the signed sum of cone weights
 reproduces the polytope's weighted characteristic function at every
 point.  For regular integral polytopes the same identity, read on
 lattice generating functions, evaluates weighted lattice counts and
-per-point multiplicities exactly.  Everything runs over Fractions.
+per-point multiplicities exactly.  Everything is exact: Python ints
+where the values are integers, Fractions elsewhere.
 """
 
 from .latticegen import (

@@ -193,6 +193,8 @@ def _cmd_decompose(ns, out) -> int:
 
 
 def _cmd_count(ns, out) -> int:
+    if ns.decimal is not None and ns.y is None:
+        raise InputError("--decimal needs --y")
     poly = _load_and_describe(ns, out)
     census = latticegen.codim_census(poly)
     total = sum(census.values())

@@ -34,6 +34,12 @@ def vsub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) - b for a, b in zip(u, v))
 
 
+def clear_denominators(x: Sequence) -> tuple[tuple[int, ...], int]:
+    """(X, d) with x = X / d: d > 0 is the lcm of the denominators of x."""
+    d = lcm(*(a.denominator for a in x))
+    return tuple(a.numerator * (d // a.denominator) for a in x), d
+
+
 def _eliminate(rows: list[list[Fraction]], cols: Optional[int] = None) -> int:
     """In-place Gauss-Jordan over the first cols columns; returns the rank.
 
@@ -105,10 +111,6 @@ def inverse(rows: Sequence[Sequence]) -> Optional[Mat]:
     if _eliminate(aug, n) < n:
         return None
     return tuple(tuple(aug[i][n:]) for i in range(n))
-
-
-def matvec(rows: Sequence[Sequence], x: Sequence) -> Vec:
-    return tuple(dot(row, x) for row in rows)
 
 
 def rank(vectors: Sequence[Sequence]) -> int:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import canonical_direction, dot, inverse, matvec, vadd, vec, vsub
+from .linalg import canonical_direction, clear_denominators, dot, inverse, vadd, vec, vsub
 from .polytope import Polytope, fmt_point
 
 
@@ -34,13 +35,20 @@ class PolarizedCone:
     zero coordinate along a flipped generator stay members; they carry
     the y/(1+y) weight factor, which vanishes at y = 0 and recovers the
     classical half-open convention there.
+
+    Membership runs in integers: matrix is the inverse of the generator
+    matrix (generators as columns) scaled by scale, the lcm of its
+    denominators, and the apex is cleared to apex_num / apex_den.
     """
 
     apex: tuple
     generators: tuple[tuple[int, ...], ...]
     flipped: tuple[bool, ...]
     vertex_index: int
-    inverse_rows: tuple = field(repr=False)
+    matrix: tuple[tuple[int, ...], ...] = field(repr=False)
+    scale: int = field(repr=False)
+    apex_num: tuple[int, ...] = field(repr=False)
+    apex_den: int = field(repr=False)
 
     @property
     def flip_count(self) -> int:
@@ -106,28 +114,57 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
             raise PolarizationError(
                 f"generators at vertex {fmt_point(v.point)} are dependent"
             )
+        scale = lcm(*(a.denominator for row in inv for a in row))
+        apex_num, apex_den = clear_denominators(v.point)
         cones.append(
             PolarizedCone(
                 apex=v.point,
                 generators=tuple(gens),
                 flipped=tuple(flips),
                 vertex_index=idx,
-                inverse_rows=inv,
+                matrix=tuple(tuple(int(a * scale) for a in row) for row in inv),
+                scale=scale,
+                apex_num=apex_num,
+                apex_den=apex_den,
             )
         )
     return tuple(cones)
 
 
+def cone_rows(cone: PolarizedCone, num: Sequence[int], den: int) -> Optional[tuple]:
+    """Cone coordinates of the point num / den, in integers.
+
+    Row k is the k-th coordinate of num/den - apex in the generator basis
+    times scale * apex_den * den, so it has that coordinate's sign.
+    Returns None at the first negative row: the point is outside.
+    """
+    if len(num) != len(cone.apex_num):
+        raise ValueError(f"dimension mismatch: {len(cone.apex_num)} vs {len(num)}")
+    a, d = cone.apex_den, den
+    diff = [a * x - d * p for x, p in zip(num, cone.apex_num)]
+    rows = []
+    for row in cone.matrix:
+        r = sum(m * t for m, t in zip(row, diff))
+        if r < 0:
+            return None
+        rows.append(r)
+    return tuple(rows)
+
+
 def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
-    """Coordinates of x - apex in the generator basis, when x lies in the
-    closed cone.
+    """Coordinates of x - apex in the generator basis, as Fractions, when x
+    lies in the closed cone.
 
     Membership requires every coordinate >= 0; returns None otherwise.
+    x is cleared to one denominator and tested by cone_rows in integers;
+    the Fractions are built only for members.
     """
-    coords = matvec(cone.inverse_rows, vsub(x, cone.apex))
-    if any(c < 0 for c in coords):
+    num, den = clear_denominators(x)
+    rows = cone_rows(cone, num, den)
+    if rows is None:
         return None
-    return coords
+    denom = cone.scale * cone.apex_den * den
+    return tuple(Fraction(r, denom) for r in rows)
 
 
 # -- wall machinery ----------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
-from .linalg import det, dot, inverse, primitive, vadd, vec
+from .linalg import clear_denominators, det, dot, inverse, primitive, vadd, vec
 
 
 class PolytopeError(ValueError):
@@ -291,13 +291,24 @@ class Polytope:
 
         For a simple polytope this is the number of tight facets:
         dim for a vertex, 1 on the relative interior of a facet, 0 inside.
+        x is cleared to one denominator and read against integer_facets.
         """
+        return self.cleared_codim(*clear_denominators(x))
+
+    def cleared_codim(self, num: Sequence[int], den: int) -> Optional[int]:
+        """face_codim of the point num / den, with integer num and den > 0.
+
+        Facet (a, b) leaves slack <a, num> - b * den, which has the sign
+        of <a, x> - b; the scan stops at the first negative slack.
+        """
+        if len(num) != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {len(num)}")
         codim = 0
-        for f in self.facets:
-            d = dot(f.normal, x)
-            if d < f.offset:
+        for a, b in self.integer_facets:
+            s = sum(ai * xi for ai, xi in zip(a, num)) - b * den
+            if s < 0:
                 return None
-            codim += d == f.offset
+            codim += s == 0
         return codim
 
     def edges(self) -> tuple[tuple[int, int], ...]:

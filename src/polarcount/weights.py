@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import vadd, vsub
-from .polarize import PolarizedCone, cone_membership, polarize_cones
+from .linalg import clear_denominators, vadd, vsub
+from .polarize import PolarizedCone, cone_rows, polarize_cones
 from .polytope import Polytope
 from .ypoly import YFrac
 
@@ -49,11 +49,15 @@ def cone_face_counts(
     face containing x, split by generator orientation; their sum is the
     codimension of that face.
     """
-    coords = cone_membership(cone, x)
-    if coords is None:
+    return _face_counts(cone, *clear_denominators(x))
+
+
+def _face_counts(cone: PolarizedCone, num, den) -> Optional[tuple[int, int]]:
+    rows = cone_rows(cone, num, den)
+    if rows is None:
         return None
-    r1 = sum(1 for c, f in zip(coords, cone.flipped) if c == 0 and not f)
-    r2 = sum(1 for c, f in zip(coords, cone.flipped) if c == 0 and f)
+    r1 = sum(1 for r, f in zip(rows, cone.flipped) if r == 0 and not f)
+    r2 = sum(1 for r, f in zip(rows, cone.flipped) if r == 0 and f)
     return r1, r2
 
 
@@ -67,10 +71,11 @@ def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
 
 def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
     """Symbolic weight of x against the polytope: (1/(1+y))**codim, 0 outside."""
-    c = poly.face_codim(x)
-    if c is None:
-        return YFrac(0)
-    return YFrac(1, c)
+    return _codim_weight(poly.face_codim(x))
+
+
+def _codim_weight(c: Optional[int]) -> YFrac:
+    return YFrac(0) if c is None else YFrac(1, c)
 
 
 class CheckResult(NamedTuple):
@@ -81,10 +86,16 @@ class CheckResult(NamedTuple):
 
 
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
+    """Sign-weighted sum of the cone weights of x."""
+    return _signed_cone_sum(cones, *clear_denominators(x))
+
+
+def _signed_cone_sum(cones: Sequence[PolarizedCone], num, den) -> YFrac:
     total = YFrac(0)
     for cone in cones:
-        wgt = cone_weight_y(cone, x)
-        if wgt:
+        counts = _face_counts(cone, num, den)
+        if counts is not None:
+            wgt = YFrac.weight(*counts)
             total = total + wgt if cone.sign > 0 else total - wgt
     return total
 
@@ -99,11 +110,13 @@ def check_decomposition_at(
 
     Both sides are computed symbolically in y.  With w = None they are
     compared as such, covering every admissible y at once; otherwise both
-    are evaluated at w.y and compared as Fractions.
+    are evaluated at w.y and compared as Fractions.  The point is cleared
+    to one denominator once, and both sides read it in integers.
     """
     xt = tuple(Fraction(a) for a in x)
-    lhs = polytope_weight_y(poly, xt)
-    rhs = signed_cone_sum_y(cones, xt)
+    num, den = clear_denominators(xt)
+    lhs = _codim_weight(poly.cleared_codim(num, den))
+    rhs = _signed_cone_sum(cones, num, den)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)

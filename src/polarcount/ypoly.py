@@ -4,6 +4,12 @@ The weight attached to a point never needs a general rational function
 of y: every quantity in this package is a polynomial in y divided by a
 power of (1+y).  YPoly is a dense univariate polynomial over Q; YFrac
 is YPoly / (1+y)**power, kept in lowest terms so equality is structural.
+
+Coefficients are stored as int whenever they are integral and as
+Fraction otherwise.  The weights, the vertex terms and the lattice sums
+all have integer coefficients, so their products run on Python ints;
+since hash(2) == hash(Fraction(2)), equality, hashing and printing do
+not depend on the stored type.
 """
 
 from __future__ import annotations
@@ -14,24 +20,34 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 
-def _trim(coeffs: tuple) -> tuple:
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0:
-        k -= 1
-    return coeffs[:k]
+def _scalar(c) -> Scalar:
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _normalise(coeffs) -> tuple:
+    """Coefficients as int when integral, else Fraction; trailing zeros cut."""
+    out = [c if type(c) is int else _scalar(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 class YPoly:
-    """Dense polynomial in y with Fraction coefficients, index = degree."""
+    """Dense polynomial in y with rational coefficients, index = degree.
+
+    A coefficient is an int when it is integral and a Fraction otherwise.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(tuple(Fraction(c) for c in coeffs))
+        self.coeffs = _normalise(coeffs)
 
     @classmethod
     def const(cls, c) -> "YPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -85,7 +101,7 @@ class YPoly:
             return NotImplemented
         if not self or not other:
             return YPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -114,26 +130,27 @@ class YPoly:
             acc = acc * y + c
         return acc
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> Scalar:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def div_one_plus_y(self):
         """Exact quotient by (1+y), or None when not divisible.
 
-        Synthetic division at y = -1: remainder is the value there.
+        Synthetic division at y = -1: the remainder a[0] - q[0] is the
+        value there.
         """
         if not self:
             return YPoly()
-        if self(-1) != 0:
-            return None
         # Quotient coefficients from the top down: q[d-1] = a[d],
         # q[i-1] = a[i] - q[i].
         a = self.coeffs
-        q = [Fraction(0)] * (len(a) - 1)
-        carry = Fraction(0)
+        q = [0] * (len(a) - 1)
+        carry = 0
         for i in range(len(a) - 1, 0, -1):
             carry = a[i] - carry
             q[i - 1] = carry
+        if a[0] != carry:
+            return None
         return YPoly(q)
 
     def __str__(self) -> str:
@@ -163,7 +180,7 @@ def _as_ypoly(x):
     if isinstance(x, YPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return YPoly((Fraction(x),))
+        return YPoly((x,))
     return NotImplemented
 
 

@@ -69,6 +69,16 @@ def test_count_concrete(capsys):
     assert "33/4 (~8.250)" in out
 
 
+@pytest.mark.parametrize("places", ["3", "0", "-1"])
+def test_count_decimal_needs_y(capsys, places):
+    code, out, err = run(
+        capsys, "count", "--builtin", "cube:2", "--decimal", places
+    )
+    assert code == 2
+    assert out == "command: count\n"
+    assert err.splitlines()[0] == "error: --decimal needs --y"
+
+
 def test_count_rejects_nonregular(capsys):
     code, out, err = run(
         capsys, "count", str(DATA_DIR / "triangle-nonregular.json")
@@ -155,11 +165,44 @@ def test_brion_rejects_nonregular(capsys):
     assert "regular" in err
 
 
+_BRION_FROZEN = {
+    "cube:2,2": (
+        "command: brion\n"
+        "input: builtin cube:2,2 (sha256 92eef762ae4d)\n"
+        "polytope: dim 2, 4 facets, 4 vertices, regular, integral\n"
+        "vertex terms: 4\n"
+        "weighted lattice sum: (1 + (y + 1)*z2 + z2^2 + (y + 1)*z1 "
+        "+ (y^2 + 2*y + 1)*z1*z2 + (y + 1)*z1*z2^2 + z1^2 + (y + 1)*z1^2*z2 "
+        "+ z1^2*z2^2) / (1+y)^2\n"
+        "check: PASS (cross-multiplied equality of both routes)\n"
+    ),
+    "trapezoid": (
+        "command: brion\n"
+        "input: builtin trapezoid (sha256 82eda434d6d2)\n"
+        "polytope: dim 2, 4 facets, 4 vertices, regular, integral\n"
+        "vertex terms: 4\n"
+        "weighted lattice sum: (1 + z2 + (y + 1)*z1 + z1*z2 + z1^2) / (1+y)^2\n"
+        "check: PASS (cross-multiplied equality of both routes)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_BRION_FROZEN))
+def test_brion_frozen_output(capsys, spec):
+    code, out, _ = run(capsys, "brion", "--builtin", spec)
+    assert code == 0
+    assert out == _BRION_FROZEN[spec]
+
+
 def test_series_frozen_output(capsys):
     code, out, _ = run(capsys, "series", "--order", "4")
     assert code == 0
     assert "todd coefficients: 1, 1/2, 1/12, 0, -1/720" in out
     assert "half-angle coefficients: 1, 0, 1/12, 0, -1/720" in out
+    assert (
+        "family*(1+y): (y + 1) + (-1/2*y + 1/2)*x + (1/12*y + 1/12)*x^2 "
+        "+ (-1/720*y - 1/720)*x^4\n"
+    ) in out
     assert "check: PASS" in out
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polarcount.laurent import LaurentPoly
 from polarcount.ypoly import ONE_PLUS_Y, Y, YFrac, YPoly
 
 coeff_lists = st.lists(
@@ -120,3 +121,37 @@ def test_yfrac_eval_matches_unreduced_form(coeffs, power, y):
     f = YFrac(YPoly(coeffs), power)
     direct = YPoly(coeffs)(y) / (1 + y) ** power
     assert f(y) == direct
+
+
+def test_integral_coefficients_stored_as_int():
+    p = YPoly((Fraction(4, 2), 3, Fraction(1, 2), Fraction(-6, 3)))
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int]
+    assert p.coeffs == (2, 3, Fraction(1, 2), -2)
+    assert type(YPoly.const(Fraction(5, 1)).coeffs[0]) is int
+    assert type((YPoly((Fraction(1, 2),)) * 2).coeffs[0]) is int
+    assert type((YPoly((Fraction(1, 2),)) + Fraction(1, 2)).coeffs[0]) is int
+    assert all(type(c) is int for c in (ONE_PLUS_Y**5).coeffs)
+    assert all(type(c) is int for c in YFrac.weight(2, 3).num.coeffs)
+
+
+def test_normalisation_keeps_equality_hash_and_str():
+    a, b = YPoly((Fraction(4, 2),)), YPoly((2,))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert YPoly((1, Fraction(2), Fraction(1, 3))) == YPoly((1, 2, Fraction(1, 3)))
+    mixed = LaurentPoly(2, {(0, 0): Fraction(3), (1, 0): YPoly((Fraction(2), 1)),
+                            (0, 1): YPoly((1, Fraction(4, 4)))})
+    ints = LaurentPoly(2, {(0, 0): 3, (1, 0): YPoly((2, 1)), (0, 1): ONE_PLUS_Y})
+    assert mixed == ints
+    assert hash(mixed) == hash(ints)
+    assert str(mixed) == str(ints) == "3 + (y + 1)*z2 + (y + 2)*z1"
+    assert str(YPoly((Fraction(2), Fraction(-1, 2), Fraction(3)))) == "3*y^2 - 1/2*y + 2"
+    assert str(YPoly((Fraction(-1), Fraction(1)))) == "y - 1"
+    assert str(YFrac(YPoly((Fraction(2), 1)), 1)) == "(y + 2)/(1+y)"
+
+
+def test_eval_returns_fraction():
+    for p in (YPoly((1, 2)), YPoly(()), YPoly((Fraction(1, 2), 3))):
+        assert type(p(2)) is Fraction
+        assert type(p(Fraction(1, 3))) is Fraction
+    assert type(YFrac(YPoly((2, 1)), 1)(1)) is Fraction
