@@ -260,6 +260,11 @@ def _cmd_series(ns, out) -> int:
     if ns.order < 0:
         raise InputError("--order must be nonnegative")
     k = ns.order
+    y = None
+    if ns.y is not None:
+        y = _parse_fraction(ns.y, "series parameter y")
+        if y == -1:
+            raise InputError("series family undefined at y = -1")
     todd = series.todd_series(k)
     lhat = series.lhat_series(k)
     print(f"order: {k}", file=out)
@@ -273,10 +278,7 @@ def _cmd_series(ns, out) -> int:
         file=out,
     )
     print(f"family*(1+y): {series.qy_series_cleared(k)}", file=out)
-    if ns.y is not None:
-        y = _parse_fraction(ns.y, "series parameter y")
-        if y == -1:
-            raise InputError("series family undefined at y = -1")
+    if y is not None:
         print(f"family at y = {y}: {series.qy_series(y, k)}", file=out)
     checks = series.verify_identities(k)
     failed = [name for name, ok in checks.items() if not ok]

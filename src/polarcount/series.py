@@ -1,24 +1,47 @@
 """Exact truncated power series: Todd, half-angle cotangent, and the
 one-parameter family interpolating between them.
 
-Coefficients are Fractions (or YPoly for the symbolic variant); all
-operations truncate at a fixed order and are exact.
+The ring operations are rational-only: coefficients are int or
+Fraction, and products and inverses return Fraction coefficients.  Both
+run on one integer kernel: a factor is cleared to integer numerators
+over the lcm of its denominators, the numerators are combined as Python
+ints, and each output coefficient becomes one reduced Fraction.  YPoly
+appears only as the coefficient container of qy_series_cleared, which
+is assembled from two rational series and never multiplied.
+
+Every public function builds todd_series(order) at most once per call;
+verify_identities shares one Todd across all its checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Sequence
 
-from .ypoly import Y, YPoly
+from .ypoly import YPoly
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of rational coefficients over their denominators' lcm."""
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(
+                f"series arithmetic is rational-only, got a {type(c).__name__}"
+            )
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class TruncatedSeries:
     """Power series in x modulo x**(order+1).
 
-    coeffs[k] multiplies x**k.  Coefficients may be Fraction or YPoly;
-    the ring operations only assume +, *, and comparison with 0.
+    coeffs[k] multiplies x**k.  Series arithmetic is over Q: a product
+    of two series or an inverse needs int or Fraction coefficients and
+    raises TypeError on anything else.  The one non-rational series is
+    qy_series_cleared, whose YPoly coefficients are only evaluated,
+    compared and printed.
     """
 
     __slots__ = ("coeffs",)
@@ -78,32 +101,43 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            n = len(self.coeffs)
-            out = []
-            for k in range(n):
-                acc = Fraction(0)
-                for i in range(k + 1):
-                    a, b = self.coeffs[i], other.coeffs[k - i]
-                    if a != 0 and b != 0:
-                        acc = acc + a * b
-                out.append(acc)
-            return TruncatedSeries(out)
+            a, da = _cleared(self.coeffs)
+            b, db = _cleared(other.coeffs)
+            den = da * db
+            n = len(a)
+            rb = b[::-1]
+            return TruncatedSeries(tuple(
+                Fraction(sum(map(mul, a[: k + 1], rb[n - 1 - k:])), den)
+                for k in range(n)
+            ))
         return TruncatedSeries(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; constant term must be a nonzero Fraction."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse, with Fraction coefficients.
+
+        The constant term must be nonzero and every coefficient rational.
+        With self = p/D (integer numerators p over one denominator D),
+        the k-th inverse coefficient is -(sum_{i=1..k} p_i out_{k-i})/p_0;
+        the earlier outputs are held as integer numerators over the
+        running lcm of their denominators, rescaled whenever a new output
+        widens it.
+        """
+        p, den = _cleared(self.coeffs)
+        p0 = p[0]
+        if p0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = 1 / Fraction(c0)
-        out = [inv0]
-        for k in range(1, len(self.coeffs)):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
+        out = [Fraction(den, p0)]
+        nums, common = [out[0].numerator], out[0].denominator
+        for k in range(1, len(p)):
+            c = Fraction(-sum(map(mul, p[1 : k + 1], reversed(nums))), common * p0)
+            widen = c.denominator // gcd(common, c.denominator)
+            if widen != 1:
+                nums = [q * widen for q in nums]
+                common *= widen
+            nums.append(c.numerator * (common // c.denominator))
+            out.append(c)
         return TruncatedSeries(out)
 
     def scale_argument(self, c) -> "TruncatedSeries":
@@ -168,19 +202,41 @@ def lhat_series(order: int) -> TruncatedSeries:
     return cosh * sinh_over.inverse()
 
 
+def _admissible(y) -> Fraction:
+    y = Fraction(y)
+    if y == -1:
+        raise ValueError("series family undefined at y = -1")
+    return y
+
+
+def _hirzebruch(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
+    # x/(1 - e**(-x(1+y))) is Todd(x(1+y)) with its numerator scaled back
+    scaled_todd = Fraction(1, 1 + y) * todd.scale_argument(1 + y)
+    factor = 1 + y * TruncatedSeries.exponential(-(1 + y), todd.order)
+    return scaled_todd * factor
+
+
+def _qy(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
+    factor = 1 + y * TruncatedSeries.exponential(-1, todd.order)
+    return Fraction(1, 1 + y) * (todd * factor)
+
+
+def _qy_cleared(todd: TruncatedSeries) -> TruncatedSeries:
+    # coefficient k is todd_k + y*(todd*e**(-x))_k
+    shifted = TruncatedSeries.exponential(-1, todd.order) * todd
+    return TruncatedSeries(
+        tuple(YPoly((t, s)) for t, s in zip(todd.coeffs, shifted.coeffs))
+    )
+
+
 def hirzebruch_series(y, order: int) -> TruncatedSeries:
     """x(1 + y*e**(-x(1+y))) / (1 - e**(-x(1+y))) at a concrete y != -1.
 
     The classical three-point family: y = 0 gives the Todd series, and
     substituting x -> x/2 at y = 1 gives the half-angle cotangent.
     """
-    y = Fraction(y)
-    if y == -1:
-        raise ValueError("series family undefined at y = -1")
-    # x/(1 - e**(-x(1+y))) is Todd(x(1+y)) with its numerator scaled back
-    scaled_todd = Fraction(1, 1 + y) * todd_series(order).scale_argument(1 + y)
-    factor = 1 + y * TruncatedSeries.exponential(-(1 + y), order)
-    return scaled_todd * factor
+    y = _admissible(y)
+    return _hirzebruch(todd_series(order), y)
 
 
 def qy_series(y, order: int) -> TruncatedSeries:
@@ -190,37 +246,32 @@ def qy_series(y, order: int) -> TruncatedSeries:
     x -> x/(1+y), hits Todd at y = 0 and the half-angle cotangent at
     y = 1 with no further substitution.
     """
-    y = Fraction(y)
-    if y == -1:
-        raise ValueError("series family undefined at y = -1")
-    factor = 1 + y * TruncatedSeries.exponential(-1, order)
-    return Fraction(1, 1 + y) * (todd_series(order) * factor)
+    y = _admissible(y)
+    return _qy(todd_series(order), y)
 
 
 def qy_series_cleared(order: int) -> TruncatedSeries:
     """(1+y) * qy_series as a series with YPoly coefficients.
 
-    Exactly Todd(x) * (1 + y*e**(-x)); symbolic in y, so one object
-    covers every admissible weight.
+    Exactly Todd(x) * (1 + y*e**(-x)), assembled coefficient by
+    coefficient as the YPoly todd_k + y*(todd*e**(-x))_k from two
+    rational series; symbolic in y, so one object covers every
+    admissible weight.
     """
-    todd = todd_series(order)
-    expo = TruncatedSeries.exponential(-1, order)
-    factor = TruncatedSeries(
-        tuple(
-            (YPoly.const(1) if k == 0 else YPoly()) + Y * c
-            for k, c in enumerate(expo.coeffs)
-        )
-    )
-    return todd * factor
+    return _qy_cleared(todd_series(order))
 
 
 def verify_identities(order: int) -> dict[str, bool]:
-    """Exact cross-checks tying the family together; all should be True."""
+    """Exact cross-checks tying the family together; all should be True.
+
+    One Todd series is built and shared by every check; lhat_series is
+    built from cosh and sinh, independently of it.
+    """
     todd = todd_series(order)
     lhat = lhat_series(order)
     todd_neg = todd.scale_argument(-1)
     exp_neg = TruncatedSeries.exponential(-1, order)
-    cleared = qy_series_cleared(order)
+    cleared = _qy_cleared(todd)
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
     checks = {
         "todd_defining_product": todd
@@ -233,19 +284,19 @@ def verify_identities(order: int) -> dict[str, bool]:
         "half_angle_is_even": all(
             lhat[k] == 0 for k in range(1, order + 1, 2)
         ),
-        "family_at_zero_is_todd": qy_series(0, order) == todd,
-        "family_at_one_is_half_angle": qy_series(1, order) == lhat,
-        "classical_family_halved": hirzebruch_series(1, order).scale_argument(
+        "family_at_zero_is_todd": _qy(todd, Fraction(0)) == todd,
+        "family_at_one_is_half_angle": _qy(todd, Fraction(1)) == lhat,
+        "classical_family_halved": _hirzebruch(todd, Fraction(1)).scale_argument(
             Fraction(1, 2)
         )
         == lhat,
         "cleared_family_matches": all(
             TruncatedSeries(tuple(c(y) for c in cleared.coeffs))
-            == (1 + y) * qy_series(y, order)
+            == (1 + y) * _qy(todd, y)
             for y in sample_ys
         ),
         "weighted_average_form": all(
-            qy_series(y, order)
+            _qy(todd, y)
             == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * (exp_neg * todd)
             for y in sample_ys
         ),

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -206,6 +207,24 @@ def test_series_frozen_output(capsys):
     assert "check: PASS" in out
 
 
+# sha256 of the whole stdout at the order the benchmark runs; Todd's
+# denominators there reach 53 digits, so this pins the exact rational
+# arithmetic and its printing far past the order-4 text above
+_SERIES_ORDER_40_SHA256 = {
+    (): "39bb5e420ccbde68bd737ec971a2f3df941071342270ea68072fd1c9fc1495bc",
+    ("--y", "1/2"): "ad6220be2a37e2c738f01430367f294c1240997f432a75364e0cc3f6283240fd",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_SERIES_ORDER_40_SHA256))
+def test_series_frozen_output_at_order_forty(capsys, extra):
+    code, out, _ = run(capsys, "series", "--order", "40", *extra)
+    assert code == 0
+    assert out.endswith("check: PASS (9/9 identities)\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _SERIES_ORDER_40_SHA256[extra]
+
+
 def test_series_concrete_y(capsys):
     code, out, _ = run(capsys, "series", "--order", "4", "--y", "1")
     assert code == 0
@@ -216,6 +235,17 @@ def test_series_rejects_minus_one(capsys):
     code, _, err = run(capsys, "series", "--y", "-1")
     assert code == 2
     assert "y = -1" in err
+
+
+@pytest.mark.parametrize(
+    "order, y, reason",
+    [("2", "-1", "y = -1"), ("3", "1/0", "not a rational number")],
+)
+def test_series_rejects_bad_y_before_output(capsys, order, y, reason):
+    code, out, err = run(capsys, "series", "--order", order, "--y", y)
+    assert code == 2
+    assert out == "command: series\n"
+    assert reason in err.splitlines()[0]
 
 
 def test_svg_stdout(capsys):

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from polarcount import series
+from polarcount.cli import main
 from polarcount.series import (
     TruncatedSeries,
     hirzebruch_series,
@@ -135,3 +139,125 @@ def test_series_plumbing():
     prod = e * e.inverse()
     assert prod == TruncatedSeries.constant(Fraction(1), 5)
     assert str(todd_series(4)) == "1 + 1/2*x + 1/12*x^2 - 1/720*x^4"
+
+
+# -- the integer kernel against the schoolbook loops it replaced ----------
+
+
+def schoolbook_mul(a, b):
+    """Reference product: one Fraction accumulation per coefficient pair."""
+    out = []
+    for k in range(len(a.coeffs)):
+        acc = Fraction(0)
+        for i in range(k + 1):
+            x, y = a.coeffs[i], b.coeffs[k - i]
+            if x != 0 and y != 0:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def schoolbook_inverse(s):
+    """Reference inverse: the Fraction recurrence on the coefficients."""
+    inv0 = 1 / Fraction(s.coeffs[0])
+    out = [inv0]
+    for k in range(1, len(s.coeffs)):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc = acc + s.coeffs[i] * out[k - i]
+        out.append(-inv0 * acc)
+    return out
+
+
+_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-40, 40),
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+
+
+@st.composite
+def series_lists(draw, count):
+    order = draw(st.integers(0, 12))
+    coeffs = st.lists(_coefficients, min_size=order + 1, max_size=order + 1)
+    return [TruncatedSeries(draw(coeffs)) for _ in range(count)]
+
+
+def assert_matches(result, reference):
+    assert list(result.coeffs) == reference
+    assert all(type(c) is Fraction for c in result.coeffs)
+    # the sign of a Fraction coefficient prints as " - ", so equal types
+    # and values keep the printed form
+    assert str(result) == str(TruncatedSeries(reference))
+
+
+@given(series_lists(2))
+def test_kernel_product_matches_schoolbook(pair):
+    a, b = pair
+    assert_matches(a * b, schoolbook_mul(a, b))
+
+
+@given(series_lists(1))
+def test_kernel_inverse_matches_schoolbook(single):
+    (s,) = single
+    assume(s[0] != 0)
+    inv = s.inverse()
+    assert_matches(inv, schoolbook_inverse(s))
+    assert s * inv == TruncatedSeries.constant(Fraction(1), s.order)
+
+
+def test_kernel_rejects_what_has_no_rational_inverse_or_product():
+    with pytest.raises(ZeroDivisionError):
+        TruncatedSeries((Fraction(0), Fraction(1, 2), 3)).inverse()
+    with pytest.raises(ValueError):
+        TruncatedSeries((1, 2)) * TruncatedSeries((1, 2, 3))
+    symbolic = TruncatedSeries((YPoly((1, 1)), YPoly((0, 1))))
+    rational = TruncatedSeries((Fraction(1), Fraction(1, 2)))
+    for bad in (
+        lambda: symbolic * rational,
+        lambda: rational * symbolic,
+        symbolic.inverse,
+        TruncatedSeries((1.5, 0)).inverse,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+# -- Todd is built at most once per public call ---------------------------
+
+
+@pytest.fixture
+def todd_builds(monkeypatch):
+    orders = []
+    build = series.todd_series
+
+    def counting(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(series, "todd_series", counting)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "name, args, builds",
+    [
+        ("verify_identities", (12,), 1),
+        ("qy_series", (Fraction(1, 2), 12), 1),
+        ("qy_series_cleared", (12,), 1),
+        ("hirzebruch_series", (2, 12), 1),
+        # the half-angle series is an oracle built without Todd
+        ("lhat_series", (12,), 0),
+    ],
+)
+def test_todd_built_once_per_call(todd_builds, name, args, builds):
+    getattr(series, name)(*args)
+    assert len(todd_builds) == builds
+
+
+def test_series_command_builds_todd_at_most_four_times(todd_builds, capsys):
+    assert main(["series", "--order", "40", "--y", "1/2"]) == 0
+    assert "check: PASS (9/9 identities)" in capsys.readouterr().out
+    assert todd_builds == [40] * len(todd_builds)
+    assert 1 <= len(todd_builds) <= 4
