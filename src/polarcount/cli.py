@@ -18,9 +18,11 @@ import time
 from fractions import Fraction
 
 from . import latticegen, polytope, series, svgfig
+from .laurent import LaurentPoly
 from .polarize import PolarizationError, find_polarizing, polarize_cones
 from .polytope import Polytope, PolytopeError, PolytopeFormatError, fmt_point
 from .weights import WeightParam, check_decomposition_at, sample_points
+from .ypoly import ONE_PLUS_Y
 
 _BUILTIN_HELP = (
     "builtin polytope: interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
@@ -121,20 +123,25 @@ def _load_and_describe(ns, out) -> Polytope:
 
 def _maybe_decimal(value: Fraction, places) -> str:
     exact = str(value)
-    if places is None:
-        return exact
-    if places < 0:
-        raise InputError("--decimal must be nonnegative")
-    approx = f"{float(value):.{places}f}"
-    return f"{exact} (~{approx})"
+    return exact if places is None else f"{exact} (~{float(value):.{places}f})"
 
 
-def _weight_param(ns) -> WeightParam:
-    y = _parse_fraction(ns.y, "weight parameter y")
-    try:
-        return WeightParam(y)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+def _weight_param(ns) -> WeightParam | None:
+    """--y parsed (None without it), with --decimal checked; before any work."""
+    w = None
+    if ns.y is not None:
+        y = _parse_fraction(ns.y, "weight parameter y")
+        try:
+            w = WeightParam(y)
+        except ValueError as e:
+            raise InputError(str(e)) from e
+    places = getattr(ns, "decimal", None)
+    if places is not None:
+        if w is None:
+            raise InputError("--decimal needs --y")
+        if places < 0:
+            raise InputError("--decimal must be nonnegative")
+    return w
 
 
 # -- subcommand bodies (each returns the exit code) ----------------------
@@ -155,8 +162,8 @@ def _cmd_vertices(ns, out) -> int:
 def _cmd_decompose(ns, out) -> int:
     if ns.random_points < 0:
         raise InputError("--random-points must be nonnegative")
+    w = _weight_param(ns)
     poly = _load_and_describe(ns, out)
-    w = _weight_param(ns) if ns.y is not None else None
     xi = find_polarizing(poly, seed=ns.seed)
     print(f"xi: {fmt_point(xi)}", file=out)
     cones = polarize_cones(poly, xi)
@@ -193,15 +200,13 @@ def _cmd_decompose(ns, out) -> int:
 
 
 def _cmd_count(ns, out) -> int:
-    if ns.decimal is not None and ns.y is None:
-        raise InputError("--decimal needs --y")
+    w = _weight_param(ns)
     poly = _load_and_describe(ns, out)
     census = latticegen.codim_census(poly)
     total = sum(census.values())
     print(f"lattice points: {total}", file=out)
     for c in sorted(census):
         print(f"  codim {c}: {census[c]}", file=out)
-    w = _weight_param(ns) if ns.y is not None else None
     latticegen.require_lattice_hypotheses(poly, "weighted counting")
     count = latticegen.census_weight_y(census)
     if w is None:
@@ -217,8 +222,8 @@ def _cmd_count(ns, out) -> int:
 
 
 def _cmd_chi(ns, out) -> int:
-    poly = _load_and_describe(ns, out)
     w = _weight_param(ns)
+    poly = _load_and_describe(ns, out)
     zparts = [p for p in ns.z.split(",") if p.strip()]
     if len(zparts) != poly.dim:
         raise InputError(
@@ -246,9 +251,14 @@ def _cmd_brion(ns, out) -> int:
     poly = _load_and_describe(ns, out)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}", file=out)
+    # c * u^k * z^p with u = 1/(1+y) prints as c * (1+y)^(n-k) * z^p over (1+y)^n
     n = poly.dim
+    powers = [ONE_PLUS_Y ** (n - k) for k in range(n + 1)]
+    cleared = LaurentPoly(n, {
+        e[:-1]: c * powers[e[-1]] for e, c in report.rhs.num.terms.items()
+    })
     den = "(1+y)" if n == 1 else f"(1+y)^{n}"
-    print(f"weighted lattice sum: ({report.rhs.num}) / {den}", file=out)
+    print(f"weighted lattice sum: ({cleared}) / {den}", file=out)
     if not report.equal:
         print("check: FAIL (vertex sum differs from lattice sum)", file=out)
         return 1
@@ -294,12 +304,12 @@ def _cmd_series(ns, out) -> int:
 def _cmd_svg(ns, out) -> int:
     if ns.margin < 0:
         raise InputError("--margin must be nonnegative")
+    w = _weight_param(ns)
     poly, source, digest = _load_polytope(ns)
     if poly.dim != 2:
         raise InputError(
             f"svg needs a 2-dimensional polytope, got dim {poly.dim}"
         )
-    w = _weight_param(ns)
     xi = find_polarizing(poly, seed=ns.seed)
     cones = polarize_cones(poly, xi)
     text = svgfig.render_svg(

@@ -1,15 +1,17 @@
 """Lattice points, weighted counts, and the vertex generating-function
 identity for regular integral polytopes.
 
-Each vertex v with primitive edge directions a_1..a_n contributes the
-rational function
+With u = 1/(1+y), each vertex v with primitive edge directions
+a_1..a_n contributes the rational function
 
-    z^v * prod_j (1 + y*z^(a_j)) / ((1+y) * (1 - z^(a_j)))
+    z^v * prod_j (u + (1-u)*z^(a_j)) / (1 - z^(a_j))
 
 and the sum over vertices collapses to the polynomial
 
-    sum over lattice points p of (1/(1+y))^(codim of p) * z^p.
+    sum over lattice points p of u^(codim of p) * z^p.
 
+Both sides are LaurentPolys in n+1 variables, z_1..z_n and then u, with
+int coefficients; the denominators are products of (1 - z^b) alone.
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
@@ -40,7 +43,7 @@ from .weights import (
     polytope_weight_y,
     signed_cone_sum_y,
 )
-from .ypoly import ONE_PLUS_Y, Y, YFrac
+from .ypoly import YFrac
 
 
 class HypothesisError(ValueError):
@@ -144,10 +147,7 @@ def format_census(census: dict[int, int]) -> str:
 
 def census_weight_y(census: dict[int, int]) -> YFrac:
     """Symbolic weighted count of a census: sum of count * (1/(1+y))**codim."""
-    total = YFrac(0)
-    for c, count in census.items():
-        total = total + count * YFrac(1, c)
-    return total
+    return sum((count * YFrac(1, c) for c, count in census.items()), YFrac(0))
 
 
 def weighted_count_y(poly: Polytope) -> YFrac:
@@ -167,11 +167,11 @@ def weighted_count(poly: Polytope, w: WeightParam) -> Fraction:
 class VertexTerm(NamedTuple):
     """One vertex's rational function, with bookkeeping for summation.
 
-    numerator is z^v times the product of per-edge binomials, where an
-    edge whose primitive direction is not canonically oriented has had
-    its geometric series rewritten: 1/(1 - z^(-b)) = -z^b/(1 - z^b).
+    numerator is z^v times the product of per-edge binomials in z and u,
+    where an edge whose primitive direction is not canonically oriented
+    has had its geometric series rewritten: 1/(1 - z^(-b)) = -z^b/(1 - z^b).
     canonical_dirs lists the denominator directions after rewriting, so
-    the denominator is (1+y)^n times prod (1 - z^b) over them.
+    the denominator is prod (1 - z^b) over them.
     """
 
     vertex_index: int
@@ -179,19 +179,25 @@ class VertexTerm(NamedTuple):
     canonical_dirs: tuple[tuple[int, ...], ...]
 
 
+def _one_minus(b: tuple[int, ...]) -> LaurentPoly:
+    """1 - z^b, with u's exponent 0."""
+    return LaurentPoly(len(b) + 1, {(0,) * (len(b) + 1): 1, (*b, 0): -1})
+
+
 def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     require_lattice_hypotheses(poly, "the vertex generating function")
     n = poly.dim
     v = poly.vertices[vertex_index]
-    num = LaurentPoly.monomial(n, tuple(int(a) for a in v.point))
+    num = LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))
+    one, u = (0,) * (n + 1), (0,) * n + (1,)
     dirs = []
     for a in v.edges:
         b = canonical_direction(a)
         if a == b:
-            binom = LaurentPoly(n, {(0,) * n: 1, b: Y})
+            binom = {u: 1, (*b, 0): 1, (*b, 1): -1}
         else:
-            binom = LaurentPoly(n, {(0,) * n: -Y, b: -1})
-        num = num * binom
+            binom = {one: -1, u: 1, (*b, 1): -1}
+        num = num * LaurentPoly(n + 1, binom)
         dirs.append(b)
     return VertexTerm(vertex_index, num, tuple(dirs))
 
@@ -199,11 +205,10 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
 def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
     """The vertex's contribution as an explicit rational function."""
     term = vertex_term(poly, vertex_index)
-    n = poly.dim
-    den = LaurentPoly.const(n, ONE_PLUS_Y**n)
-    for b in term.canonical_dirs:
-        den = den * LaurentPoly(n, {(0,) * n: 1, b: -1})
-    return RationalFunction(term.numerator, den)
+    one = LaurentPoly.const(poly.dim + 1, 1)
+    return RationalFunction(
+        term.numerator, prod(map(_one_minus, term.canonical_dirs), start=one)
+    )
 
 
 def brion_sum(poly: Polytope) -> RationalFunction:
@@ -211,34 +216,26 @@ def brion_sum(poly: Polytope) -> RationalFunction:
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     n = poly.dim
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
-    all_dirs: list[tuple[int, ...]] = []
-    for t in terms:
-        for b in t.canonical_dirs:
-            if b not in all_dirs:
-                all_dirs.append(b)
-    total = LaurentPoly.zero(n)
+    all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
+    total = LaurentPoly.zero(n + 1)
     for t in terms:
         lifted = t.numerator
         for b in all_dirs:
             if b not in t.canonical_dirs:
-                lifted = lifted * LaurentPoly(n, {(0,) * n: 1, b: -1})
+                lifted = lifted * _one_minus(b)
         total = total + lifted
-    den = LaurentPoly.const(n, ONE_PLUS_Y**n)
-    for b in all_dirs:
-        den = den * LaurentPoly(n, {(0,) * n: 1, b: -1})
+    den = prod(map(_one_minus, all_dirs), start=LaurentPoly.const(n + 1, 1))
     return RationalFunction(total, den)
 
 
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
-    """Cleared weighted lattice sum: coefficient of z^p is (1+y)^(n - codim p).
+    """Weighted lattice sum: one term u^(codim p) * z^p per lattice point p.
 
-    Dividing by (1+y)^n recovers the weighted sum itself; clearing keeps
-    every coefficient polynomial.
+    A LaurentPoly in n+1 variables, the last one u = 1/(1+y).
     """
     require_lattice_hypotheses(poly, "the weighted lattice sum")
-    n = poly.dim
-    powers = [ONE_PLUS_Y ** (n - c) for c in range(n + 1)]
-    return LaurentPoly(n, {p: powers[c] for p, c in lattice_points(poly).items()})
+    n1 = poly.dim + 1
+    return LaurentPoly(n1, {(*p, c): 1 for p, c in lattice_points(poly).items()})
 
 
 class BrionReport(NamedTuple):
@@ -254,10 +251,8 @@ def brion_check(poly: Polytope) -> BrionReport:
     no expansion of geometric series and no numeric sampling.
     """
     lhs = brion_sum(poly)
-    n = poly.dim
-    rhs = RationalFunction(
-        weighted_sum_poly(poly), LaurentPoly.const(n, ONE_PLUS_Y**n)
-    )
+    one = LaurentPoly.const(poly.dim + 1, 1)
+    rhs = RationalFunction(weighted_sum_poly(poly), one)
     return BrionReport(lhs=lhs, rhs=rhs, equal=lhs.equivalent(rhs))
 
 

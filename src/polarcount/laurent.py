@@ -1,16 +1,18 @@
-"""Sparse Laurent polynomials in z_1..z_n over Q[y], and their quotients.
+"""Sparse Laurent polynomials in z_1..z_n, and their quotients.
 
-Exponents may be negative; coefficients are YPoly.  RationalFunction
-keeps an unreduced numerator/denominator pair: full gcd computation in
-many variables is never needed here, because identity checks go through
-cross-multiplication.
+Exponents may be negative.  Coefficients are kept as given, with zeros
+dropped: the generating functions carry u = 1/(1+y) as a last variable
+and have int coefficients; the printed lattice sum has YPoly ones.
+RationalFunction keeps an unreduced numerator/denominator pair: full gcd
+computation in many variables is never needed here, because identity
+checks go through cross-multiplication.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
-
-from .ypoly import YPoly, _as_ypoly
 
 Expo = tuple
 
@@ -20,19 +22,21 @@ class LaurentPoly:
 
     def __init__(self, nvars: int, terms: Mapping[Expo, object] | None = None):
         self.nvars = nvars
-        clean: dict[Expo, YPoly] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if len(expo) != nvars:
-                    raise ValueError(
-                        f"exponent {expo} has length {len(expo)}, expected {nvars}"
-                    )
-                c = _as_ypoly(coeff)
-                if c is NotImplemented:
-                    raise TypeError(f"bad coefficient type {type(coeff).__name__}")
-                if c:
-                    clean[tuple(int(e) for e in expo)] = c
-        self.terms = clean
+        self.terms: dict[Expo, object] = {}
+        for expo, c in (terms or {}).items():
+            if len(expo) != nvars:
+                raise ValueError(
+                    f"exponent {expo} has length {len(expo)}, expected {nvars}"
+                )
+            if c:
+                self.terms[tuple(int(e) for e in expo)] = c
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "LaurentPoly":
+        """From int-tuple exponents, as arithmetic makes them; zeros dropped."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, {e: c for e, c in terms.items() if c}
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
@@ -63,10 +67,9 @@ class LaurentPoly:
             if other.nvars != self.nvars:
                 raise ValueError("variable-count mismatch")
             return other
-        c = _as_ypoly(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return LaurentPoly.const(self.nvars, c)
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(self.nvars, other)
+        return NotImplemented
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -74,40 +77,30 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            out[expo] = out.get(expo, YPoly()) + c
-        return LaurentPoly(self.nvars, out)
+            out[expo] = out.get(expo, 0) + c
+        return LaurentPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Expo, YPoly] = {}
+        out: dict[Expo, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return LaurentPoly(self.nvars, out)
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -123,8 +116,8 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def coefficient(self, expo: Sequence[int]) -> YPoly:
-        return self.terms.get(tuple(expo), YPoly())
+    def coefficient(self, expo: Sequence[int]):
+        return self.terms.get(tuple(expo), 0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -134,7 +127,8 @@ class LaurentPoly:
             c = self.terms[expo]
             factors = []
             cs = str(c)
-            if c.degree > 0 or " " in cs or cs.startswith("-"):
+            # anything but a nonnegative rational, such as -3 or y + 1
+            if not cs.replace("/", "", 1).isdigit():
                 cs = f"({cs})"
             for i, e in enumerate(expo):
                 if e == 0:
@@ -166,12 +160,6 @@ class RationalFunction:
     def equivalent(self, other: "RationalFunction") -> bool:
         """Mathematical equality by cross-multiplication."""
         return self.num * other.den == other.num * self.den
-
-    def __str__(self) -> str:
-        num, den = str(self.num), str(self.den)
-        if den == "1":
-            return num
-        return f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -153,7 +153,7 @@ class TruncatedSeries:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            negative = isinstance(c, Fraction) and c < 0
+            negative = isinstance(c, (int, Fraction)) and c < 0
             cs = str(-c if negative else c)
             if isinstance(c, YPoly) and c.degree > 0:
                 cs = f"({cs})"

@@ -1,20 +1,23 @@
-"""Polynomials and (1+y)-power fractions in the weight parameter y.
+"""The weight ring: polynomials in u = 1/(1+y), and their y forms.
 
-The weight attached to a point never needs a general rational function
-of y: every quantity in this package is a polynomial in y divided by a
-power of (1+y).  YPoly is a dense univariate polynomial over Q; YFrac
-is YPoly / (1+y)**power, kept in lowest terms so equality is structural.
+Every weight in this package is an integer polynomial in u and 1-u =
+y/(1+y): a point on a codim-c face weighs u^c, and a cone point weighs
+u^r1 * (1-u)^r2.  YFrac stores such a weight as a Laurent polynomial in
+u; as u ranges over Q minus 0, y = 1/u - 1 ranges over every admissible
+y, so equality in u is equality for all y.  Its y form num / (1+y)**power
+in lowest terms, which is what it prints, is read off the u form.
 
+YPoly is a dense polynomial in y over Q: the y form's numerator, and the
+coefficient ring of the series family and of the printed lattice sum.
 Coefficients are stored as int whenever they are integral and as
-Fraction otherwise.  The weights, the vertex terms and the lattice sums
-all have integer coefficients, so their products run on Python ints;
-since hash(2) == hash(Fraction(2)), equality, hashing and printing do
-not depend on the stored type.
+Fraction otherwise; since hash(2) == hash(Fraction(2)), equality,
+hashing and printing do not depend on the stored type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -64,6 +67,9 @@ class YPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as one
+        if self.degree < 1:
+            return hash(self.coefficient(0))
         return hash(("YPoly", self.coeffs))
 
     def __add__(self, other) -> "YPoly":
@@ -84,16 +90,10 @@ class YPoly:
         return YPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _as_ypoly(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_ypoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "YPoly":
         other = _as_ypoly(other)
@@ -133,26 +133,6 @@ class YPoly:
     def coefficient(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def div_one_plus_y(self):
-        """Exact quotient by (1+y), or None when not divisible.
-
-        Synthetic division at y = -1: the remainder a[0] - q[0] is the
-        value there.
-        """
-        if not self:
-            return YPoly()
-        # Quotient coefficients from the top down: q[d-1] = a[d],
-        # q[i-1] = a[i] - q[i].
-        a = self.coeffs
-        q = [0] * (len(a) - 1)
-        carry = 0
-        for i in range(len(a) - 1, 0, -1):
-            carry = a[i] - carry
-            q[i - 1] = carry
-        if a[0] != carry:
-            return None
-        return YPoly(q)
-
     def __str__(self) -> str:
         if not self:
             return "0"
@@ -188,44 +168,69 @@ ONE_PLUS_Y = YPoly((1, 1))
 Y = YPoly((0, 1))
 
 
-class YFrac:
-    """num / (1+y)**power, reduced so (1+y) does not divide num (unless 0)."""
+def _u_sum(terms) -> dict:
+    """The u-polynomial summing c * u**k over the (k, c) pairs of terms."""
+    u: dict = {}
+    for k, c in terms:
+        u[k] = u.get(k, 0) + c
+    return {k: c for k, c in u.items() if c}
 
-    __slots__ = ("num", "power")
+
+def _yfrac(u: dict) -> "YFrac":
+    f = object.__new__(YFrac)
+    f.u = u
+    return f
+
+
+def _u_binomial(shift: int, r: int) -> dict:
+    """u**shift * (1-u)**r."""
+    return {shift + i: (-1) ** i * comb(r, i) for i in range(r + 1)}
+
+
+class YFrac:
+    """num / (1+y)**power, stored as a Laurent polynomial in u = 1/(1+y).
+
+    u maps each exponent k to a nonzero coefficient c_k.  Since
+    1+y = 1/u, the lowest terms are read off: power is max(0, top
+    exponent) and num is the sum of c_k * (1+y)**(power - k), which
+    (1+y) does not divide when power > 0.
+    """
+
+    __slots__ = ("u",)
 
     def __init__(self, num, power: int = 0):
         num = _as_ypoly(num)
         if num is NotImplemented:
             raise TypeError("numerator must be YPoly, int, or Fraction")
-        if power < 0:
-            num = num * ONE_PLUS_Y ** (-power)
-            power = 0
-        while power > 0 and num:
-            q = num.div_one_plus_y()
-            if q is None:
-                break
-            num, power = q, power - 1
-        if not num:
-            power = 0
-        self.num = num
-        self.power = power
+        # a * y**k / (1+y)**power = a * (1-u)**k * u**(power-k)
+        self.u = _u_sum(
+            (e, a * c) for k, a in enumerate(num.coeffs)
+            for e, c in _u_binomial(power - k, k).items()
+        )
 
     @classmethod
     def weight(cls, unflipped_zeros: int, flipped_zeros: int) -> "YFrac":
-        """(1/(1+y))**r1 * (y/(1+y))**r2 for r1, r2 >= 0."""
-        r1, r2 = unflipped_zeros, flipped_zeros
-        if r1 < 0 or r2 < 0:
+        """(1/(1+y))**r1 * (y/(1+y))**r2 = u**r1 * (1-u)**r2 for r1, r2 >= 0."""
+        if unflipped_zeros < 0 or flipped_zeros < 0:
             raise ValueError("zero-coordinate counts must be nonnegative")
-        return cls(Y**r2, r1 + r2)
+        return _yfrac(_u_binomial(unflipped_zeros, flipped_zeros))
+
+    @property
+    def power(self) -> int:
+        return max(0, max(self.u, default=0))
+
+    @property
+    def num(self) -> YPoly:
+        return self.cleared(self.power)
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.u)
 
     def __eq__(self, other) -> bool:
         other = _as_yfrac(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.power == other.power
+        return self.u == other.u
 
     def __hash__(self):
         return hash(("YFrac", self.num.coeffs, self.power))
@@ -234,33 +239,26 @@ class YFrac:
         other = _as_yfrac(other)
         if other is NotImplemented:
             return NotImplemented
-        p = max(self.power, other.power)
-        a = self.num * ONE_PLUS_Y ** (p - self.power)
-        b = other.num * ONE_PLUS_Y ** (p - other.power)
-        return YFrac(a + b, p)
+        return _yfrac(_u_sum([*self.u.items(), *other.u.items()]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "YFrac":
-        return YFrac(-self.num, self.power)
+        return _yfrac({k: -c for k, c in self.u.items()})
 
     def __sub__(self, other):
-        other = _as_yfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_yfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "YFrac":
         other = _as_yfrac(other)
         if other is NotImplemented:
             return NotImplemented
-        return YFrac(self.num * other.num, self.power + other.power)
+        return _yfrac(_u_sum(
+            (i + j, a * b) for i, a in self.u.items() for j, b in other.u.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -268,7 +266,8 @@ class YFrac:
         y = Fraction(yval)
         if y == -1:
             raise ZeroDivisionError("weight fraction undefined at y = -1")
-        return self.num(y) / (1 + y) ** self.power
+        u = 1 / (1 + y)
+        return sum((c * u**k for k, c in self.u.items()), Fraction(0))
 
     def cleared(self, total_power: int) -> YPoly:
         """num * (1+y)**(total_power - power); total_power >= power required."""
@@ -276,16 +275,21 @@ class YFrac:
             raise ValueError(
                 f"cannot clear to (1+y)^{total_power}: denominator is (1+y)^{self.power}"
             )
-        return self.num * ONE_PLUS_Y ** (total_power - self.power)
+        # sum of c_k * (1+y)**(total_power - k), by Horner's rule in 1+y
+        acc = YPoly()
+        for k in range(min(self.u, default=total_power), total_power + 1):
+            acc = acc * ONE_PLUS_Y + self.u.get(k, 0)
+        return acc
 
     def __str__(self) -> str:
-        num = str(self.num)
-        if self.power == 0:
-            return num
-        if sum(1 for c in self.num.coeffs if c != 0) > 1:
-            num = f"({num})"
-        den = "(1+y)" if self.power == 1 else f"(1+y)^{self.power}"
-        return f"{num}/{den}"
+        num, power = self.num, self.power
+        text = str(num)
+        if power == 0:
+            return text
+        if sum(1 for c in num.coeffs if c != 0) > 1:
+            text = f"({text})"
+        den = "(1+y)" if power == 1 else f"(1+y)^{power}"
+        return f"{text}/{den}"
 
     def __repr__(self) -> str:
         return f"YFrac({self.num!r}, {self.power})"

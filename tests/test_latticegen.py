@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import polarcount as pc
 from polarcount.latticegen import box_points
 from polarcount.laurent import LaurentPoly, RationalFunction
-from polarcount.ypoly import ONE_PLUS_Y, YFrac, YPoly
+from polarcount.ypoly import YFrac, YPoly
 from zoo import (
     affine_image,
     brion_zoo,
@@ -152,11 +152,10 @@ def test_enumeration_has_no_gate():
 def test_vertex_genfun_interval():
     P = pc.interval(1)
     f0 = pc.vertex_genfun(P, 0)  # vertex 0, edge +1
-    z = LaurentPoly.monomial(1, (1,))
-    one = LaurentPoly.const(1, 1)
+    # (1 + y*z) / ((1+y)(1 - z)) = (u + (1-u)*z) / (1 - z), variables (z, u)
     expected = RationalFunction(
-        one + LaurentPoly.const(1, pc.YPoly((0, 1))) * z,
-        LaurentPoly.const(1, ONE_PLUS_Y) * (one - z),
+        LaurentPoly(2, {(0, 1): 1, (1, 0): 1, (1, 1): -1}),
+        LaurentPoly(2, {(0, 0): 1, (1, 0): -1}),
     )
     assert f0.equivalent(expected)
 
@@ -168,26 +167,29 @@ def test_brion_check_across_zoo():
 
 
 def test_brion_interval_closed_form():
-    # [0,1]: the sum collapses to (1 + z)/(1+y)
+    # [0,1]: the sum collapses to (1 + z)/(1+y) = u + u*z, variables (z, u)
     report = pc.brion_check(pc.interval(1))
-    z = LaurentPoly.monomial(1, (1,))
-    one = LaurentPoly.const(1, 1)
-    expected = RationalFunction(one + z, LaurentPoly.const(1, ONE_PLUS_Y))
+    expected = RationalFunction(
+        LaurentPoly(2, {(0, 1): 1, (1, 1): 1}), LaurentPoly.const(2, 1)
+    )
     assert report.lhs.equivalent(expected)
     assert report.rhs.equivalent(expected)
 
 
 def test_weighted_sum_poly_square():
+    # one term u^codim * z^p per lattice point p; the last exponent is u's
     P = pc.hypercube(2, 1)
     poly = pc.weighted_sum_poly(P)
-    for p in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        assert poly.coefficient(p) == YPoly((1,))  # (1+y)^(2-2)
-    assert poly.coefficient((2, 2)) == YPoly(())
+    assert poly.nvars == 3
+    assert poly.terms == {(*p, 2): 1 for p in ((0, 0), (1, 0), (0, 1), (1, 1))}
+    assert poly.coefficient((2, 2, 2)) == 0
     P3 = pc.hypercube(2, 3)
     poly3 = pc.weighted_sum_poly(P3)
-    assert poly3.coefficient((1, 1)) == ONE_PLUS_Y**2
-    assert poly3.coefficient((1, 0)) == ONE_PLUS_Y
-    assert poly3.coefficient((0, 0)) == YPoly((1,))
+    assert len(poly3.terms) == 16
+    assert poly3.coefficient((1, 1, 0)) == 1
+    assert poly3.coefficient((1, 0, 1)) == 1
+    assert poly3.coefficient((0, 0, 2)) == 1
+    assert poly3.coefficient((1, 1, 1)) == 0
 
 
 def test_chi_check_known_values():

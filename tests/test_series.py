@@ -139,6 +139,9 @@ def test_series_plumbing():
     prod = e * e.inverse()
     assert prod == TruncatedSeries.constant(Fraction(1), 5)
     assert str(todd_series(4)) == "1 + 1/2*x + 1/12*x^2 - 1/720*x^4"
+    # the sign is read off int coefficients as well as Fraction ones
+    assert str(TruncatedSeries((1, -1, 0, -3))) == "1 - x - 3*x^3"
+    assert str(TruncatedSeries((-2, Fraction(-1, 2)))) == "-2 - 1/2*x"
 
 
 # -- the integer kernel against the schoolbook loops it replaced ----------

@@ -14,6 +14,106 @@ safe_y = st.fractions(min_value=-10, max_value=10, max_denominator=7).filter(
     lambda y: y != -1
 )
 
+# YFrac(num, power) inputs before reduction: numerators with (1+y)
+# factors to cancel, degrees above the power, and negative powers
+raw_yfracs = st.tuples(
+    coeff_lists, st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-2, max_value=5),
+).map(lambda t: (YPoly(t[0]) * ONE_PLUS_Y ** t[1], t[2]))
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+# -- reference: num / (1+y)**power reduced by synthetic division ---------
+
+
+def _div_one_plus_y(p):
+    """Exact quotient by (1+y), or None when not divisible."""
+    if not p:
+        return YPoly()
+    a = p.coeffs
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        carry = a[i] - carry
+        q[i - 1] = carry
+    if a[0] != carry:
+        return None
+    return YPoly(q)
+
+
+def ref_reduce(num, power):
+    if power < 0:
+        num, power = num * ONE_PLUS_Y ** (-power), 0
+    while power > 0 and num:
+        q = _div_one_plus_y(num)
+        if q is None:
+            break
+        num, power = q, power - 1
+    return (num, power) if num else (YPoly(), 0)
+
+
+def ref_add(a, b):
+    p = max(a[1], b[1])
+    return ref_reduce(
+        a[0] * ONE_PLUS_Y ** (p - a[1]) + b[0] * ONE_PLUS_Y ** (p - b[1]), p
+    )
+
+
+def ref_neg(a):
+    return (-a[0], a[1])
+
+
+def ref_mul(a, b):
+    return ref_reduce(a[0] * b[0], a[1] + b[1])
+
+
+def ref_str(ref):
+    num, power = ref
+    text = str(num)
+    if power == 0:
+        return text
+    if sum(1 for c in num.coeffs if c != 0) > 1:
+        text = f"({text})"
+    return text + ("/(1+y)" if power == 1 else f"/(1+y)^{power}")
+
+
+def assert_matches(f, ref, y):
+    assert (f.num, f.power) == ref
+    assert f.num.coeffs == ref[0].coeffs
+    assert f == YFrac(*ref)
+    assert str(f) == ref_str(ref)
+    assert f(y) == ref[0](y) / (1 + y) ** ref[1]
+
+
+@given(raw_yfracs, raw_yfracs, scalars, safe_y)
+def test_yfrac_matches_reduction_oracle(a, b, c, y):
+    fa, fb = YFrac(*a), YFrac(*b)
+    ra, rb, rc = ref_reduce(*a), ref_reduce(*b), ref_reduce(YPoly((c,)), 0)
+    assert_matches(fa, ra, y)
+    assert_matches(fb, rb, y)
+    assert_matches(fa + fb, ref_add(ra, rb), y)
+    assert_matches(fa - fb, ref_add(ra, ref_neg(rb)), y)
+    assert_matches(-fa, ref_neg(ra), y)
+    assert_matches(fa * fb, ref_mul(ra, rb), y)
+    assert_matches(fa + c, ref_add(ra, rc), y)
+    assert_matches(c - fa, ref_add(rc, ref_neg(ra)), y)
+    assert_matches(c * fa, ref_mul(rc, ra), y)
+    assert (fa == fb) == (ra == rb)
+    assert (fa - fb == 0) == (ra == rb)
+    if ra == rb:
+        assert hash(fa) == hash(fb)
+
+
+@given(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+    raw_yfracs, safe_y,
+)
+def test_yfrac_weight_matches_reduction_oracle(r1, r2, a, y):
+    w, ref = YFrac.weight(r1, r2), ref_reduce(Y**r2, r1 + r2)
+    assert_matches(w, ref, y)
+    assert_matches(w * YFrac(*a), ref_mul(ref, ref_reduce(*a)), y)
+    assert_matches(YFrac(*a) - w, ref_add(ref_reduce(*a), ref_neg(ref)), y)
+
 
 def test_trailing_zeros_trimmed():
     assert YPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -42,14 +142,6 @@ def test_degree_and_coefficient():
     assert p.coefficient(1) == 0
     assert p.coefficient(9) == 0
     assert YPoly(()).degree == -1
-
-
-def test_div_one_plus_y():
-    p = ONE_PLUS_Y * YPoly((2, 0, 5))
-    assert p.div_one_plus_y() == YPoly((2, 0, 5))
-    assert YPoly((1, 1)).div_one_plus_y() == YPoly((1,))
-    assert YPoly((1, 2)).div_one_plus_y() is None
-    assert YPoly(()).div_one_plus_y() == YPoly(())
 
 
 def test_str_rendering():
