@@ -223,15 +223,15 @@ def _cmd_count(ns, out) -> int:
 
 def _cmd_chi(ns, out) -> int:
     w = _weight_param(ns)
-    poly = _load_and_describe(ns, out)
-    zparts = [p for p in ns.z.split(",") if p.strip()]
-    if len(zparts) != poly.dim:
-        raise InputError(
-            f"--z needs {poly.dim} comma-separated rationals, got {len(zparts)}"
-        )
-    z = tuple(_parse_fraction(p, "z coordinate") for p in zparts)
+    parts = [p for p in ns.z.split(",") if p.strip()]
+    z = tuple(_parse_fraction(p, "z coordinate") for p in parts)
     if any(a == 0 for a in z):
         raise InputError("z coordinates must be nonzero")
+    poly = _load_and_describe(ns, out)
+    if len(z) != poly.dim:
+        raise InputError(
+            f"--z needs {poly.dim} comma-separated rationals, got {len(z)}"
+        )
     report = latticegen.chi_y_check(poly, w, z)
     print(f"y = {w.y}, z = {fmt_point(z)}", file=out)
     print(

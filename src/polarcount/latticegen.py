@@ -185,6 +185,7 @@ def _one_minus(b: tuple[int, ...]) -> LaurentPoly:
 
 
 def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
+    """The vertex's term in n+1 variables; the last, printed z{n+1}, is u = 1/(1+y)."""
     require_lattice_hypotheses(poly, "the vertex generating function")
     n = poly.dim
     v = poly.vertices[vertex_index]
@@ -212,7 +213,8 @@ def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
 
 
 def brion_sum(poly: Polytope) -> RationalFunction:
-    """Sum of all vertex terms over one common factored denominator."""
+    """Sum of all vertex terms over one common factored denominator, in
+    n+1 variables as in vertex_term: the last, printed z{n+1}, is u = 1/(1+y)."""
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     n = poly.dim
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
@@ -231,7 +233,7 @@ def brion_sum(poly: Polytope) -> RationalFunction:
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     """Weighted lattice sum: one term u^(codim p) * z^p per lattice point p.
 
-    A LaurentPoly in n+1 variables, the last one u = 1/(1+y).
+    A LaurentPoly in n+1 variables; the last, printed z{n+1}, is u = 1/(1+y).
     """
     require_lattice_hypotheses(poly, "the weighted lattice sum")
     n1 = poly.dim + 1

@@ -60,6 +60,10 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as one
+        zero = (0,) * self.nvars
+        if self.terms.keys() <= {zero}:
+            return hash(self.coefficient(zero))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def _coerce(self, other):

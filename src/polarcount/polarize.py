@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import canonical_direction, clear_denominators, dot, inverse, vadd, vec, vsub
-from .polytope import Polytope, fmt_point
+from .linalg import canonical_direction, clear_denominators, dot, vadd, vec, vsub
+from .polytope import Polytope, facet_slacks, fmt_point
 
 
 class PolarizationError(ValueError):
@@ -36,19 +35,19 @@ class PolarizedCone:
     the y/(1+y) weight factor, which vanishes at y = 0 and recovers the
     classical half-open convention there.
 
-    Membership runs in integers: matrix is the inverse of the generator
-    matrix (generators as columns) scaled by scale, the lcm of its
-    denominators, and the apex is cleared to apex_num / apex_den.
+    facets are the vertex's active facets (Vertex.active), in generator
+    order, and rows their integer (normal, offset) pairs.  Generator k
+    leaves facet k and stays on the others, so the k-th cone coordinate
+    of x has the sign of the slack <a_k, x> - b_k, negated when g_k is
+    flipped, and x is a member when no signed slack is negative.
     """
 
     apex: tuple
     generators: tuple[tuple[int, ...], ...]
     flipped: tuple[bool, ...]
     vertex_index: int
-    matrix: tuple[tuple[int, ...], ...] = field(repr=False)
-    scale: int = field(repr=False)
-    apex_num: tuple[int, ...] = field(repr=False)
-    apex_den: int = field(repr=False)
+    facets: tuple[int, ...] = field(repr=False)
+    rows: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
 
     @property
     def flip_count(self) -> int:
@@ -109,46 +108,41 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
             else:
                 gens.append(d)
                 flips.append(False)
-        inv = inverse([[g[i] for g in gens] for i in range(poly.dim)])
-        if inv is None:
-            raise PolarizationError(
-                f"generators at vertex {fmt_point(v.point)} are dependent"
-            )
-        scale = lcm(*(a.denominator for row in inv for a in row))
-        apex_num, apex_den = clear_denominators(v.point)
         cones.append(
             PolarizedCone(
                 apex=v.point,
                 generators=tuple(gens),
                 flipped=tuple(flips),
                 vertex_index=idx,
-                matrix=tuple(tuple(int(a * scale) for a in row) for row in inv),
-                scale=scale,
-                apex_num=apex_num,
-                apex_den=apex_den,
+                facets=v.active,
+                rows=tuple(poly.integer_facets[i] for i in v.active),
             )
         )
     return tuple(cones)
 
 
-def cone_rows(cone: PolarizedCone, num: Sequence[int], den: int) -> Optional[tuple]:
-    """Cone coordinates of the point num / den, in integers.
+def slack_face_counts(cone: PolarizedCone, slack) -> Optional[tuple[int, int]]:
+    """(unflipped zeros, flipped zeros) of a point in the closed cone, or None.
 
-    Row k is the k-th coordinate of num/den - apex in the generator basis
-    times scale * apex_den * den, so it has that coordinate's sign.
-    Returns None at the first negative row: the point is outside.
+    slack maps a facet index to the point's slack (polytope.facet_slacks);
+    a zero slack is a zero coordinate, and the signs read as PolarizedCone says.
     """
-    if len(num) != len(cone.apex_num):
-        raise ValueError(f"dimension mismatch: {len(cone.apex_num)} vs {len(num)}")
-    a, d = cone.apex_den, den
-    diff = [a * x - d * p for x, p in zip(num, cone.apex_num)]
-    rows = []
-    for row in cone.matrix:
-        r = sum(m * t for m, t in zip(row, diff))
-        if r < 0:
+    zeros = flipped_zeros = 0
+    for i, f in zip(cone.facets, cone.flipped):
+        s = slack[i]
+        if s == 0:
+            zeros += 1
+            flipped_zeros += f
+        elif (s < 0) != f:
             return None
-        rows.append(r)
-    return tuple(rows)
+    return zeros - flipped_zeros, flipped_zeros
+
+
+def cone_point_slacks(cones: Sequence[PolarizedCone], x: Sequence) -> tuple[dict, int]:
+    """(slack, den): x = num / den and its slacks over the cones' facets."""
+    rows = {i: r for cone in cones for i, r in zip(cone.facets, cone.rows)}
+    num, den = clear_denominators(x)
+    return dict(zip(rows, facet_slacks(tuple(rows.values()), num, den))), den
 
 
 def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
@@ -156,15 +150,15 @@ def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
     lies in the closed cone.
 
     Membership requires every coordinate >= 0; returns None otherwise.
-    x is cleared to one denominator and tested by cone_rows in integers;
-    the Fractions are built only for members.
+    Coordinate k is slack_k / (<a_k, g_k> * den), built only for members.
     """
-    num, den = clear_denominators(x)
-    rows = cone_rows(cone, num, den)
-    if rows is None:
+    slack, den = cone_point_slacks((cone,), x)
+    if slack_face_counts(cone, slack) is None:
         return None
-    denom = cone.scale * cone.apex_den * den
-    return tuple(Fraction(r, denom) for r in rows)
+    return tuple(
+        Fraction(slack[i], den * dot(a, g))
+        for i, (a, _), g in zip(cone.facets, cone.rows, cone.generators)
+    )
 
 
 # -- wall machinery ----------------------------------------------------

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import clear_denominators, det, dot, inverse, primitive, vadd, vec
@@ -221,12 +222,8 @@ class Polytope:
                 sum(r * facets[i][1] for r, i in zip(row, active)) for row in inv
             )
             dirs = tuple(primitive(col) for col in zip(*inv))
-            denom = lcm(*(a.denominator for a in point))
-            scaled = [int(a * denom) for a in point]
-            slack = [
-                sum(a * x for a, x in zip(normal, scaled)) - offset * denom
-                for normal, offset in facets
-            ]
+            scaled, denom = clear_denominators(point)
+            slack = facet_slacks(facets, scaled, denom)
             neighbours = []
             for relaxed, d in zip(active, dirs):
                 # nearest facets along d: least slack / rate, rate = -<a, d> > 0
@@ -291,25 +288,9 @@ class Polytope:
 
         For a simple polytope this is the number of tight facets:
         dim for a vertex, 1 on the relative interior of a facet, 0 inside.
-        x is cleared to one denominator and read against integer_facets.
+        x is cleared to one denominator and read off its facet slacks.
         """
-        return self.cleared_codim(*clear_denominators(x))
-
-    def cleared_codim(self, num: Sequence[int], den: int) -> Optional[int]:
-        """face_codim of the point num / den, with integer num and den > 0.
-
-        Facet (a, b) leaves slack <a, num> - b * den, which has the sign
-        of <a, x> - b; the scan stops at the first negative slack.
-        """
-        if len(num) != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {len(num)}")
-        codim = 0
-        for a, b in self.integer_facets:
-            s = sum(ai * xi for ai, xi in zip(a, num)) - b * den
-            if s < 0:
-                return None
-            codim += s == 0
-        return codim
+        return slack_codim(facet_slacks(self.integer_facets, *clear_denominators(x)))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs of adjacent vertex indices, each pair once, in sorted order."""
@@ -344,6 +325,23 @@ class Polytope:
             f"vertices={len(self.vertices)}, regular={self.regular}, "
             f"integral={self.integral})"
         )
+
+
+def facet_slacks(rows: Sequence, num: Sequence[int], den: int) -> list[int]:
+    """<a, num> - b * den for each integer row (a, b), with den > 0.
+
+    Each slack has the sign of <a, x> - b at x = num / den: positive
+    strictly inside the half-space, zero on its boundary, negative
+    outside.  Rows are Polytope.integer_facets or a subset of them.
+    """
+    if rows and len(num) != len(rows[0][0]):
+        raise ValueError(f"dimension mismatch: {len(rows[0][0])} vs {len(num)}")
+    return [sum(map(mul, a, num)) - b * den for a, b in rows]
+
+
+def slack_codim(slack: Sequence[int]) -> Optional[int]:
+    """Tight facets among a point's slacks over every facet; None outside."""
+    return None if min(slack) < 0 else slack.count(0)
 
 
 def fmt_point(x: Sequence) -> str:

@@ -54,12 +54,6 @@ def _clip(points: list, normal, anchor) -> list:
     return out
 
 
-def _perp_toward(v, toward):
-    """A normal of v pointing to the side containing `toward`."""
-    n = (-Fraction(v[1]), Fraction(v[0]))
-    return n if dot(n, toward) > 0 else (-n[0], -n[1])
-
-
 def _boundary_order(poly: Polytope) -> list[int]:
     """Vertex indices in counterclockwise order, decided exactly."""
     bc = poly.barycenter()
@@ -129,9 +123,10 @@ def render_svg(
     if cones:
         for k, cone in enumerate(cones):
             color = _PALETTE[k % len(_PALETTE)]
-            g1, g2 = cone.generators
-            region = _clip(world, _perp_toward(g2, g1), cone.apex)
-            region = _clip(region, _perp_toward(g1, g2), cone.apex)
+            # the wedge is where both signed active-facet slacks are >= 0
+            region = world
+            for (a, _), f in zip(cone.rows, cone.flipped):
+                region = _clip(region, tuple(-c for c in a) if f else a, cone.apex)
             if len(region) >= 3:
                 pts = " ".join(pt_attr(p) for p in region)
                 out.append(

@@ -7,6 +7,11 @@ unflipped and flipped generators separately: (1/(1+y))**r1 times
 (y/(1+y))**r2, and 0 outside the cone.  The decomposition identity says
 the polytope weight equals the sign-weighted sum of cone weights at
 every point of space, for every admissible y at once.
+
+Both sides read one vector, the point's integer slacks over the facets
+(polytope.facet_slacks): the codimension counts its zeros, and each cone
+reads its vertex's active facets, negated for flipped generators, so
+membership and the zero counts need no inverse.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators, vadd, vsub
-from .polarize import PolarizedCone, cone_rows, polarize_cones
-from .polytope import Polytope
+from .polarize import (
+    PolarizedCone, cone_point_slacks, polarize_cones, slack_face_counts,
+)
+from .polytope import Polytope, facet_slacks, slack_codim
 from .ypoly import YFrac
 
 
@@ -49,16 +56,7 @@ def cone_face_counts(
     face containing x, split by generator orientation; their sum is the
     codimension of that face.
     """
-    return _face_counts(cone, *clear_denominators(x))
-
-
-def _face_counts(cone: PolarizedCone, num, den) -> Optional[tuple[int, int]]:
-    rows = cone_rows(cone, num, den)
-    if rows is None:
-        return None
-    r1 = sum(1 for r, f in zip(rows, cone.flipped) if r == 0 and not f)
-    r2 = sum(1 for r, f in zip(rows, cone.flipped) if r == 0 and f)
-    return r1, r2
+    return slack_face_counts(cone, cone_point_slacks((cone,), x)[0])
 
 
 def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
@@ -87,13 +85,13 @@ class CheckResult(NamedTuple):
 
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     """Sign-weighted sum of the cone weights of x."""
-    return _signed_cone_sum(cones, *clear_denominators(x))
+    return _signed_cone_sum(cones, cone_point_slacks(cones, x)[0])
 
 
-def _signed_cone_sum(cones: Sequence[PolarizedCone], num, den) -> YFrac:
+def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> YFrac:
     total = YFrac(0)
     for cone in cones:
-        counts = _face_counts(cone, num, den)
+        counts = slack_face_counts(cone, slack)
         if counts is not None:
             wgt = YFrac.weight(*counts)
             total = total + wgt if cone.sign > 0 else total - wgt
@@ -110,13 +108,15 @@ def check_decomposition_at(
 
     Both sides are computed symbolically in y.  With w = None they are
     compared as such, covering every admissible y at once; otherwise both
-    are evaluated at w.y and compared as Fractions.  The point is cleared
-    to one denominator once, and both sides read it in integers.
+    are evaluated at w.y and compared as Fractions.  The point's integer
+    slacks over poly's facets are computed once; the face codimension and
+    the membership and zero counts of each cone, polarized from poly, are
+    read off that one vector.
     """
     xt = tuple(Fraction(a) for a in x)
-    num, den = clear_denominators(xt)
-    lhs = _codim_weight(poly.cleared_codim(num, den))
-    rhs = _signed_cone_sum(cones, num, den)
+    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    lhs = _codim_weight(slack_codim(slack))
+    rhs = _signed_cone_sum(cones, slack)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)

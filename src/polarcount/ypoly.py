@@ -233,7 +233,11 @@ class YFrac:
         return self.u == other.u
 
     def __hash__(self):
-        return hash(("YFrac", self.num.coeffs, self.power))
+        # with no positive power of u the value is the YPoly num, which it
+        # equals (a constant equals its scalar), so it hashes as that
+        if self.power == 0:
+            return hash(self.num)
+        return hash(frozenset(self.u.items()))
 
     def __add__(self, other) -> "YFrac":
         other = _as_yfrac(other)

@@ -125,7 +125,17 @@ def test_chi_zero_z_rejected(capsys):
         capsys, "chi", "--builtin", "cube:2", "--y", "1", "--z", "0,3"
     )
     assert code == 2
+    assert out == "command: chi\n"
     assert "nonzero" in err
+
+
+def test_chi_malformed_z_rejected_before_loading(capsys):
+    code, out, err = run(
+        capsys, "chi", "--builtin", "cube:2", "--y", "1", "--z", "abc,1"
+    )
+    assert code == 2
+    assert out == "command: chi\n"
+    assert "z coordinate: 'abc' is not a rational number" in err
 
 
 @pytest.mark.parametrize(
@@ -232,6 +242,39 @@ def test_series_frozen_output_at_order_forty(capsys, extra):
     assert out.endswith("check: PASS (9/9 identities)\n")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _SERIES_ORDER_40_SHA256[extra]
+
+
+# sha256 of the whole stdout of decompose and svg runs, covering the
+# fractional apexes of halfsquare and the determinant-2 cone of
+# triangle-nonregular; files are named relative to the repository root
+# so the input line does not depend on the checkout's location
+_CONES_FROZEN_SHA256 = {
+    ("decompose", "--builtin", "cube:3,1"):
+        "da03d9b3292c8f9c649dea9b62afbe3d5ac28c8210e384db2863fdc092832299",
+    ("decompose", "--builtin", "simplex:3,2", "--seed", "3"):
+        "8eb2896fdce602b1c781c88e572808b5f3290661fae9a648390fe117aa1a8c12",
+    ("decompose", "--builtin", "cube:4,1", "--y", "2/3"):
+        "4354f0d26fb9d15ac6b1bbffe9ae3ff41f781a909b0121144149578f9469cb86",
+    ("decompose", "polytopes/halfsquare.json"):
+        "8876af046eaf84c8f595a1c05cc95ad08182b17912a5edaffa0034baed814476",
+    ("decompose", "polytopes/triangle-nonregular.json"):
+        "dc6f500e0544bda334cf52493752c141491c6f45e585136fa4776194072505e9",
+    ("svg", "--builtin", "trapezoid"):
+        "ea34463f72ef507235ea14296a59a0fe56e817e2bf5c38c9aeed0191b38c6359",
+    ("svg", "--builtin", "cube:2,3", "--margin", "4"):
+        "dd632f4744aed7011b696ab988d60239230a30ccb8fdad07997cae8ad35aab95",
+    ("svg", "polytopes/halfsquare.json"):
+        "ee6ddfc35da1161e16c9b52c1fc8852b313bdfc5372c6a5ca3ad65ffe207387f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_CONES_FROZEN_SHA256), ids=" ".join)
+def test_cones_frozen_output(capsys, monkeypatch, argv):
+    monkeypatch.chdir(DATA_DIR.parent)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _CONES_FROZEN_SHA256[argv]
 
 
 def test_series_concrete_y(capsys):

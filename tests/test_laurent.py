@@ -107,3 +107,13 @@ def test_equivalence_by_cross_multiplication():
     g = RationalFunction(one + z, one)
     assert f.equivalent(g)
     assert not f.equivalent(RationalFunction(z, one))
+
+
+def test_constant_hashes_like_its_scalar():
+    for c in (3, Fraction(-1, 2)):
+        const = LaurentPoly.const(2, c)
+        assert const == c
+        assert hash(const) == hash(c)
+        assert len({const, c}) == 1
+    assert hash(LaurentPoly.zero(3)) == hash(0)
+    assert len({LaurentPoly.zero(3), 0}) == 1

@@ -14,8 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcount as pc
-from polarcount.linalg import dot, inverse, vadd, vsub
-from zoo import decomposition_zoo, square_half, triangle_nonregular, zoo_images
+from polarcount.linalg import clear_denominators, det, dot, inverse, vadd, vsub
+from zoo import (
+    decomposition_zoo,
+    facet_systems,
+    square_half,
+    triangle_nonregular,
+    zoo_images,
+)
 
 
 def membership_oracle(cone, x):
@@ -95,9 +101,9 @@ def test_integer_membership_with_fractional_apex_and_inverse():
     # of determinant 2, so its inverse has denominator 2
     halfsquare, triangle = square_half(), triangle_nonregular()
     cones = pc.polarize_cones(halfsquare, pc.find_polarizing(halfsquare))
-    assert sorted(cone.apex_den for cone in cones) == [1, 2, 2, 2]
+    assert sorted(clear_denominators(cone.apex)[1] for cone in cones) == [1, 2, 2, 2]
     cones = pc.polarize_cones(triangle, pc.find_polarizing(triangle))
-    assert sorted(cone.scale for cone in cones) == [1, 1, 2]
+    assert sorted(abs(det(cone.generators)) for cone in cones) == [1, 1, 2]
     for poly in (halfsquare, triangle):
         assert_matches_oracles(poly, random.Random(7))
     cones = pc.polarize_cones(square_half(), (1, 1))
@@ -107,7 +113,7 @@ def test_integer_membership_with_fractional_apex_and_inverse():
     assert pc.cone_membership(sink, (Fraction(7, 4), 0)) is None
     cones = pc.polarize_cones(triangle_nonregular(), (1, 1))
     cone = next(c for c in cones if c.apex == (0, 1))
-    assert cone.scale == 2
+    assert abs(det(cone.generators)) == 2
     x = (-1, Fraction(5, 4))  # apex + 1/2 (-2, 1) + 1/4 (0, -1)
     assert pc.cone_membership(cone, x) == (Fraction(1, 2), Fraction(1, 4))
     assert pc.cone_membership(cone, (1, 1)) is None  # first coordinate -1/2
@@ -127,3 +133,18 @@ def test_membership_rejects_wrong_length():
             pc.cone_membership(cone, x)
         with pytest.raises(ValueError):
             P.face_codim(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(facets=facet_systems(), rng=st.randoms(use_true_random=False))
+def test_membership_and_decomposition_on_generated_polytopes(facets, rng):
+    # about one drawn system in twelve builds; those reach cones of
+    # determinant above 1 and fractional apexes beyond the zoo's two
+    try:
+        poly = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_matches_oracles(poly, rng)
+    xi = pc.find_polarizing(poly, seed=1)
+    points = pc.sample_points(poly, xi, rng=rng)
+    assert all(res.equal for res in pc.check_decomposition(poly, xi, points))

@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import polarcount as pc
 from conftest import DATA_DIR
@@ -12,6 +11,7 @@ from polarcount.latticegen import box_points
 from polarcount.linalg import det, dot, primitive, solve_linear
 from zoo import (
     decomposition_zoo,
+    facet_systems,
     sheared_zoo,
     square_half,
     triangle_nonregular,
@@ -374,17 +374,6 @@ def test_walk_matches_subset_scan(P):
 @given(image=zoo_images())
 def test_walk_matches_subset_scan_on_images(image):
     assert walked(image) == subset_scan(image.facets)
-
-
-@st.composite
-def facet_systems(draw):
-    """n+1 to n+4 facets with distinct primitive normals, so no two define
-    the same half-space; most are rejected, some are simple polytopes."""
-    n = draw(st.integers(2, 3))
-    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive)
-    normals = draw(st.lists(normal, min_size=n + 1, max_size=n + 4, unique=True))
-    offsets = draw(st.lists(st.integers(-3, 0), min_size=len(normals), max_size=len(normals)))
-    return [pc.HalfSpace(u, b) for u, b in zip(normals, offsets)]
 
 
 @settings(max_examples=300, deadline=None)

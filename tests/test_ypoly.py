@@ -247,3 +247,15 @@ def test_eval_returns_fraction():
         assert type(p(2)) is Fraction
         assert type(p(Fraction(1, 3))) is Fraction
     assert type(YFrac(YPoly((2, 1)), 1)(1)) is Fraction
+
+
+def test_yfrac_hashes_like_what_it_equals():
+    for scalar in (0, 2, -3, Fraction(1, 2)):
+        assert YFrac(scalar) == scalar
+        assert hash(YFrac(scalar)) == hash(scalar)
+        assert len({YFrac(scalar), scalar}) == 1
+    for poly in (Y, ONE_PLUS_Y**2, YPoly((1, Fraction(-1, 3), 2))):
+        assert YFrac(poly) == poly
+        assert hash(YFrac(poly)) == hash(poly)
+    assert hash(YFrac.weight(2, 0)) == hash(YFrac(1, 2))
+    assert len({YFrac.weight(1, 1), YFrac(Y, 2), YFrac(1, 1)}) == 2

@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import polarcount as pc
+from polarcount.linalg import primitive
 
 # seeds chosen so the moment-curve walk lands in at least two different
 # sign chambers (negative t flips the second coordinate's pairings)
@@ -135,3 +136,17 @@ def zoo_images(draw):
     shift = draw(st.tuples(*[small_fractions] * P.dim))
     scales = draw(st.tuples(*[positive_fractions] * len(P.facets)))
     return affine_image(P, M, shift, scales)
+
+
+# -- generated polytopes ----------------------------------------------
+
+
+@st.composite
+def facet_systems(draw):
+    """n+1 to n+4 facets with distinct primitive normals, so no two define
+    the same half-space; most are rejected, some are simple polytopes."""
+    n = draw(st.integers(2, 3))
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive)
+    normals = draw(st.lists(normal, min_size=n + 1, max_size=n + 4, unique=True))
+    offsets = draw(st.lists(st.integers(-3, 0), min_size=len(normals), max_size=len(normals)))
+    return [pc.HalfSpace(u, b) for u, b in zip(normals, offsets)]
