@@ -11,6 +11,7 @@ timing goes to stderr so stdout can be diffed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -337,7 +338,14 @@ def _add_input_args(p: argparse.ArgumentParser):
     p.add_argument("--builtin", metavar="NAME[:ARGS]", help=_BUILTIN_HELP)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Building it costs about as much as a small job, and main is called
+    many times in one process by the tests and the benchmark; parsing
+    leaves the parser unchanged, so one instance serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="polarcount",
         description=(

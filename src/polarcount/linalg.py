@@ -3,6 +3,11 @@
 Vectors are plain tuples of Fraction (ints are accepted and compare
 equal), matrices are tuples of row tuples.  Everything here is
 immutable, hashable, and exact; no floats anywhere.
+
+Polytope construction inverts in integers with integer_inverse.  The
+Fraction routines solve_linear, det, inverse and rank are no longer
+called by the program: the tests use them as oracles for it, and the
+benchmark's tracer (bench/tracing.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -111,6 +116,38 @@ def inverse(rows: Sequence[Sequence]) -> Optional[Mat]:
     if _eliminate(aug, n) < n:
         return None
     return tuple(tuple(aug[i][n:]) for i in range(n))
+
+
+def integer_inverse(
+    rows: Sequence[Sequence[int]],
+) -> Optional[tuple[Mat, int]]:
+    """(R, d) with rows^-1 = R / d, in integers; None when singular.
+
+    Fraction-free Gauss-Jordan (Bareiss, 1968) on [A | I]: step k
+    replaces every other row by (p_k * row - c * pivot row) / p_{k-1},
+    where p_k is the k-th pivot, and each division is exact because every
+    entry is then a minor of the augmented matrix.  A zero pivot is
+    swapped with a later row.  The left block ends as d * I with
+    d = +-det A (the sign is that of the row permutation), so it is not
+    kept: column k is dropped once step k has used it.
+    """
+    n = len(rows)
+    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if work[r][0]), None)
+        if p is None:
+            return None
+        work[k], work[p] = work[p], work[k]
+        top = work[k]
+        pk, tail = top[0], top[1:]
+        for i, row in enumerate(work):
+            if i != k:
+                c = row[0]
+                work[i] = [(pk * a - c * b) // prev for a, b in zip(row[1:], tail)]
+        work[k] = tail
+        prev = pk
+    return tuple(tuple(row) for row in work), prev
 
 
 def rank(vectors: Sequence[Sequence]) -> int:

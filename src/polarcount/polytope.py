@@ -7,17 +7,25 @@ a bounded simple polytope with irredundant facets.  Simplicity means
 every vertex lies on exactly dim facets; it is what makes tangent cones
 simplicial and the whole decomposition machinery well defined.
 
-Vertices are found by walking the vertex graph (pivoting in the manner
-of Avis and Fukuda, simplified for simple polytopes).  A depth-first
-search over facet subsets in lexicographic order finds one vertex; at
-each vertex one exact inverse of the dim active normals gives the point
-and the dim edge directions, and a ratio test over the facets, scaled
-once to integer normals and offsets, finds the neighbour along each
-edge.  The cost is about vertices * dim * facets integer dot products
-plus one dim x dim inverse per vertex, rather than one solve per
-dim-subset of the facets.  A tie in a ratio test is a non-simple
-vertex, an edge no facet blocks is an unbounded ray, and a facet no
-vertex touches is redundant.
+Construction runs in integers on the facets scaled once to integer
+normals and offsets (integer_facets); the only Fractions it makes are
+the coordinates of each Vertex.point.  Vertices are found by walking the
+vertex graph (pivoting in the manner of Avis and Fukuda, simplified for
+simple polytopes).  A depth-first search over facet subsets in
+lexicographic order, eliminating on integer rows, finds one vertex.  At
+each vertex one fraction-free inverse (linalg.integer_inverse) of the
+dim active normals gives R and d with inverse = R / d: the point is
+sign(d) * R * offsets over |d|, and edge k is column k of sign(d) * R
+divided by its gcd g_k.  Since |det R| = |d|^(dim-1), the edge matrix
+has |determinant| |d|^(dim-1) / prod g_k, so the vertex is regular
+exactly when prod g_k == |d|^(dim-1).  A ratio test over the facet
+slacks finds the neighbour along each edge.  The cost is about
+vertices * dim * facets integer dot products plus one dim x dim integer
+inverse per vertex, rather than one solve per dim-subset of the facets.
+A tie in a ratio test is a non-simple vertex, an edge no facet blocks
+is an unbounded ray, and a facet no vertex touches is redundant.
+Membership queries (contains, active_facets, face_codim) read the same
+integer facet slacks.
 """
 
 from __future__ import annotations
@@ -26,11 +34,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import clear_denominators, det, dot, inverse, primitive, vadd, vec
+from .linalg import clear_denominators, dot, integer_inverse, vadd, vec
 
 
 class PolytopeError(ValueError):
@@ -74,8 +82,8 @@ class HalfSpace:
 
     def integer(self) -> tuple[tuple[int, ...], int]:
         """Normal and offset scaled by the lcm of their denominators."""
-        scale = lcm(self.offset.denominator, *(a.denominator for a in self.normal))
-        return tuple(int(a * scale) for a in self.normal), int(self.offset * scale)
+        row, _ = clear_denominators((*self.normal, self.offset))
+        return row[:-1], row[-1]
 
 
 @dataclass(frozen=True)
@@ -123,26 +131,18 @@ class Polytope:
         self.facets = hs
         self.integer_facets = tuple(f.integer() for f in hs)
         self._reject_duplicate_facets()
-        self.vertices, self._edges = self._walk()
-        self.regular = all(
-            abs(det(v.edges)) == 1 for v in self.vertices
-        )
-        self.integral = all(
-            all(Fraction(a).denominator == 1 for a in v.point)
-            for v in self.vertices
-        )
+        self.vertices, self._edges, self.regular, self.integral = self._walk()
 
     # -- construction ------------------------------------------------
 
     def _reject_duplicate_facets(self):
+        # two facets bound the same half-space exactly when their integer
+        # rows are positive multiples, so when the rows reduced by their
+        # gcd agree
         seen = {}
-        for i, f in enumerate(self.facets):
-            p = primitive(f.normal)
-            # scale so normal == scale * p; scale > 0 since primitive
-            # preserves direction
-            j = next(k for k, a in enumerate(p) if a != 0)
-            scale = Fraction(f.normal[j], p[j])
-            key = (p, f.offset / scale)
+        for i, (normal, offset) in enumerate(self.integer_facets):
+            g = gcd(*normal, offset)
+            key = (*(a // g for a in normal), offset // g)
             if key in seen:
                 raise RedundantFacetError(
                     f"facets {seen[key]} and {i} define the same half-space"
@@ -153,83 +153,89 @@ class Polytope:
         """Active facets of the first vertex in lexicographic subset order.
 
         Depth first over the n-subsets of facets in lexicographic order,
-        carrying the reduced rows [normal | offset] of the prefix: a
-        prefix whose normals are linearly dependent is pruned, since no
-        extension of it has a unique solution.  The first full subset
-        whose solution satisfies every facet gives the vertex.
+        carrying the integer rows [normal | offset] of the prefix reduced
+        to echelon form, each divided by its gcd: a prefix whose normals
+        are linearly dependent is pruned, since no extension of it has a
+        unique solution.  The first full subset whose solution has no
+        negative facet slack gives the vertex.
         """
         n, facets = self.dim, self.integer_facets
 
         def extend(first: int, basis: list) -> Optional[tuple]:
             if len(basis) == n:
-                x = [Fraction(0)] * n
-                for pivot, row in basis:
-                    x[pivot] = row[n]
-                return tuple(x) if self.contains(x) else None
+                # row b reads b[p] * x_p = b[n]: clear to one denominator
+                den = lcm(*(abs(b[p]) for p, b in basis))
+                num = [0] * n
+                for p, b in basis:
+                    num[p] = b[n] * (den // b[p])
+                slack = facet_slacks(facets, num, den)
+                return None if slack_codim(slack) is None else (num, den, slack)
             for i in range(first, len(facets) - (n - len(basis)) + 1):
                 normal, offset = facets[i]
-                row = [Fraction(a) for a in (*normal, offset)]
+                row = [*normal, offset]
                 for pivot, b in basis:
-                    if row[pivot]:
-                        c = row[pivot]
-                        row = [r - c * s for r, s in zip(row, b)]
+                    c = row[pivot]
+                    if c:
+                        row = [b[pivot] * r - c * s for r, s in zip(row, b)]
                 pivot = next((k for k in range(n) if row[k]), None)
                 if pivot is None:
                     continue
-                row = [r / row[pivot] for r in row]
+                row = _reduced(row)
+                c = row[pivot]
                 reduced = [
-                    (p, [s - b[pivot] * r for s, r in zip(b, row)] if b[pivot] else b)
+                    (p, _reduced([c * s - b[pivot] * r for s, r in zip(b, row)])
+                     if b[pivot] else b)
                     for p, b in basis
                 ]
-                x = extend(i + 1, reduced + [(pivot, row)])
-                if x is not None:
-                    return x
+                found = extend(i + 1, reduced + [(pivot, row)])
+                if found is not None:
+                    return found
             return None
 
-        x = extend(0, [])
-        if x is None:
+        found = extend(0, [])
+        if found is None:
             raise UnboundedError(
                 "inequality system has no vertices: the region is empty "
                 "or unbounded with no corner"
             )
-        active = self.active_facets(x)
+        num, den, slack = found
+        active = tuple(i for i, s in enumerate(slack) if s == 0)
         if len(active) > n:
-            raise _non_simple(x, active, n)
+            raise _non_simple(tuple(Fraction(a, den) for a in num), active, n)
         return active
 
-    def _walk(self) -> tuple[tuple, tuple]:
+    def _walk(self) -> tuple[tuple, tuple, bool, bool]:
         """Every vertex with its edges, by pivoting along the vertex graph.
 
-        At a vertex with active facets S, the inverse of the normals in S
-        gives the point (inverse times offsets) and, column by column, the
-        edge directions.  Along each edge a ratio test over the integer
-        facets finds the nearest facet that blocks it; the neighbour's
-        active set is S with the relaxed facet swapped for the blocking
-        one.  A tie makes the neighbour non-simple, and an edge no facet
-        blocks is an unbounded ray.  Returns the vertices sorted by point
-        and the edges as sorted index pairs.
+        At a vertex with active facets S, vertex_frame gives the point,
+        the edge directions and whether they are unimodular.  Along each
+        edge a ratio test over the facet slacks finds the nearest facet
+        that blocks it; the neighbour's active set is S with the relaxed
+        facet swapped for the blocking one.  A tie makes the neighbour
+        non-simple, and an edge no facet blocks is an unbounded ray.
+        Returns the vertices sorted by point, the edges as sorted index
+        pairs, and the regular and integral flags.
         """
         n, facets = self.dim, self.integer_facets
         start = self._first_vertex()
         graph = {}
         unbounded = {}
+        regular = integral = True
         todo = [start]
         queued = {start}
         while todo:
             active = todo.pop()
-            inv = inverse([facets[i][0] for i in active])
-            point = tuple(
-                sum(r * facets[i][1] for r, i in zip(row, active)) for row in inv
-            )
-            dirs = tuple(primitive(col) for col in zip(*inv))
-            scaled, denom = clear_denominators(point)
+            scaled, denom, dirs, unimodular = vertex_frame([facets[i] for i in active])
+            point = tuple(Fraction(a, denom) for a in scaled)
+            regular = regular and unimodular
+            integral = integral and denom == 1
             slack = facet_slacks(facets, scaled, denom)
             neighbours = []
             for relaxed, d in zip(active, dirs):
                 # nearest facets along d: least slack / rate, rate = -<a, d> > 0
                 blocking, near_s, near_r = [], 0, 1
                 for i, (normal, _) in enumerate(facets):
-                    rate = -sum(a * x for a, x in zip(normal, d))
+                    rate = -sum(map(mul, normal, d))
                     if rate <= 0:
                         continue
                     s = slack[i]
@@ -242,9 +248,12 @@ class Polytope:
                     continue
                 nxt = tuple(sorted({*active, *blocking} - {relaxed}))
                 if len(blocking) > 1:
-                    t = Fraction(near_s, near_r * denom)
+                    # the tie is at point + d * near_s / (near_r * denom)
+                    den = near_r * denom
                     raise _non_simple(
-                        tuple(x + t * a for x, a in zip(point, d)), nxt, n
+                        tuple(Fraction(x * near_r + near_s * a, den)
+                              for x, a in zip(scaled, d)),
+                        nxt, n,
                     )
                 neighbours.append(nxt)
                 if nxt not in queued:
@@ -273,15 +282,18 @@ class Polytope:
         edges = sorted({
             tuple(sorted((index[a], index[b]))) for a in order for b in graph[a][2]
         })
-        return vertices, tuple(edges)
+        return vertices, tuple(edges), regular, integral
 
     # -- queries -----------------------------------------------------
 
+    def _slacks(self, x: Sequence) -> list[int]:
+        return facet_slacks(self.integer_facets, *clear_denominators(x))
+
     def contains(self, x: Sequence) -> bool:
-        return all(f.holds(x) for f in self.facets)
+        return min(self._slacks(x)) >= 0
 
     def active_facets(self, x: Sequence) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.facets) if f.tight(x))
+        return tuple(i for i, s in enumerate(self._slacks(x)) if s == 0)
 
     def face_codim(self, x: Sequence) -> Optional[int]:
         """Codimension of the smallest face containing x; None outside.
@@ -290,7 +302,7 @@ class Polytope:
         dim for a vertex, 1 on the relative interior of a facet, 0 inside.
         x is cleared to one denominator and read off its facet slacks.
         """
-        return slack_codim(facet_slacks(self.integer_facets, *clear_denominators(x)))
+        return slack_codim(self._slacks(x))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs of adjacent vertex indices, each pair once, in sorted order."""
@@ -327,6 +339,35 @@ class Polytope:
         )
 
 
+def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
+    """Point, edge directions and regularity of the vertex on n integer rows.
+
+    rows are the n linearly independent (normal, offset) pairs of the
+    active facets.  With normals^-1 = R / d from linalg.integer_inverse,
+    the point is sign(d) * R * offsets / |d|, returned as (num, den)
+    reduced by one gcd, so den > 0 is the lcm of the coordinates'
+    denominators.  Edge k, the direction that relaxes row k and keeps
+    the others tight, is column k of sign(d) * R divided by its gcd
+    g_k.  Since |det R| = |d|^(n-1), the edge matrix has |determinant|
+    |d|^(n-1) / prod g_k, so the edges are unimodular (the last value)
+    exactly when prod g_k == |d|^(n-1).
+    """
+    inv, d = integer_inverse([a for a, _ in rows])
+    sign, size = (1, d) if d > 0 else (-1, -d)
+    offsets = [b for _, b in rows]
+    num = [sign * sum(map(mul, row, offsets)) for row in inv]
+    g = gcd(size, *num)
+    edges, content = [], 1
+    for col in zip(*inv):
+        gk = gcd(*col)
+        content *= gk
+        edges.append(tuple(sign * a // gk for a in col))
+    return (
+        tuple(a // g for a in num), size // g, tuple(edges),
+        content == size ** (len(rows) - 1),
+    )
+
+
 def facet_slacks(rows: Sequence, num: Sequence[int], den: int) -> list[int]:
     """<a, num> - b * den for each integer row (a, b), with den > 0.
 
@@ -342,6 +383,12 @@ def facet_slacks(rows: Sequence, num: Sequence[int], den: int) -> list[int]:
 def slack_codim(slack: Sequence[int]) -> Optional[int]:
     """Tight facets among a point's slacks over every facet; None outside."""
     return None if min(slack) < 0 else slack.count(0)
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """A nonzero integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [a // g for a in row]
 
 
 def fmt_point(x: Sequence) -> str:

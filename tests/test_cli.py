@@ -1,8 +1,14 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import polarcount
 from conftest import DATA_DIR
 from polarcount import latticegen
 from polarcount.cli import main
@@ -277,6 +283,75 @@ def test_cones_frozen_output(capsys, monkeypatch, argv):
     assert digest == _CONES_FROZEN_SHA256[argv]
 
 
+# sha256 of the whole stdout of vertices: points, active facets, edge
+# directions and the regular/integral flags of every construction route,
+# including the fractional vertices of cube:3,1/2 and halfsquare and the
+# rejected octahedron (exit 2, stdout only the command line)
+_VERTICES_FROZEN_SHA256 = {
+    "cube:4": "044a3b85a0855a7effaf05ecf77ff4c2f9d17119c3db1734acefa8a5b341c3c1",
+    "cube:5": "490776b922346c6bb255d9d3a8f93ccdc311f38ef6e91ed947e8c9e7e29a6871",
+    "cube:6": "23fa93a9bb9a14ff3494628549b402261a26c27e40291e75f544723f2cb154bd",
+    "simplex:5": "a93e1b973e2111f6cba11af8fe796c8726d3b70733a00df45d29f0c116b0c2af",
+    "simplex:6": "5cc57a77ec1dabeaabd86d7c28321cf710b2294ea7d33239d7dad221936d0303",
+    "simplex:8": "600ef57fcb8d4d2d23335ff892a06acd6e7c4c5a34c14fe109b7594c676a558f",
+    "prism": "69de4dbad848f3ccf7838bb564697704105b0b49cc8aa4f63b22683108373ff4",
+    "trapezoid": "256b8c775dd8f27b0f4483ecee0f59831c6f881a32e75f8754930a555eec25db",
+    "cube:3,1/2": "a47d0eebbb0439af6fa136d54d6c92533aa5cca9c5ade3e7db960825060da523",
+    "polytopes/halfsquare.json":
+        "7870cf6fe7106154c30904e33928b2aa804ea9703fc7f392f4f235bc60459ae9",
+    "polytopes/octahedron.json":
+        "9d15f95b24650b4296343460ce4854f76e89f9071bf6b48c16683a8246b30a31",
+    "polytopes/square.json":
+        "218c5db3d9884f56e4851af036602f740e5ed2149b8db62f15c23f0d2f2bebe9",
+    "polytopes/trapezoid.json":
+        "abe3737d49d3c292d624c0d45c7dfafa7f6b49c0cefae98c2125560a03c5a469",
+    "polytopes/triangle-nonregular.json":
+        "62484e1c94e655757a7aff7dba15f1a9855754c80fd396c63cf6fbe6a68a4b09",
+}
+
+
+def test_vertices_frozen_table_covers_every_polytope_file():
+    files = {f"polytopes/{p.name}" for p in DATA_DIR.glob("*.json")}
+    assert files == {k for k in _VERTICES_FROZEN_SHA256 if k.endswith(".json")}
+
+
+@pytest.mark.parametrize("spec", sorted(_VERTICES_FROZEN_SHA256))
+def test_vertices_frozen_output(capsys, monkeypatch, spec):
+    monkeypatch.chdir(DATA_DIR.parent)
+    argv = (spec,) if spec.endswith(".json") else ("--builtin", spec)
+    code, out, _ = run(capsys, "vertices", *argv)
+    assert code == (2 if spec == "polytopes/octahedron.json" else 0)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _VERTICES_FROZEN_SHA256[spec]
+
+
+@pytest.mark.parametrize(
+    "facets, reason",
+    [
+        (None, "vertex (-1, 0, 0) lies on 4 facets (indices [0, 1, 2, 3]); "
+               "a simple 3-polytope allows exactly 3"),
+        ([[1, 0, 0], [0, 1, 0], [1, 2, -1]],
+         "edge at vertex (0, 0) along (1, 0) never leaves the feasible region"),
+        ([[1, 1], [-1, 0]],
+         "inequality system has no vertices: the region is empty or "
+         "unbounded with no corner"),
+        ([[1, 0, 0], [0, 1, 0], [-1, 0, -1], [0, -1, -1], [1, 0, -1]],
+         "facet 4 touches no vertex; the inequality is redundant"),
+    ],
+    ids=["non-simple", "unbounded", "empty", "redundant"],
+)
+def test_construction_rejections_frozen(capsys, tmp_path, facets, reason):
+    if facets is None:
+        path = DATA_DIR / "octahedron.json"
+    else:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"dim": len(facets[0]) - 1, "facets": facets}))
+    code, out, err = run(capsys, "vertices", str(path))
+    assert code == 2
+    assert out == "command: vertices\n"
+    assert err.splitlines()[0] == f"error: {reason}"
+
+
 def test_series_concrete_y(capsys):
     code, out, _ = run(capsys, "series", "--order", "4", "--y", "1")
     assert code == 0
@@ -479,6 +554,31 @@ def test_stdout_deterministic(capsys):
     _, first, _ = run(capsys, "decompose", "--builtin", "trapezoid", "--seed", "2")
     _, second, _ = run(capsys, "decompose", "--builtin", "trapezoid", "--seed", "2")
     assert first == second
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main shares one parser across calls; no option may carry over from
+    # one call to the next, so each run must print what a fresh
+    # interpreter prints for the same arguments
+    runs = [
+        ("count", "--builtin", "cube:2", "--y", "1/2", "--decimal", "3"),
+        ("count", "--builtin", "cube:2"),
+        ("decompose", "--builtin", "trapezoid", "--seed", "2", "--y", "1/3",
+         "--random-points", "3"),
+        ("decompose", "--builtin", "trapezoid"),
+        ("svg", "--builtin", "trapezoid", "--margin", "0", "--y", "2"),
+        ("svg", "--builtin", "trapezoid"),
+        ("series", "--order", "3", "--y", "1/2"),
+        ("series",),
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in runs]
+    env = {**os.environ, "PYTHONPATH": str(Path(polarcount.__file__).parents[1])}
+    for argv, (code, out) in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "polarcount.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 def test_svg_mentions_command_only_in_file_mode(capsys):

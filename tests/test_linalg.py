@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from polarcount.linalg import (
     canonical_direction,
     det,
     dot,
+    integer_inverse,
     inverse,
     primitive,
     rank,
@@ -112,3 +113,34 @@ def test_inverse_undoes_the_matrix(rows):
     for j, col in enumerate(zip(*rows)):
         expect = tuple(Fraction(1 if i == j else 0) for i in range(3))
         assert tuple(dot(row, col) for row in inv) == expect
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices, n <= 6, some with a zero leading pivot."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@given(integer_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 2], [0, 3, 1], [1, 0, 0]])
+@example([[2, 1], [1, 3]])
+def test_integer_inverse_matches_fraction_inverse(rows):
+    assume(det(rows) != 0)
+    R, d = integer_inverse(rows)
+    assert all(type(a) is int for row in R for a in row) and type(d) is int
+    assert abs(d) == abs(det(rows))
+    assert tuple(tuple(Fraction(a, d) for a in row) for row in R) == inverse(rows)
+
+
+@given(integer_matrices())
+def test_integer_inverse_rejects_singular(rows):
+    # the last row becomes a combination of two earlier ones (or 0 if n = 1)
+    rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[-2])] if len(rows) > 1 else [0]
+    assert integer_inverse(rows) is None

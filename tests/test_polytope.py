@@ -8,7 +8,8 @@ from hypothesis import given, settings
 import polarcount as pc
 from conftest import DATA_DIR
 from polarcount.latticegen import box_points
-from polarcount.linalg import det, dot, primitive, solve_linear
+from polarcount.linalg import clear_denominators, det, dot, primitive, solve_linear
+from polarcount.polytope import vertex_frame
 from zoo import (
     decomposition_zoo,
     facet_systems,
@@ -193,8 +194,11 @@ def test_face_codim():
     for name, Q in decomposition_zoo():
         lo, hi = Q.integer_box(2)
         for p in box_points(lo, hi):
-            expected = len(Q.active_facets(p)) if Q.contains(p) else None
-            assert Q.face_codim(p) == expected, (name, p)
+            inside = all(f.holds(p) for f in Q.facets)
+            tight = tuple(i for i, f in enumerate(Q.facets) if f.tight(p))
+            assert Q.contains(p) == inside, (name, p)
+            assert Q.active_facets(p) == tight, (name, p)
+            assert Q.face_codim(p) == (len(tight) if inside else None), (name, p)
 
 
 def test_contains_and_boxes():
@@ -386,3 +390,41 @@ def test_walk_accepts_and_rejects_like_subset_scan(facets):
             pc.Polytope(facets)
     else:
         assert walked(pc.Polytope(facets)) == expected
+
+
+# -- each vertex's frame against the Fraction determinant -----------------
+
+
+def assert_vertex_frames(P):
+    """vertex_frame reproduces each vertex's point (cleared to the lcm of
+    its denominators) and edges, and its regularity flag is
+    |det(edges)| == 1 computed in Fractions."""
+    flags = []
+    for v in P.vertices:
+        num, den, edges, regular = vertex_frame([P.integer_facets[i] for i in v.active])
+        assert (num, den) == clear_denominators(v.point)
+        assert edges == v.edges
+        assert regular == (abs(det(v.edges)) == 1)
+        flags.append(regular)
+    assert P.regular == all(flags)
+
+
+@pytest.mark.parametrize("P", construction_cases())
+def test_vertex_regularity_matches_edge_determinant(P):
+    assert_vertex_frames(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=zoo_images())
+def test_vertex_regularity_matches_edge_determinant_on_images(image):
+    assert_vertex_frames(image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facets=facet_systems())
+def test_vertex_regularity_matches_edge_determinant_on_generated(facets):
+    try:
+        P = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_vertex_frames(P)
