@@ -252,12 +252,19 @@ def _cmd_brion(ns, out) -> int:
     poly = _load_and_describe(ns, out)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}", file=out)
-    # c * u^k * z^p with u = 1/(1+y) prints as c * (1+y)^(n-k) * z^p over (1+y)^n
+    # c * u^k * z^p with u = 1/(1+y) prints as c * (1+y)^(n-k) * z^p over
+    # (1+y)^n; only n+1 codimensions k occur, so each (c, k) is cleared
+    # once and its points share the one YPoly, printed once
     n = poly.dim
     powers = [ONE_PLUS_Y ** (n - k) for k in range(n + 1)]
-    cleared = LaurentPoly(n, {
-        e[:-1]: c * powers[e[-1]] for e, c in report.rhs.num.terms.items()
-    })
+    shared: dict = {}
+    terms = {}
+    for e, c in report.rhs.num.terms.items():
+        key = (c, e[-1])
+        if key not in shared:
+            shared[key] = c * powers[e[-1]]
+        terms[e[:-1]] = shared[key]
+    cleared = LaurentPoly._of(n, terms)
     den = "(1+y)" if n == 1 else f"(1+y)^{n}"
     print(f"weighted lattice sum: ({cleared}) / {den}", file=out)
     if not report.equal:
@@ -288,10 +295,10 @@ def _cmd_series(ns, out) -> int:
         "half-angle coefficients: " + ", ".join(str(c) for c in lhat.coeffs),
         file=out,
     )
-    print(f"family*(1+y): {series.qy_series_cleared(k)}", file=out)
+    print(f"family*(1+y): {series.family_cleared(todd)}", file=out)
     if y is not None:
-        print(f"family at y = {y}: {series.qy_series(y, k)}", file=out)
-    checks = series.verify_identities(k)
+        print(f"family at y = {y}: {series.family_at(todd, y)}", file=out)
+    checks = series.check_identities(todd, lhat)
     failed = [name for name, ok in checks.items() if not ok]
     for name, ok in checks.items():
         print(f"  {name}: {'ok' if ok else 'FAIL'}", file=out)

@@ -33,7 +33,6 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
-from .linalg import canonical_direction
 from .polarize import polarize_cones
 from .polytope import Polytope, fmt_point
 from .weights import (
@@ -181,7 +180,7 @@ class VertexTerm(NamedTuple):
 
 def _one_minus(b: tuple[int, ...]) -> LaurentPoly:
     """1 - z^b, with u's exponent 0."""
-    return LaurentPoly(len(b) + 1, {(0,) * (len(b) + 1): 1, (*b, 0): -1})
+    return LaurentPoly._of(len(b) + 1, {(0,) * (len(b) + 1): 1, (*b, 0): -1})
 
 
 def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
@@ -192,13 +191,16 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     num = LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))
     one, u = (0,) * (n + 1), (0,) * n + (1,)
     dirs = []
+    # the edges are primitive int vectors (polytope.vertex_frame), so the
+    # canonical direction is the edge itself or its negation
     for a in v.edges:
-        b = canonical_direction(a)
-        if a == b:
+        if next(x for x in a if x) > 0:
+            b = a
             binom = {u: 1, (*b, 0): 1, (*b, 1): -1}
         else:
+            b = tuple(-x for x in a)
             binom = {one: -1, u: 1, (*b, 1): -1}
-        num = num * LaurentPoly(n + 1, binom)
+        num = num * LaurentPoly._of(n + 1, binom)
         dirs.append(b)
     return VertexTerm(vertex_index, num, tuple(dirs))
 
@@ -219,15 +221,16 @@ def brion_sum(poly: Polytope) -> RationalFunction:
     n = poly.dim
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
     all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
-    total = LaurentPoly.zero(n + 1)
+    total: dict = {}
     for t in terms:
         lifted = t.numerator
         for b in all_dirs:
             if b not in t.canonical_dirs:
                 lifted = lifted * _one_minus(b)
-        total = total + lifted
+        for e, c in lifted.terms.items():
+            total[e] = total.get(e, 0) + c
     den = prod(map(_one_minus, all_dirs), start=LaurentPoly.const(n + 1, 1))
-    return RationalFunction(total, den)
+    return RationalFunction(LaurentPoly._of(n + 1, total), den)
 
 
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
@@ -237,7 +240,7 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     """
     require_lattice_hypotheses(poly, "the weighted lattice sum")
     n1 = poly.dim + 1
-    return LaurentPoly(n1, {(*p, c): 1 for p, c in lattice_points(poly).items()})
+    return LaurentPoly._of(n1, {(*p, c): 1 for p, c in lattice_points(poly).items()})
 
 
 class BrionReport(NamedTuple):

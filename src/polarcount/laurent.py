@@ -2,7 +2,11 @@
 
 Exponents may be negative.  Coefficients are kept as given, with zeros
 dropped: the generating functions carry u = 1/(1+y) as a last variable
-and have int coefficients; the printed lattice sum has YPoly ones.
+and have int coefficients.  Only the lattice sum that the brion command
+prints has YPoly coefficients: each point's c * u^k is written as
+c * (1+y)^(n-k) over (1+y)^n, so its n+1 distinct coefficients are
+shared by every point, and printing formats each distinct coefficient
+once.
 RationalFunction keeps an unreduced numerator/denominator pair: full gcd
 computation in many variables is never needed here, because identity
 checks go through cross-multiplication.
@@ -127,13 +131,18 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
+        texts: dict = {}  # each distinct coefficient is formatted once
         for expo in sorted(self.terms):
             c = self.terms[expo]
             factors = []
-            cs = str(c)
-            # anything but a nonnegative rational, such as -3 or y + 1
-            if not cs.replace("/", "", 1).isdigit():
-                cs = f"({cs})"
+            # keyed by type too: 2 == 2.0, but they print differently
+            cs = texts.get((type(c), c))
+            if cs is None:
+                cs = str(c)
+                # anything but a nonnegative rational, such as -3 or y + 1
+                if not cs.replace("/", "", 1).isdigit():
+                    cs = f"({cs})"
+                texts[type(c), c] = cs
             for i, e in enumerate(expo):
                 if e == 0:
                     continue

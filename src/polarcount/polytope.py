@@ -38,7 +38,7 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import clear_denominators, dot, integer_inverse, vadd, vec
+from .linalg import clear_denominators, integer_inverse, vadd, vec
 
 
 class PolytopeError(ValueError):
@@ -73,12 +73,6 @@ class HalfSpace:
         object.__setattr__(self, "offset", Fraction(self.offset))
         if all(a == 0 for a in self.normal):
             raise PolytopeError("facet normal must be nonzero")
-
-    def holds(self, x: Sequence) -> bool:
-        return dot(self.normal, x) >= self.offset
-
-    def tight(self, x: Sequence) -> bool:
-        return dot(self.normal, x) == self.offset
 
     def integer(self) -> tuple[tuple[int, ...], int]:
         """Normal and offset scaled by the lcm of their denominators."""

@@ -5,12 +5,20 @@ The ring operations are rational-only: coefficients are int or
 Fraction, and products and inverses return Fraction coefficients.  Both
 run on one integer kernel: a factor is cleared to integer numerators
 over the lcm of its denominators, the numerators are combined as Python
-ints, and each output coefficient becomes one reduced Fraction.  YPoly
-appears only as the coefficient container of qy_series_cleared, which
-is assembled from two rational series and never multiplied.
+ints, and each output coefficient becomes one reduced Fraction.
 
-Every public function builds todd_series(order) at most once per call;
-verify_identities shares one Todd across all its checks.
+The family needs no product at all.  Since Todd(x) * e**(-x) =
+Todd(-x) = Todd(x) - x, the normalized family is Todd with y/(1+y)
+taken off its x coefficient, and (1+y) times it has the YPoly
+coefficient todd_k + y*(todd_k - [k == 1]).  YPoly appears only as the
+coefficient container of that cleared family, which is evaluated,
+compared and printed but never multiplied.
+
+family_at, family_cleared and check_identities work on a Todd series
+the caller has built, so one Todd serves a whole command; the public
+functions taking an order build todd_series(order) at most once per
+call.  The product e**(-x) * Todd stays in check_identities as the
+independent route the line is checked against.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ class TruncatedSeries:
     coeffs[k] multiplies x**k.  Series arithmetic is over Q: a product
     of two series or an inverse needs int or Fraction coefficients and
     raises TypeError on anything else.  The one non-rational series is
-    qy_series_cleared, whose YPoly coefficients are only evaluated,
-    compared and printed.
+    the cleared family (family_cleared, qy_series_cleared), whose YPoly
+    coefficients are only evaluated, compared and printed.
     """
 
     __slots__ = ("coeffs",)
@@ -216,17 +224,28 @@ def _hirzebruch(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
     return scaled_todd * factor
 
 
-def _qy(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
-    factor = 1 + y * TruncatedSeries.exponential(-1, todd.order)
-    return Fraction(1, 1 + y) * (todd * factor)
+def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
+    """qy_series(y, todd.order) from a prebuilt todd_series.
+
+    (1/(1+y)) * Todd * (1 + y*e**(-x)) is Todd(x) - (y/(1+y)) * x,
+    because Todd(x) * e**(-x) = Todd(x) - x.
+    """
+    y = _admissible(y)
+    coeffs = list(todd.coeffs)
+    if len(coeffs) > 1:
+        coeffs[1] -= y / (1 + y)
+    return TruncatedSeries(coeffs)
 
 
-def _qy_cleared(todd: TruncatedSeries) -> TruncatedSeries:
-    # coefficient k is todd_k + y*(todd*e**(-x))_k
-    shifted = TruncatedSeries.exponential(-1, todd.order) * todd
-    return TruncatedSeries(
-        tuple(YPoly((t, s)) for t, s in zip(todd.coeffs, shifted.coeffs))
-    )
+def family_cleared(todd: TruncatedSeries) -> TruncatedSeries:
+    """qy_series_cleared(todd.order) from a prebuilt todd_series.
+
+    Coefficient k is the YPoly todd_k + y*(todd*e**(-x))_k, and
+    (todd*e**(-x))_k is todd_k, less 1 at k = 1.
+    """
+    return TruncatedSeries(tuple(
+        YPoly((t, t - 1 if k == 1 else t)) for k, t in enumerate(todd.coeffs)
+    ))
 
 
 def hirzebruch_series(y, order: int) -> TruncatedSeries:
@@ -246,19 +265,17 @@ def qy_series(y, order: int) -> TruncatedSeries:
     x -> x/(1+y), hits Todd at y = 0 and the half-angle cotangent at
     y = 1 with no further substitution.
     """
-    y = _admissible(y)
-    return _qy(todd_series(order), y)
+    return family_at(todd_series(order), y)
 
 
 def qy_series_cleared(order: int) -> TruncatedSeries:
     """(1+y) * qy_series as a series with YPoly coefficients.
 
     Exactly Todd(x) * (1 + y*e**(-x)), assembled coefficient by
-    coefficient as the YPoly todd_k + y*(todd*e**(-x))_k from two
-    rational series; symbolic in y, so one object covers every
-    admissible weight.
+    coefficient as the YPoly todd_k + y*(todd_k - [k == 1]); symbolic
+    in y, so one object covers every admissible weight.
     """
-    return _qy_cleared(todd_series(order))
+    return family_cleared(todd_series(order))
 
 
 def verify_identities(order: int) -> dict[str, bool]:
@@ -267,11 +284,22 @@ def verify_identities(order: int) -> dict[str, bool]:
     One Todd series is built and shared by every check; lhat_series is
     built from cosh and sinh, independently of it.
     """
-    todd = todd_series(order)
-    lhat = lhat_series(order)
+    return check_identities(todd_series(order), lhat_series(order))
+
+
+def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries) -> dict[str, bool]:
+    """verify_identities on a prebuilt todd_series and lhat_series.
+
+    The family comes from family_at, Todd minus a line; two checks keep
+    an independent route through the product e**(-x) * Todd, computed
+    once: todd_reflection, and weighted_average_form, which rebuilds the
+    family from it.  classical_family_halved runs the classical family
+    through its own series product.
+    """
+    order = todd.order
     todd_neg = todd.scale_argument(-1)
-    exp_neg = TruncatedSeries.exponential(-1, order)
-    cleared = _qy_cleared(todd)
+    shifted = TruncatedSeries.exponential(-1, order) * todd
+    cleared = family_cleared(todd)
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
     checks = {
         "todd_defining_product": todd
@@ -279,25 +307,25 @@ def verify_identities(order: int) -> dict[str, bool]:
             tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1))
         )
         == TruncatedSeries.constant(Fraction(1), order),
-        "todd_reflection": todd_neg == exp_neg * todd,
+        "todd_reflection": todd_neg == shifted,
         "average_is_half_angle": Fraction(1, 2) * (todd + todd_neg) == lhat,
         "half_angle_is_even": all(
             lhat[k] == 0 for k in range(1, order + 1, 2)
         ),
-        "family_at_zero_is_todd": _qy(todd, Fraction(0)) == todd,
-        "family_at_one_is_half_angle": _qy(todd, Fraction(1)) == lhat,
+        "family_at_zero_is_todd": family_at(todd, Fraction(0)) == todd,
+        "family_at_one_is_half_angle": family_at(todd, Fraction(1)) == lhat,
         "classical_family_halved": _hirzebruch(todd, Fraction(1)).scale_argument(
             Fraction(1, 2)
         )
         == lhat,
         "cleared_family_matches": all(
             TruncatedSeries(tuple(c(y) for c in cleared.coeffs))
-            == (1 + y) * _qy(todd, y)
+            == (1 + y) * family_at(todd, y)
             for y in sample_ys
         ),
         "weighted_average_form": all(
-            _qy(todd, y)
-            == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * (exp_neg * todd)
+            family_at(todd, y)
+            == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * shifted
             for y in sample_ys
         ),
     }

@@ -207,12 +207,31 @@ _BRION_FROZEN = {
     "cube:3,2": "72f2ee91dfa6ae9a352c9f0b7f9d39fd83ac9c488655bf65ec4be9cb06aca18b",
     "simplex:3,4": "5e59ae3054ca476e1ce57d5d570e3b9c462cfc067adcc8229cf29cc0b26ed0ed",
     "prism": "a21aad7f2a336655af704534702a6b078c6e0a925021537498a928e3f5917729",
+    "simplex:2,32": "377fda60391d4109a30c87654d0554bef605d003e31d191a519228167ad2d453",
+    "cube4-2-sheared.json": "afc1840dcccbbfe4a9ba30c6cf47b2c3d7a8f5cea15245b342ca6843c54728bd",
+}
+
+# inputs of _BRION_FROZEN given as files: cube:4,2 under the unit
+# shears x1 -= x2, then x2 += x3, then x3 -= x4, whose vertices and
+# lattice points have negative coordinates; the file is written to the
+# working directory, so the path printed on the input line does not vary
+_BRION_FILES = {
+    "cube4-2-sheared.json": {"dim": 4, "facets": [
+        [1, 1, -1, -1, 0], [-1, -1, 1, 1, -2], [0, 1, -1, -1, 0],
+        [0, -1, 1, 1, -2], [0, 0, 1, 1, 0], [0, 0, -1, -1, -2],
+        [0, 0, 0, 1, 0], [0, 0, 0, -1, -2],
+    ]},
 }
 
 
 @pytest.mark.parametrize("spec", sorted(_BRION_FROZEN))
-def test_brion_frozen_output(capsys, spec):
-    code, out, _ = run(capsys, "brion", "--builtin", spec)
+def test_brion_frozen_output(capsys, tmp_path, monkeypatch, spec):
+    source = ["--builtin", spec]
+    if spec in _BRION_FILES:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / spec).write_text(json.dumps(_BRION_FILES[spec]) + "\n")
+        source = [spec]
+    code, out, _ = run(capsys, "brion", *source)
     assert code == 0
     expected = _BRION_FROZEN[spec]
     if not expected.startswith("command: "):
@@ -248,6 +267,28 @@ def test_series_frozen_output_at_order_forty(capsys, extra):
     assert out.endswith("check: PASS (9/9 identities)\n")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _SERIES_ORDER_40_SHA256[extra]
+
+
+# sha256 of the whole stdout at the lowest orders, where the series are
+# shortest: the family's x term (the one that differs between Todd and
+# Todd * e^-x) first appears at order 1
+_SERIES_LOW_ORDER_SHA256 = {
+    ("0",): "e9fe82e55fff8eff5e9d5f966b301eba3880a5b46203f1e87a80632d30d048af",
+    ("0", "--y", "3"): "ac68576e995c318f3dbe0ac2078320f354dbc7edd5eeb14799f7dda0740ccd30",
+    ("1",): "f702996939a62da154c299b5bc5c26bd1a29eb081478f881459d987c0c73ee1f",
+    ("1", "--y", "3"): "6fc531b5c5ddfb7a83f8e8f111390fc59f052aef692965b4070fe2e226554feb",
+    ("2",): "dc758c1bebdd71228c90dfa4c62603e274e246b497aa78859a7146bc98b726f3",
+    ("2", "--y", "3"): "c0b48358db309bf001b43196f3aea93ab1904b362945b2e343db23b387f78185",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_SERIES_LOW_ORDER_SHA256), ids=" ".join)
+def test_series_frozen_output_at_low_orders(capsys, args):
+    code, out, _ = run(capsys, "series", "--order", *args)
+    assert code == 0
+    assert out.endswith("check: PASS (9/9 identities)\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _SERIES_LOW_ORDER_SHA256[args]
 
 
 # sha256 of the whole stdout of decompose and svg runs, covering the

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import polarcount as pc
-from polarcount.latticegen import box_points
+from polarcount.latticegen import box_points, vertex_term
+from polarcount.linalg import canonical_direction
 from polarcount.laurent import LaurentPoly, RationalFunction
 from polarcount.ypoly import YFrac, YPoly
 from zoo import (
@@ -158,6 +159,18 @@ def test_vertex_genfun_interval():
         LaurentPoly(2, {(0, 0): 1, (1, 0): -1}),
     )
     assert f0.equivalent(expected)
+
+
+def test_vertex_term_orients_each_edge_canonically():
+    # vertex_term flips the sign of a primitive int edge where the
+    # Fraction route, linalg.canonical_direction, orients it the other way
+    cases = brion_zoo() + [
+        (name, Q) for name, Q in sheared_zoo() if Q.regular and Q.integral
+    ]
+    for name, P in cases:
+        for i, v in enumerate(P.vertices):
+            dirs = vertex_term(P, i).canonical_dirs
+            assert dirs == tuple(canonical_direction(a) for a in v.edges), (name, i)
 
 
 def test_brion_check_across_zoo():

@@ -117,3 +117,17 @@ def test_constant_hashes_like_its_scalar():
         assert len({const, c}) == 1
     assert hash(LaurentPoly.zero(3)) == hash(0)
     assert len({LaurentPoly.zero(3), 0}) == 1
+
+
+def test_str_formats_shared_coefficients_like_distinct_ones():
+    # printing formats each distinct coefficient once; equal values of
+    # different types (2 and 2.0) still print as themselves
+    shared = YPoly((1, 1))
+    p = LaurentPoly(1, {
+        (0,): 2, (1,): 2.0, (2,): shared, (3,): shared, (4,): YPoly((1, 1)),
+        (5,): -2, (6,): Fraction(-2),
+    })
+    assert str(p) == (
+        "2 + (2.0)*z + (y + 1)*z^2 + (y + 1)*z^3 + (y + 1)*z^4 "
+        "+ (-2)*z^5 + (-2)*z^6"
+    )

@@ -184,6 +184,18 @@ def test_zero_normal_rejected():
         pc.Polytope([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
 
 
+# the membership oracle: one Fraction dot product per facet, against the
+# integer slacks (polytope.facet_slacks) that the program reads
+
+
+def holds(facet, x):
+    return dot(facet.normal, x) >= facet.offset
+
+
+def tight(facet, x):
+    return dot(facet.normal, x) == facet.offset
+
+
 def test_face_codim():
     P = pc.trapezoid()
     assert P.face_codim((Fraction(1, 2), Fraction(1, 2))) == 0
@@ -194,11 +206,11 @@ def test_face_codim():
     for name, Q in decomposition_zoo():
         lo, hi = Q.integer_box(2)
         for p in box_points(lo, hi):
-            inside = all(f.holds(p) for f in Q.facets)
-            tight = tuple(i for i, f in enumerate(Q.facets) if f.tight(p))
+            inside = all(holds(f, p) for f in Q.facets)
+            active = tuple(i for i, f in enumerate(Q.facets) if tight(f, p))
             assert Q.contains(p) == inside, (name, p)
-            assert Q.active_facets(p) == tight, (name, p)
-            assert Q.face_codim(p) == (len(tight) if inside else None), (name, p)
+            assert Q.active_facets(p) == active, (name, p)
+            assert Q.face_codim(p) == (len(active) if inside else None), (name, p)
 
 
 def test_contains_and_boxes():
@@ -318,8 +330,8 @@ def subset_scan(facets):
         x = solve_linear(
             [facets[i].normal for i in subset], [facets[i].offset for i in subset]
         )
-        if x is not None and all(f.holds(x) for f in facets):
-            found[x] = tuple(i for i, f in enumerate(facets) if f.tight(x))
+        if x is not None and all(holds(f, x) for f in facets):
+            found[x] = tuple(i for i, f in enumerate(facets) if tight(f, x))
     if any(len(active) > n for active in found.values()):
         raise pc.NonSimpleError
     if not found:

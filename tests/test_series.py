@@ -230,17 +230,27 @@ def test_kernel_rejects_what_has_no_rational_inverse_or_product():
 # -- Todd is built at most once per public call ---------------------------
 
 
-@pytest.fixture
-def todd_builds(monkeypatch):
+def counting(monkeypatch, name):
+    """Record the order of every call to series.<name>."""
     orders = []
-    build = series.todd_series
+    build = getattr(series, name)
 
-    def counting(order):
+    def counted(order):
         orders.append(order)
         return build(order)
 
-    monkeypatch.setattr(series, "todd_series", counting)
+    monkeypatch.setattr(series, name, counted)
     return orders
+
+
+@pytest.fixture
+def todd_builds(monkeypatch):
+    return counting(monkeypatch, "todd_series")
+
+
+@pytest.fixture
+def lhat_builds(monkeypatch):
+    return counting(monkeypatch, "lhat_series")
 
 
 @pytest.mark.parametrize(
@@ -259,8 +269,37 @@ def test_todd_built_once_per_call(todd_builds, name, args, builds):
     assert len(todd_builds) == builds
 
 
-def test_series_command_builds_todd_at_most_four_times(todd_builds, capsys):
-    assert main(["series", "--order", "40", "--y", "1/2"]) == 0
+@pytest.mark.parametrize("extra", [(), ("--y", "1/2")], ids=["symbolic", "y"])
+def test_series_command_builds_todd_and_lhat_once(
+    todd_builds, lhat_builds, capsys, extra
+):
+    assert main(["series", "--order", "40", *extra]) == 0
     assert "check: PASS (9/9 identities)" in capsys.readouterr().out
-    assert todd_builds == [40] * len(todd_builds)
-    assert 1 <= len(todd_builds) <= 4
+    assert todd_builds == [40]
+    assert lhat_builds == [40]
+
+
+# -- the family is Todd minus a line, against the product it replaced -----
+
+
+def family_by_product(todd, y):
+    """(1/(1+y)) * Todd * (1 + y*e**(-x)), multiplied out as series."""
+    exp_neg = TruncatedSeries.exponential(-1, todd.order)
+    return Fraction(1, 1 + y) * (todd * (1 + y * exp_neg))
+
+
+FAMILY_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction(5, 3))
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_family_is_todd_minus_a_line(order):
+    todd = todd_series(order)
+    for y in FAMILY_YS:
+        line = qy_series(y, order)
+        assert line == family_by_product(todd, y), y
+        # same values as Fractions, so the same printed text
+        assert all(type(c) is Fraction for c in line.coeffs)
+    shifted = TruncatedSeries.exponential(-1, order) * todd
+    assert qy_series_cleared(order) == TruncatedSeries(
+        tuple(YPoly((t, s)) for t, s in zip(todd.coeffs, shifted.coeffs))
+    )
