@@ -171,8 +171,17 @@ class RationalFunction:
         self.den = den
 
     def equivalent(self, other: "RationalFunction") -> bool:
-        """Mathematical equality by cross-multiplication."""
-        return self.num * other.den == other.num * self.den
+        """Mathematical equality by cross-multiplication.
+
+        A denominator that is the constant 1 is not multiplied by.
+        """
+        left = self.num if _is_one(other.den) else self.num * other.den
+        right = other.num if _is_one(self.den) else other.num * self.den
+        return left == right
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def _is_one(p: LaurentPoly) -> bool:
+    return p.terms == {(0,) * p.nvars: 1}

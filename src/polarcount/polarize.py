@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import canonical_direction, clear_denominators, dot, vadd, vec, vsub
@@ -60,10 +61,18 @@ class PolarizedCone:
 
 def is_polarizing(poly: Polytope, xi: Sequence) -> bool:
     """True when xi pairs nonzero with every edge direction of poly."""
-    xiv = vec(xi)
-    return all(
-        dot(d, xiv) != 0 for v in poly.vertices for d in v.edges
-    )
+    return _pairs_nonzero(poly, _cleared(poly, xi))
+
+
+def _cleared(poly: Polytope, xi: Sequence) -> tuple[int, ...]:
+    """xi times the lcm of its denominators: the same pairing signs, in ints."""
+    if len(xi) != poly.dim:
+        raise ValueError(f"dimension mismatch: {poly.dim} vs {len(xi)}")
+    return clear_denominators(vec(xi))[0]
+
+
+def _pairs_nonzero(poly: Polytope, xi: tuple[int, ...]) -> bool:
+    return all(sum(map(mul, d, xi)) for v in poly.vertices for d in v.edges)
 
 
 def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
@@ -82,24 +91,24 @@ def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
     for t in range(seed, seed + budget):
         if t == 0:
             continue
-        xi = tuple(Fraction(t) ** k for k in range(n))
-        if is_polarizing(poly, xi):
-            return xi
+        xi = tuple(t**k for k in range(n))
+        if _pairs_nonzero(poly, xi):
+            return tuple(map(Fraction, xi))
     raise PolarizationError("could not find a polarizing vector")
 
 
 def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
     """Polarized tangent cone at every vertex, in vertex order."""
-    xiv = vec(xi)
+    xint = _cleared(poly, xi)
     cones = []
     for idx, v in enumerate(poly.vertices):
         gens = []
         flips = []
         for d in v.edges:
-            pairing = dot(d, xiv)
+            pairing = sum(map(mul, d, xint))
             if pairing == 0:
                 raise PolarizationError(
-                    f"vector {fmt_point(xiv)} pairs to zero with edge {d} "
+                    f"vector {fmt_point(xi)} pairs to zero with edge {d} "
                     f"at vertex {fmt_point(v.point)}"
                 )
             if pairing > 0:

@@ -1,8 +1,11 @@
 """Plane figures of polytopes, lattice weights, and polarized cones.
 
-Output is plain SVG 1.1 text with nothing external.  All geometry is
-computed in Fractions; floats appear only when coordinates are printed
-into the SVG, and for label placement, which is display-only.
+Output is plain SVG 1.1 text with nothing external.  Outlines and cone
+wedges are computed in Fractions; the lattice points of the box are
+integers, so their pixel coordinates are too, and each one's weight is
+read off its integer facet slacks.  Floats appear only when Fraction
+coordinates are printed into the SVG, and for label placement, which is
+display-only.
 Conventions: one lattice unit is `_UNIT` = 40 pixels, the origin sits at the
 lower left, and the mathematical y axis points up (flipped at emission,
 since SVG y points down).
@@ -17,8 +20,9 @@ from typing import Optional, Sequence
 from .latticegen import box_points
 from .linalg import dot, vadd, vsub
 from .polarize import PolarizedCone
-from .polytope import Polytope
-from .weights import WeightParam, polytope_weight_y
+from .polytope import Polytope, facet_slacks, slack_codim
+from .weights import WeightParam
+from .ypoly import YFrac
 
 _PALETTE = (
     "#1f77b4",
@@ -142,23 +146,28 @@ def render_svg(
         f'stroke-width="2"/>'
     )
 
+    # box points are integers, so are their pixel coordinates; each
+    # point's weight is u**codim, its label formatted once per codim
+    labels: dict[int, str] = {}
     for p in box_points(lo, hi):
-        x, y = px(p)
-        weight = polytope_weight_y(poly, p)
-        if weight:
+        x = pad + (p[0] - lo[0]) * _UNIT
+        y = height - pad - (p[1] - lo[1]) * _UNIT
+        codim = slack_codim(facet_slacks(poly.integer_facets, p, 1))
+        if codim is None:
             out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#111"/>'
-            )
-            label = str(weight(w.y) if w is not None else weight)
-            out.append(
-                f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
-                f'font-size="10" fill="#333">{label}</text>'
-            )
-        else:
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="none" '
+                f'<circle cx="{x}" cy="{y}" r="2.5" fill="none" '
                 f'stroke="#999" stroke-width="1"/>'
             )
+            continue
+        label = labels.get(codim)
+        if label is None:
+            weight = YFrac(1, codim)
+            label = labels[codim] = str(weight(w.y) if w is not None else weight)
+        out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#111"/>')
+        out.append(
+            f'<text x="{x + 6}" y="{y - 6}" '
+            f'font-size="10" fill="#333">{label}</text>'
+        )
 
     if cones:
         for k, cone in enumerate(cones):

@@ -12,6 +12,14 @@ Both sides read one vector, the point's integer slacks over the facets
 (polytope.facet_slacks): the codimension counts its zeros, and each cone
 reads its vertex's active facets, negated for flipped generators, so
 membership and the zero counts need no inverse.
+
+The signed cone sum at a point is kept as a table: the net sign of the
+cones reaching it with each pair (r1, r2) of zero counts, in ints.  The
+symbolic check expands the table once, row by cached binomial row, into
+the u-polynomial sum of sign * u**r1 * (1-u)**r2 and compares it with
+u**codim.  At a concrete y = a/b (b > 0) it evaluates instead: u =
+b/(a+b), so (a+b)**n * u**r1 * (1-u)**r2 = b**r1 * a**r2 * (a+b)**(n-r1-r2)
+is an int, and both sides compare as ints over the common (a+b)**n.
 """
 
 from __future__ import annotations
@@ -19,14 +27,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import clear_denominators, vadd, vsub
+from .linalg import clear_denominators
 from .polarize import (
     PolarizedCone, cone_point_slacks, polarize_cones, slack_face_counts,
 )
 from .polytope import Polytope, facet_slacks, slack_codim
-from .ypoly import YFrac
+from .ypoly import YFrac, _u_binomial, _yfrac
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
 
 
 def _codim_weight(c: Optional[int]) -> YFrac:
-    return YFrac(0) if c is None else YFrac(1, c)
+    return _yfrac({} if c is None else {c: 1})
 
 
 class CheckResult(NamedTuple):
@@ -85,17 +95,34 @@ class CheckResult(NamedTuple):
 
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     """Sign-weighted sum of the cone weights of x."""
-    return _signed_cone_sum(cones, cone_point_slacks(cones, x)[0])
+    slack = cone_point_slacks(cones, x)[0]
+    return _yfrac(_expand(_signed_cone_sum(cones, slack)))
 
 
-def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> YFrac:
-    total = YFrac(0)
+def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> dict:
+    """{(r1, r2): net sign} over the cones containing the point."""
+    table: dict = {}
     for cone in cones:
         counts = slack_face_counts(cone, slack)
         if counts is not None:
-            wgt = YFrac.weight(*counts)
-            total = total + wgt if cone.sign > 0 else total - wgt
-    return total
+            table[counts] = table.get(counts, 0) + cone.sign
+    return table
+
+
+@cache
+def _weight_row(r1: int, r2: int) -> tuple:
+    """(k, c) pairs of u**r1 * (1-u)**r2 = sum of c * u**k."""
+    return tuple(_u_binomial(r1, r2).items())
+
+
+def _expand(table: dict) -> dict:
+    """The u-polynomial sum of sign * u**r1 * (1-u)**r2 over the table."""
+    u: dict = {}
+    for counts, sign in table.items():
+        if sign:
+            for k, c in _weight_row(*counts):
+                u[k] = u.get(k, 0) + sign * c
+    return {k: c for k, c in u.items() if c}
 
 
 def check_decomposition_at(
@@ -106,20 +133,33 @@ def check_decomposition_at(
 ) -> CheckResult:
     """Compare polytope weight with the signed cone sum at one point.
 
-    Both sides are computed symbolically in y.  With w = None they are
-    compared as such, covering every admissible y at once; otherwise both
-    are evaluated at w.y and compared as Fractions.  The point's integer
-    slacks over poly's facets are computed once; the face codimension and
-    the membership and zero counts of each cone, polarized from poly, are
-    read off that one vector.
+    With w = None both sides are compared as u-polynomials, covering
+    every admissible y at once; otherwise both are evaluated at w.y =
+    a/b and compared as ints over (a+b)**dim, and returned as Fractions.
+    The point's integer slacks over poly's facets are computed once; the
+    face codimension and the membership and zero counts of each cone,
+    polarized from poly, are read off that one vector.
     """
-    xt = tuple(Fraction(a) for a in x)
+    xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
     slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
-    lhs = _codim_weight(slack_codim(slack))
-    rhs = _signed_cone_sum(cones, slack)
-    if w is not None:
-        lhs, rhs = lhs(w.y), rhs(w.y)
-    return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    codim = slack_codim(slack)
+    table = _signed_cone_sum(cones, slack)
+    if w is None:
+        lhs = _codim_weight(codim)
+        rhs = _yfrac(_expand(table))
+        return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs.u == rhs.u)
+    a, b, n = w.y.numerator, w.y.denominator, poly.dim
+    s = a + b
+    left = 0 if codim is None else b**codim * s ** (n - codim)
+    right = sum(
+        sign * b**r1 * a**r2 * s ** (n - r1 - r2)
+        for (r1, r2), sign in table.items()
+    )
+    den = s**n
+    return CheckResult(
+        point=xt, lhs=Fraction(left, den), rhs=Fraction(right, den),
+        equal=left == right,
+    )
 
 
 def check_decomposition(
@@ -144,42 +184,55 @@ def sample_points(
     One point per vertex, edge midpoints, facet barycenters, the
     barycenter, exterior probes past each vertex along +-xi (stepped far
     enough to leave the bounding box), and random rational points from a
-    box inflated to twice the size.
+    box inflated to twice the size.  The vertices are cleared once to
+    integer numerators over one denominator D, and every derived point is
+    built from integer sums over a multiple of D.
     """
+    D = lcm(*(a.denominator for v in poly.vertices for a in v.point))
+    nums = [tuple(a.numerator * (D // a.denominator) for a in v.point)
+            for v in poly.vertices]
+
+    def mean(indices) -> tuple:
+        den = len(indices) * D
+        return tuple(
+            Fraction(sum(col), den) for col in zip(*(nums[k] for k in indices))
+        )
+
     pts: list[tuple] = [v.point for v in poly.vertices]
-    for i, j in poly.edges():
-        a, b = poly.vertices[i].point, poly.vertices[j].point
-        pts.append(tuple(x / 2 for x in vadd(a, b)))
-    for i in range(len(poly.facets)):
-        incident = [v.point for v in poly.vertices if i in v.active]
-        acc = incident[0]
-        for p in incident[1:]:
-            acc = vadd(acc, p)
-        pts.append(tuple(a / len(incident) for a in acc))
-    pts.append(poly.barycenter())
-    lo, hi = poly.bounding_box()
-    span = max(b - a for a, b in zip(lo, hi))
-    step = int(span) + 1
-    xiv = tuple(Fraction(a) for a in xi)
-    for v in poly.vertices:
-        big = tuple(step * a for a in xiv)
-        pts.append(vadd(v.point, big))
-        pts.append(vsub(v.point, big))
+    pts += [mean(edge) for edge in poly.edges()]
+    incident: list[list[int]] = [[] for _ in poly.facets]
+    for k, v in enumerate(poly.vertices):
+        for i in v.active:
+            incident[i].append(k)
+    pts += [mean(ks) for ks in incident]
+    pts.append(mean(range(len(nums))))
+    lo = [min(col) for col in zip(*nums)]
+    hi = [max(col) for col in zip(*nums)]
+    step = max(b - a for a, b in zip(lo, hi)) // D + 1
+    xnum, xden = clear_denominators(tuple(Fraction(a) for a in xi))
+    for p in nums:
+        for sign in (1, -1):
+            pts.append(tuple(
+                Fraction(c * xden + sign * step * x * D, D * xden)
+                for c, x in zip(p, xnum)
+            ))
     if random_count and rng is None:
         rng = random.Random(20)
+    # the box inflated to twice the size, [(3lo - hi)/2, (3hi - lo)/2],
+    # as numerators over 2D
+    inflated = [(3 * a - b, 3 * b - a) for a, b in zip(lo, hi)]
     for _ in range(random_count):
         point = []
-        for a, b in zip(lo, hi):
-            width = b - a
-            lo2, hi2 = a - width / 2, b + width / 2
+        for lo2, hi2 in inflated:
             den = rng.randint(1, 4)
-            num = rng.randint(int(lo2 * den) - 1, int(hi2 * den) + 1)
+            num = rng.randint(
+                _trunc(lo2 * den, 2 * D) - 1, _trunc(hi2 * den, 2 * D) + 1
+            )
             point.append(Fraction(num, den))
         pts.append(tuple(point))
-    seen = set()
-    unique = []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(pts))
+
+
+def _trunc(p: int, q: int) -> int:
+    """p / q rounded toward zero, q > 0, as int() rounds a Fraction."""
+    return p // q if p >= 0 else -(-p // q)

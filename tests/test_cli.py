@@ -312,6 +312,12 @@ _CONES_FROZEN_SHA256 = {
         "dd632f4744aed7011b696ab988d60239230a30ccb8fdad07997cae8ad35aab95",
     ("svg", "polytopes/halfsquare.json"):
         "ee6ddfc35da1161e16c9b52c1fc8852b313bdfc5372c6a5ca3ad65ffe207387f",
+    ("svg", "--builtin", "cube:2,3", "--y", "3/4"):
+        "20f99ed12395cb956e095ac7368f79c38fe084a239686e50dca3bf41c93ee3a1",
+    ("svg", "polytopes/halfsquare.json", "--y=-1/2"):
+        "ca638a95cb6e0d4c33e9de20894933bef0cc2cb67888b4a13a6f1ff93634cb64",
+    ("decompose", "--builtin", "prism:1,1", "--y=-5/3", "--random-points", "40"):
+        "fbdc63538b674ebb1b2dade7cd2cbb5f467d0ccc858f1dfaf7b0bf2e7f8669e9",
 }
 
 
@@ -322,6 +328,59 @@ def test_cones_frozen_output(capsys, monkeypatch, argv):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _CONES_FROZEN_SHA256[argv]
+
+
+_BROKEN_HEAD = (
+    "command: decompose\n"
+    "input: builtin trapezoid (sha256 82eda434d6d2)\n"
+    "polytope: dim 2, 4 facets, 4 vertices, regular, integral\n"
+    "xi: (1, 2)\n"
+    "vertex 0: flips 2, sign +, generators [(-1, 0), (0, -1)]\n"
+    "vertex 1: flips 1, sign -, generators [(-1, 0), (0, -1)]\n"
+    "vertex 2: flips 0, sign +, generators [(1, -1), (-1, 0)]\n"
+)
+_BROKEN_EXTERIOR = "".join(
+    f"MISMATCH at {p}: polytope 0, cones 1\n" for p in (
+        "(-3, -6)", "(-3, -5)", "(-2, -5)", "(-1, -6)", "(-2, -1)",
+        "(1/4, -3/4)", "(2, -2/3)", "(1, -1/3)", "(3/2, -3/4)",
+    )
+)
+
+# the whole stdout of decompose on the trapezoid with its last polarized
+# cone dropped: three vertices and every exterior point the dropped cone
+# cancelled disagree; at y = -5/3, 1+y < 0, so u = 1/(1+y) is negative
+_BROKEN_DECOMPOSE = {
+    (): (
+        "MISMATCH at (0, 0): polytope 1/(1+y)^2, cones (y^2 + y + 1)/(1+y)^2\n"
+        "MISMATCH at (2, 0): polytope 1/(1+y)^2, cones 1/(1+y)\n"
+        "MISMATCH at (1, 0): polytope 1/(1+y), cones 1\n",
+        "check: FAIL (12/34 points disagree symbolically in y)\n",
+    ),
+    ("--y", "2/3"): (
+        "MISMATCH at (0, 0): polytope 9/25, cones 19/25\n"
+        "MISMATCH at (2, 0): polytope 9/25, cones 3/5\n"
+        "MISMATCH at (1, 0): polytope 3/5, cones 1\n",
+        "check: FAIL (12/34 points disagree at y = 2/3)\n",
+    ),
+    ("--y=-5/3",): (
+        "MISMATCH at (0, 0): polytope 9/4, cones 19/4\n"
+        "MISMATCH at (2, 0): polytope 9/4, cones -3/2\n"
+        "MISMATCH at (1, 0): polytope -3/2, cones 1\n",
+        "check: FAIL (12/34 points disagree at y = -5/3)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_BROKEN_DECOMPOSE), ids=" ".join)
+def test_decompose_reports_a_broken_cone_set(capsys, monkeypatch, extra):
+    polarize = polarcount.cli.polarize_cones
+    monkeypatch.setattr(
+        polarcount.cli, "polarize_cones", lambda poly, xi: polarize(poly, xi)[:-1]
+    )
+    code, out, _ = run(capsys, "decompose", "--builtin", "trapezoid", *extra)
+    assert code == 1
+    vertices, verdict = _BROKEN_DECOMPOSE[extra]
+    assert out == _BROKEN_HEAD + vertices + _BROKEN_EXTERIOR + verdict
 
 
 # sha256 of the whole stdout of vertices: points, active facets, edge

@@ -107,6 +107,35 @@ def test_equivalence_by_cross_multiplication():
     g = RationalFunction(one + z, one)
     assert f.equivalent(g)
     assert not f.equivalent(RationalFunction(z, one))
+    # a constant-1 denominator on either side, or on both, is skipped
+    assert g.equivalent(f)
+    assert RationalFunction(z, one).equivalent(RationalFunction(z, one))
+    assert not RationalFunction(z, one).equivalent(g)
+    h = RationalFunction(one + z, LaurentPoly.const(1, 2))
+    assert not h.equivalent(g) and not g.equivalent(h)
+    assert h.equivalent(RationalFunction((one + z) * 3, LaurentPoly.const(1, 6)))
+
+
+def test_equivalence_skips_constant_one_denominators(monkeypatch):
+    z = LaurentPoly.monomial(2, (1, 0))
+    one = LaurentPoly.const(2, 1)
+    f = RationalFunction(one - z * z, one - z)
+    g = RationalFunction(one + z, one)
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counted(a, b):
+        products.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    assert f.equivalent(g) and g.equivalent(f)
+    # only (1 + z) * (1 - z), once each way; the numerator of f is not
+    # multiplied by the constant 1
+    assert products == [4, 4]
+    products.clear()
+    assert g.equivalent(RationalFunction(z + one, one))
+    assert products == []
 
 
 def test_constant_hashes_like_its_scalar():

@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcount as pc
+from polarcount.linalg import clear_denominators, vadd, vsub
+from polarcount.polarize import slack_face_counts
+from polarcount.polytope import facet_slacks, slack_codim
+from polarcount.weights import CheckResult
 from polarcount.ypoly import Y, YFrac
-from zoo import SEEDS, decomposition_zoo
+from zoo import SEEDS, decomposition_zoo, facet_systems, zoo_images
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
 
@@ -118,3 +124,138 @@ def test_check_many_seeds_and_chambers():
             str(pc.signed_cone_sum_y(cones, x)) for cones in all_cones
         }
         assert len(sums) == 1, (x, sums)
+
+
+# -- the Fraction and YFrac routes, as oracles --------------------------
+#
+# check_decomposition_at tallies the cones by (r1, r2) and compares ints;
+# sample_points builds its points over one integer denominator.  The
+# oracles below are the direct routes: one YFrac sum over the cones,
+# evaluated at y as Fractions, and one Fraction operation per coordinate.
+
+ORACLE_YS = (None, Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
+             Fraction(-5, 3))
+
+
+def check_oracle(poly, cones, x, w=None):
+    xt = tuple(Fraction(a) for a in x)
+    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    c = slack_codim(slack)
+    lhs = YFrac(0) if c is None else YFrac(1, c)
+    rhs = YFrac(0)
+    for cone in cones:
+        counts = slack_face_counts(cone, slack)
+        if counts is not None:
+            wgt = YFrac.weight(*counts)
+            rhs = rhs + wgt if cone.sign > 0 else rhs - wgt
+    if w is not None:
+        lhs, rhs = lhs(w.y), rhs(w.y)
+    return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+
+
+def sample_points_oracle(poly, xi, rng=None, random_count=20):
+    pts = [v.point for v in poly.vertices]
+    for i, j in poly.edges():
+        a, b = poly.vertices[i].point, poly.vertices[j].point
+        pts.append(tuple(x / 2 for x in vadd(a, b)))
+    for i in range(len(poly.facets)):
+        incident = [v.point for v in poly.vertices if i in v.active]
+        acc = incident[0]
+        for p in incident[1:]:
+            acc = vadd(acc, p)
+        pts.append(tuple(a / len(incident) for a in acc))
+    pts.append(poly.barycenter())
+    lo, hi = poly.bounding_box()
+    span = max(b - a for a, b in zip(lo, hi))
+    step = int(span) + 1
+    xiv = tuple(Fraction(a) for a in xi)
+    for v in poly.vertices:
+        big = tuple(step * a for a in xiv)
+        pts.append(vadd(v.point, big))
+        pts.append(vsub(v.point, big))
+    if random_count and rng is None:
+        rng = random.Random(20)
+    for _ in range(random_count):
+        point = []
+        for a, b in zip(lo, hi):
+            width = b - a
+            lo2, hi2 = a - width / 2, b + width / 2
+            den = rng.randint(1, 4)
+            num = rng.randint(int(lo2 * den) - 1, int(hi2 * den) + 1)
+            point.append(Fraction(num, den))
+        pts.append(tuple(point))
+    seen = set()
+    unique = []
+    for p in pts:
+        if p not in seen:
+            seen.add(p)
+            unique.append(p)
+    return unique
+
+
+def assert_check_matches_oracle(poly, seed):
+    xi = pc.find_polarizing(poly, seed=seed)
+    cones = pc.polarize_cones(poly, xi)
+    points = sample_points_oracle(poly, xi, rng=random.Random(seed), random_count=8)
+    got = pc.sample_points(poly, xi, rng=random.Random(seed), random_count=8)
+    assert got == points
+    assert all(type(a) is Fraction for p in got for a in p)
+    # the full cone set, and one with its last cone dropped, which fails
+    # at the dropped vertex and wherever that cone reached
+    broken = cones[:-1]
+    for y in ORACLE_YS:
+        w = None if y is None else pc.WeightParam(y)
+        for cone_set in (cones, broken):
+            for x in points:
+                res = pc.check_decomposition_at(poly, cone_set, x, w)
+                want = check_oracle(poly, cone_set, x, w)
+                assert res == want, (x, y, res, want)
+                assert type(res.lhs) is type(want.lhs)
+                assert type(res.rhs) is type(want.rhs)
+                assert str(res.lhs) == str(want.lhs)
+                assert str(res.rhs) == str(want.rhs)
+    assert not all(
+        check_oracle(poly, broken, x).equal for x in points
+    )
+
+
+@pytest.mark.parametrize(
+    "poly", [pytest.param(P, id=name) for name, P in decomposition_zoo()]
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_check_matches_oracle_on_zoo(poly, seed):
+    assert_check_matches_oracle(poly, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(image=zoo_images(), seed=st.sampled_from(SEEDS))
+def test_check_matches_oracle_on_images(image, seed):
+    assert_check_matches_oracle(image, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(facets=facet_systems(), seed=st.sampled_from(SEEDS))
+def test_check_matches_oracle_on_generated_polytopes(facets, seed):
+    try:
+        poly = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_check_matches_oracle(poly, seed)
+
+
+@pytest.mark.parametrize("random_count", (0, 1, 20, 60))
+def test_sample_points_match_oracle(random_count):
+    for name, poly in decomposition_zoo():
+        for seed in SEEDS:
+            xi = pc.find_polarizing(poly, seed=seed)
+            got = pc.sample_points(poly, xi, rng=random.Random(seed),
+                                   random_count=random_count)
+            want = sample_points_oracle(poly, xi, rng=random.Random(seed),
+                                        random_count=random_count)
+            assert got == want, name
+    # no rng given: both draw from the same default seed
+    P = pc.hypercube(2, Fraction(3, 2))
+    assert pc.sample_points(P, (1, 3)) == sample_points_oracle(P, (1, 3))
+    # a rational polarizing vector steps the probes by rational amounts
+    xi = (Fraction(1, 3), Fraction(-5, 2))
+    assert pc.sample_points(P, xi) == sample_points_oracle(P, xi)
