@@ -49,6 +49,17 @@ def _parse_int(text: str, what: str) -> int:
         raise InputError(f"{what}: {text!r} is not an integer") from e
 
 
+def _split_items(text: str, what: str) -> list[str]:
+    """The comma-separated items of text, none if it is blank; an empty
+    item is rejected, not dropped, so that cube:,2 is not read as cube:2."""
+    if not text.strip():
+        return []
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise InputError(f"{what}: empty item in a comma-separated list")
+    return items
+
+
 # name -> (builder, accepted argument counts, usage, (label, parser) per
 # argument); omitted trailing arguments take the builder's defaults
 _BUILTINS = {
@@ -81,7 +92,7 @@ _BUILTINS = {
 def _build_builtin(text: str) -> Polytope:
     name, _, argstr = text.partition(":")
     name = name.strip().lower()
-    args = [a for a in argstr.split(",") if a.strip()] if argstr else []
+    args = _split_items(argstr, f"--builtin {text!r}")
     if name not in _BUILTINS:
         raise InputError(f"unknown builtin {name!r}; {_BUILTIN_HELP}")
     builder, counts, usage, params = _BUILTINS[name]
@@ -224,7 +235,7 @@ def _cmd_count(ns, out) -> int:
 
 def _cmd_chi(ns, out) -> int:
     w = _weight_param(ns)
-    parts = [p for p in ns.z.split(",") if p.strip()]
+    parts = _split_items(ns.z, f"--z {ns.z!r}")
     z = tuple(_parse_fraction(p, "z coordinate") for p in parts)
     if any(a == 0 for a in z):
         raise InputError("z coordinates must be nonzero")

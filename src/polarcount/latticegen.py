@@ -20,6 +20,10 @@ lattice_points, which scans the integer box row by row with the facets
 scaled to integer normals and offsets, and maps each lattice point to
 the codimension of its face.  Weighted quantities are computed
 symbolically in y; a concrete y only evaluates the symbolic answer.
+In particular each side of the chi identity is written once: at a
+concrete (z, y) the vertex sum evaluates each vertex_term's factors
+and the lattice sum evaluates weighted_sum_poly, both through
+LaurentPoly.at at (z, u) with u = 1/(1+y).
 Enumeration and the truncated cone series hold for any simple polytope;
 everything else needs determinant +-1 edge bases at every vertex and
 integer vertices, and raises HypothesisError otherwise.
@@ -42,7 +46,7 @@ from .weights import (
     polytope_weight_y,
     signed_cone_sum_y,
 )
-from .ypoly import YFrac
+from .ypoly import YFrac, _u_sum, _yfrac
 
 
 class HypothesisError(ValueError):
@@ -145,8 +149,9 @@ def format_census(census: dict[int, int]) -> str:
 
 
 def census_weight_y(census: dict[int, int]) -> YFrac:
-    """Symbolic weighted count of a census: sum of count * (1/(1+y))**codim."""
-    return sum((count * YFrac(1, c) for c, count in census.items()), YFrac(0))
+    """Symbolic weighted count of a census: the u-polynomial sum of
+    count * u**codim, u = 1/(1+y)."""
+    return _yfrac(_u_sum(census.items()))
 
 
 def weighted_count_y(poly: Polytope) -> YFrac:
@@ -166,16 +171,21 @@ def weighted_count(poly: Polytope, w: WeightParam) -> Fraction:
 class VertexTerm(NamedTuple):
     """One vertex's rational function, with bookkeeping for summation.
 
-    numerator is z^v times the product of per-edge binomials in z and u,
-    where an edge whose primitive direction is not canonically oriented
-    has had its geometric series rewritten: 1/(1 - z^(-b)) = -z^b/(1 - z^b).
-    canonical_dirs lists the denominator directions after rewriting, so
-    the denominator is prod (1 - z^b) over them.
+    factors are z^v and then one binomial in z and u per edge, where an
+    edge whose primitive direction is not canonically oriented has had
+    its geometric series rewritten: 1/(1 - z^(-b)) = -z^b/(1 - z^b).
+    canonical_dirs lists the denominator directions after rewriting, in
+    edge order, so the denominator is prod (1 - z^b) over them.
     """
 
     vertex_index: int
-    numerator: LaurentPoly
+    factors: tuple[LaurentPoly, ...]
     canonical_dirs: tuple[tuple[int, ...], ...]
+
+    @property
+    def numerator(self) -> LaurentPoly:
+        """The product of the factors, expanded."""
+        return prod(self.factors[1:], start=self.factors[0])
 
 
 def _one_minus(b: tuple[int, ...]) -> LaurentPoly:
@@ -188,7 +198,7 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     require_lattice_hypotheses(poly, "the vertex generating function")
     n = poly.dim
     v = poly.vertices[vertex_index]
-    num = LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))
+    factors = [LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))]
     one, u = (0,) * (n + 1), (0,) * n + (1,)
     dirs = []
     # the edges are primitive int vectors (polytope.vertex_frame), so the
@@ -200,9 +210,9 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
         else:
             b = tuple(-x for x in a)
             binom = {one: -1, u: 1, (*b, 1): -1}
-        num = num * LaurentPoly._of(n + 1, binom)
+        factors.append(LaurentPoly._of(n + 1, binom))
         dirs.append(b)
-    return VertexTerm(vertex_index, num, tuple(dirs))
+    return VertexTerm(vertex_index, tuple(factors), tuple(dirs))
 
 
 def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
@@ -264,13 +274,6 @@ def brion_check(poly: Polytope) -> BrionReport:
 # -- pointwise evaluation -------------------------------------------------
 
 
-def _monomial_value(z: Sequence[Fraction], expo: Sequence[int]) -> Fraction:
-    val = Fraction(1)
-    for zi, e in zip(z, expo):
-        val *= zi**e
-    return val
-
-
 def _evaluation_point(poly: Polytope, z: Sequence) -> tuple[Fraction, ...]:
     zt = tuple(Fraction(a) for a in z)
     if len(zt) != poly.dim:
@@ -281,40 +284,36 @@ def _evaluation_point(poly: Polytope, z: Sequence) -> tuple[Fraction, ...]:
 
 
 def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
-    """Sum of vertex terms evaluated at a concrete z with nonzero coordinates."""
+    """Sum of vertex terms evaluated at a concrete z with nonzero coordinates.
+
+    Each vertex_term factor is evaluated at (z, u) on its own, so the
+    expanded numerator, up to 3^n terms, is never built.
+    """
     require_lattice_hypotheses(poly, "vertex-sum evaluation")
-    zt = _evaluation_point(poly, z)
+    point = (*_evaluation_point(poly, z), w.on_face)
     total = Fraction(0)
-    for v in poly.vertices:
-        term = _monomial_value(zt, tuple(int(a) for a in v.point))
-        for a in v.edges:
-            za = _monomial_value(zt, a)
-            if za == 1:
+    for i, v in enumerate(poly.vertices):
+        term = vertex_term(poly, i)
+        monomial, *binomials = term.factors
+        num, den = monomial.at(point), 1
+        for a, binom, b in zip(v.edges, binomials, term.canonical_dirs):
+            pole = _one_minus(b).at(point)
+            if not pole:
                 raise PoleError(
                     f"z^{a} = 1 at vertex {fmt_point(v.point)}: the point "
                     f"lies on a pole; perturb z"
                 )
-            term *= (1 + w.y * za) / ((1 + w.y) * (1 - za))
-        total += term
+            num *= binom.at(point)
+            den *= pole
+        total += num / den
     return total
 
 
 def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
-    """Direct weighted sum over lattice points at a concrete z."""
+    """The weighted lattice sum evaluated at a concrete z."""
     require_lattice_hypotheses(poly, "weighted lattice evaluation")
-    zt = _evaluation_point(poly, z)
-    face_powers = [w.on_face**c for c in range(poly.dim + 1)]
-    lo, hi = poly.integer_box()
-    coord_powers = [
-        {e: zi**e for e in range(a, b + 1)} for zi, a, b in zip(zt, lo, hi)
-    ]
-    total = Fraction(0)
-    for p, c in lattice_points(poly).items():
-        term = face_powers[c]
-        for powers, e in zip(coord_powers, p):
-            term *= powers[e]
-        total += term
-    return total
+    point = (*_evaluation_point(poly, z), w.on_face)
+    return weighted_sum_poly(poly).at(point)
 
 
 class ChiReport(NamedTuple):

@@ -10,11 +10,16 @@ once.
 RationalFunction keeps an unreduced numerator/denominator pair: full gcd
 computation in many variables is never needed here, because identity
 checks go through cross-multiplication.
+
+LaurentPoly.at is the one evaluator: the chi command's vertex and
+lattice sums at a concrete (z, u) are these objects evaluated, in ints
+over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -126,6 +131,53 @@ class LaurentPoly:
 
     def coefficient(self, expo: Sequence[int]):
         return self.terms.get(tuple(expo), 0)
+
+    def at(self, point: Sequence) -> Fraction:
+        """The exact value at a point of rationals (ints or Fractions).
+
+        Needs int or Fraction coefficients.  A coordinate a/b whose
+        exponents span [lo, hi] contributes the int a**(e-lo) * b**(hi-e)
+        to a term with exponent e, and a**lo / b**hi once to the whole
+        sum; variables whose exponent is always 0 are skipped.  The terms
+        are summed as ints, and one Fraction is built at the end, so a
+        zero coordinate under a negative exponent raises
+        ZeroDivisionError.
+        """
+        if len(point) != self.nvars:
+            raise ValueError(
+                f"point has {len(point)} coordinates, expected {self.nvars}"
+            )
+        num = den = 1
+        tables = []
+        for i, column in enumerate(zip(*self.terms)):
+            lo, hi = min(column), max(column)
+            if lo == hi == 0:
+                continue
+            a, b = point[i].numerator, point[i].denominator
+            if lo >= 0:
+                num *= a**lo
+            else:
+                den *= a**-lo
+            if hi >= 0:
+                den *= b**hi
+            else:
+                num *= b**-hi
+            powers = {}
+            for e in column:
+                if e not in powers:
+                    powers[e] = a ** (e - lo) * b ** (hi - e)
+            tables.append((i, powers))
+        scale = 1  # clears Fraction coefficients
+        for c in self.terms.values():
+            if c.denominator != 1:
+                scale = lcm(scale, c.denominator)
+        total = 0
+        for expo, c in self.terms.items():
+            t = c.numerator * (scale // c.denominator)
+            for i, powers in tables:
+                t *= powers[expo[i]]
+            total += t
+        return Fraction(num * total, den * scale)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -239,6 +239,46 @@ def test_brion_frozen_output(capsys, tmp_path, monkeypatch, spec):
     assert out == expected
 
 
+# (exit code, sha256 of the whole stdout, first stderr line or None) of
+# chi runs: the lattice ladder's rungs and the sheared cube4-2 file of
+# _BRION_FILES, at +-p/q z of distinct primes, y on both sides of -1,
+# one --decimal run and the pole at z^(1,0) = 1
+_CHI_FROZEN_SHA256 = {
+    ("--builtin", "simplex:2,45", "--y", "2/3", "--z=-2/3,5/7"): (
+        0, "f6edd783553c76198fb6896b2d7167e53e4a637d33ea266c19960bfa604038bd", None),
+    ("--builtin", "simplex:3,12", "--y=-5/3", "--z=2/3,-5/7,11/13"): (
+        0, "79d5278aae123946a99873966bbd206935a55ba0d517f5ff3cfcf23b609aa02c", None),
+    ("--builtin", "cube:3,6", "--y", "0", "--z=-2/3,5/7,-11/13"): (
+        0, "50de254b0b273195cdafe17189aa776a94729978354c985416004c9f8e6008c5", None),
+    ("--builtin", "cube:3,6", "--y", "2/3", "--z=-2/3,5/7,-11/13",
+     "--decimal", "12"): (
+        0, "9f5e162f71fcc2e02c3d8338c648430be07c926859f17240a1cfe7141cb417be", None),
+    ("--builtin", "prism:8,3", "--y", "3", "--z=2/3,-5/7,-11/13"): (
+        0, "56108613c4f162e9b4105e8eeb8e4d31b23be0a82b16b3ff30c6ce79f2afcaf0", None),
+    ("--builtin", "cube:6,1", "--y", "2/3",
+     "--z=2/3,-5/7,11/13,-17/19,23/29,-31/37"): (
+        0, "005d9b2ae834fd061e98c351f720350ad2d014168cfc5f6b15ac52f8bb7e97a7", None),
+    ("cube4-2-sheared.json", "--y=-5/3", "--z=-2/3,5/7,-11/13,17/19"): (
+        0, "0dcbfa78a9a5b4554685c5b5160b1cae8f0e1cfabe8f82e7b4fd7753be2699fa", None),
+    ("--builtin", "cube:2", "--y", "1", "--z", "1,5"): (
+        2, "eda1ab2e1702b6608c900fb9731f21a32f8a0b5040b3b024245075fb829f5a38",
+        "z^(1, 0) = 1 at vertex (0, 0): the point lies on a pole; perturb z"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(_CHI_FROZEN_SHA256), ids=" ".join)
+def test_chi_frozen_output(capsys, tmp_path, monkeypatch, args):
+    if args[0] in _BRION_FILES:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / args[0]).write_text(json.dumps(_BRION_FILES[args[0]]) + "\n")
+    code, out, err = run(capsys, "chi", *args)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    expected_code, expected_digest, error = _CHI_FROZEN_SHA256[args]
+    assert (code, digest) == (expected_code, expected_digest)
+    if error is not None:
+        assert err.splitlines()[0] == f"error: {error}"
+
+
 def test_series_frozen_output(capsys):
     code, out, _ = run(capsys, "series", "--order", "4")
     assert code == 0
@@ -522,9 +562,19 @@ def test_svg_unwritable_out_rejected(capsys, tmp_path):
         (("decompose", "--builtin", "cube:2", "--y", "-1"),
          "command: decompose\n",
          "weight parameter y = -1 is excluded: weights carry 1/(1+y)"),
+        (("chi", "--builtin", "cube:2", "--y", "1", "--z", ",2,3,"),
+         "command: chi\n",
+         "--z ',2,3,': empty item in a comma-separated list"),
+        (("chi", "--builtin", "cube:2", "--y", "1", "--z", "2,,3"),
+         "command: chi\n",
+         "--z '2,,3': empty item in a comma-separated list"),
+        (("chi", "--builtin", "cube:,2", "--y", "1", "--z", "2,3"),
+         "command: chi\n",
+         "--builtin 'cube:,2': empty item in a comma-separated list"),
     ],
     ids=["count-decimal", "chi-decimal", "svg-margin", "decompose-random-points",
-         "count-y-abc", "count-y-minus-one", "decompose-y-minus-one"],
+         "count-y-abc", "count-y-minus-one", "decompose-y-minus-one",
+         "chi-z-empty-ends", "chi-z-empty-middle", "chi-builtin-empty-item"],
 )
 def test_negative_counts_rejected(capsys, argv, expected_out, message):
     """Bad options exit 2 before the polytope is loaded or anything printed."""
@@ -590,6 +640,12 @@ _PRISM_USAGE = "prism takes zero or two parameters: prism[:DILATION,HEIGHT]"
         ("prism:2,1,1", _PRISM_USAGE),
         ("prism:a,1", "prism dilation: 'a' is not a rational number"),
         ("prism:2,h", "prism height: 'h' is not a rational number"),
+        ("cube:,2", "--builtin 'cube:,2': empty item in a comma-separated list"),
+        ("cube:2,,3",
+         "--builtin 'cube:2,,3': empty item in a comma-separated list"),
+        ("cube:2,", "--builtin 'cube:2,': empty item in a comma-separated list"),
+        ("trapezoid:,",
+         "--builtin 'trapezoid:,': empty item in a comma-separated list"),
         ("dodecahedron", "unknown builtin 'dodecahedron'; builtin polytope: "
          "interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
          "trapezoid[:WIDTH,HEIGHT], prism[:DILATION,HEIGHT]"),
@@ -612,6 +668,7 @@ def test_builtin_parse_errors(capsys, spec, message):
         ("simplex:3,2", "dim 3, 4 facets, 4 vertices"),
         ("trapezoid", "dim 2, 4 facets, 4 vertices"),
         ("trapezoid:3,1", "dim 2, 4 facets, 4 vertices"),
+        ("trapezoid:", "dim 2, 4 facets, 4 vertices"),
         ("prism", "dim 3, 5 facets, 6 vertices"),
         ("prism:2,1", "dim 3, 5 facets, 6 vertices"),
     ],

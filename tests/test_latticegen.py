@@ -8,6 +8,7 @@ import polarcount as pc
 from polarcount.latticegen import box_points, vertex_term
 from polarcount.linalg import canonical_direction
 from polarcount.laurent import LaurentPoly, RationalFunction
+from polarcount.polytope import fmt_point
 from polarcount.ypoly import YFrac, YPoly
 from zoo import (
     affine_image,
@@ -231,6 +232,105 @@ def test_chi_check_random_draws():
             continue
         assert rep.equal
         done += 1
+
+
+def _monomial_value(z, expo):
+    val = Fraction(1)
+    for zi, e in zip(z, expo):
+        val *= zi**e
+    return val
+
+
+def vertex_sum_oracle(poly, w, z):
+    """The vertex sum at z, each vertex factor written in its y form."""
+    zt = tuple(Fraction(a) for a in z)
+    total = Fraction(0)
+    for v in poly.vertices:
+        term = _monomial_value(zt, tuple(int(a) for a in v.point))
+        for a in v.edges:
+            za = _monomial_value(zt, a)
+            if za == 1:
+                raise pc.PoleError(
+                    f"z^{a} = 1 at vertex {fmt_point(v.point)}: the point "
+                    f"lies on a pole; perturb z"
+                )
+            term *= (1 + w.y * za) / ((1 + w.y) * (1 - za))
+        total += term
+    return total
+
+
+def lattice_sum_oracle(poly, w, z):
+    """The weighted lattice sum at z, one Fraction product per point."""
+    zt = tuple(Fraction(a) for a in z)
+    face_powers = [w.on_face**c for c in range(poly.dim + 1)]
+    lo, hi = poly.integer_box()
+    coord_powers = [
+        {e: zi**e for e in range(a, b + 1)} for zi, a, b in zip(zt, lo, hi)
+    ]
+    total = Fraction(0)
+    for p, c in pc.lattice_points(poly).items():
+        term = face_powers[c]
+        for powers, e in zip(coord_powers, p):
+            term *= powers[e]
+        total += term
+    return total
+
+
+def chi_cases():
+    named = dict(regular_zoo() + brion_zoo())
+    named.update((n, Q) for n, Q in sheared_zoo() if Q.regular and Q.integral)
+    return [pytest.param(P, id=name) for name, P in sorted(named.items())]
+
+
+# small coordinates, with +-1 among them, so some draws land on a pole
+_Z_CHOICES = (1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3)
+
+
+@pytest.mark.parametrize("P", chi_cases())
+def test_chi_sides_match_the_y_form_oracles(P):
+    rng = random.Random(P.dim * 1000 + len(P.vertices) * 10 + len(P.facets))
+    for _ in range(12):
+        y = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if y == -1:
+            continue
+        w = pc.WeightParam(y)
+        z = tuple(rng.choice(_Z_CHOICES) for _ in range(P.dim))
+        assert pc.chi_y_lattice_sum(P, w, z) == lattice_sum_oracle(P, w, z)
+        try:
+            expected = vertex_sum_oracle(P, w, z)
+        except pc.PoleError as err:
+            with pytest.raises(pc.PoleError) as got:
+                pc.chi_y_vertex_sum(P, w, z)
+            assert str(got.value) == str(err)
+        else:
+            assert pc.chi_y_vertex_sum(P, w, z) == expected
+    # z = (1, ..., 1) is a pole of every vertex term
+    ones = (1,) * P.dim
+    with pytest.raises(pc.PoleError) as err:
+        vertex_sum_oracle(P, pc.WeightParam(2), ones)
+    with pytest.raises(pc.PoleError) as got:
+        pc.chi_y_vertex_sum(P, pc.WeightParam(2), ones)
+    assert str(got.value) == str(err.value)
+
+
+def test_chi_vertex_sum_expands_no_numerator(monkeypatch):
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    z = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13))
+    for P in (pc.hypercube(3, 2), pc.dilated_simplex(3, 4), pc.prism(2, 1)):
+        value = pc.chi_y_vertex_sum(P, pc.WeightParam(Fraction(2, 3)), z)
+        assert value == pc.chi_y_lattice_sum(P, pc.WeightParam(Fraction(2, 3)), z)
+    assert products == []
+    # the patch is live: the expanded numerator multiplies
+    vertex_term(pc.hypercube(3, 2), 0).numerator
+    assert len(products) == 3
 
 
 def test_chi_pole_is_reported():

@@ -93,6 +93,55 @@ def test_eval_is_ring_homomorphism(p, q, z):
     assert value(p * q, z) == value(p, z) * value(q, z)
 
 
+scalars = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5),
+)
+
+
+@st.composite
+def polys_and_points(draw):
+    """A polynomial in 1 to 3 variables, possibly zero, with int or
+    Fraction coefficients, and a point of int or Fraction coordinates,
+    some of them zero or negative."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    expo = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
+    p = LaurentPoly(n, draw(st.dictionaries(expo, scalars, max_size=6)))
+    return p, draw(st.tuples(*[scalars] * n))
+
+
+@given(polys_and_points())
+def test_at_matches_value(case):
+    p, z = case
+    try:
+        expected = value(p, z)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.at(z)
+    else:
+        got = p.at(z)
+        assert type(got) is Fraction
+        assert got == expected
+
+
+def test_at_edge_cases():
+    z1 = LaurentPoly.monomial(2, (1, 0))
+    assert LaurentPoly.zero(2).at((3, 5)) == 0
+    assert LaurentPoly.const(2, Fraction(-2, 3)).at((0, 0)) == Fraction(-2, 3)
+    assert (z1 - 1).at((Fraction(-1, 2), 0)) == Fraction(-3, 2)
+    # a variable whose exponent is always 0 is never read
+    assert z1.at((Fraction(7, 3), object())) == Fraction(7, 3)
+    with pytest.raises(ValueError) as err:
+        z1.at((1,))
+    assert str(err.value) == "point has 1 coordinates, expected 2"
+    with pytest.raises(ValueError):
+        z1.at((1, 2, 3))
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.monomial(2, (0, -1)).at((2, 0))
+    with pytest.raises(ZeroDivisionError):
+        (z1 + LaurentPoly.monomial(2, (-2, 1))).at((Fraction(0), 5))
+
+
 def test_rational_function_rejects_zero_denominator():
     one = LaurentPoly.const(1, 1)
     with pytest.raises(ZeroDivisionError):
