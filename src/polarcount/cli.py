@@ -4,8 +4,9 @@ Subcommands cover the whole pipeline: vertex enumeration, the signed
 cone decomposition check, weighted lattice counts, the two-sided
 character evaluation, the generating-function identity, the series
 family, and SVG figures.  Exit codes: 0 success, 1 a mathematical check
-failed, 2 bad input or usage.  All output is exact and deterministic;
-timing goes to stderr so stdout can be diffed.
+failed, 2 bad input or usage, or stdout closed before the output was
+written.  All output is exact and deterministic; timing goes to stderr
+so stdout can be diffed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import random
 import sys
 import time
@@ -457,6 +459,14 @@ def main(argv=None) -> int:
             # svg may stream the image itself to stdout; keep that clean
             print(f"command: {ns.command}")
         code = _HANDLERS[ns.command](ns, sys.stdout)
+        # a reader that is gone (`| head -1`) must fail here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the interpreter's
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed", file=sys.stderr)
+        return 2
     except (
         InputError,
         PolytopeError,

@@ -4,7 +4,8 @@ Vectors are plain tuples of Fraction (ints are accepted and compare
 equal), matrices are tuples of row tuples.  Everything here is
 immutable, hashable, and exact; no floats anywhere.
 
-Polytope construction inverts in integers with integer_inverse.  The
+Polytope construction calls integer_inverse once, at the start vertex
+of its walk, and reaches every other vertex by an integer pivot.  The
 Fraction routines solve_linear, det, inverse and rank are no longer
 called by the program: the tests use them as oracles for it, and the
 benchmark's tracer (bench/tracing.py) wraps them by name.

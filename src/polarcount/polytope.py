@@ -10,22 +10,24 @@ simplicial and the whole decomposition machinery well defined.
 Construction runs in integers on the facets scaled once to integer
 normals and offsets (integer_facets); the only Fractions it makes are
 the coordinates of each Vertex.point.  Vertices are found by walking the
-vertex graph (pivoting in the manner of Avis and Fukuda, simplified for
-simple polytopes).  A depth-first search over facet subsets in
-lexicographic order, eliminating on integer rows, finds one vertex.  At
-each vertex one fraction-free inverse (linalg.integer_inverse) of the
-dim active normals gives R and d with inverse = R / d: the point is
-sign(d) * R * offsets over |d|, and edge k is column k of sign(d) * R
-divided by its gcd g_k.  Since |det R| = |d|^(dim-1), the edge matrix
-has |determinant| |d|^(dim-1) / prod g_k, so the vertex is regular
-exactly when prod g_k == |d|^(dim-1).  A ratio test over the facet
-slacks finds the neighbour along each edge.  The cost is about
-vertices * dim * facets integer dot products plus one dim x dim integer
-inverse per vertex, rather than one solve per dim-subset of the facets.
-A tie in a ratio test is a non-simple vertex, an edge no facet blocks
-is an unbounded ray, and a facet no vertex touches is redundant.
-Membership queries (contains, active_facets, face_codim) read the same
-integer facet slacks.
+vertex graph with integer pivots, as reverse-search vertex enumeration
+does (Avis and Fukuda; lrs), simplified for simple polytopes.  A
+depth-first search over facet subsets in lexicographic order,
+eliminating on integer rows, finds one vertex, and vertex_frame reads
+its point, primitive edges and |det| of its edge matrix off one
+fraction-free inverse (linalg.integer_inverse).  Each vertex carries a
+tableau (_Tableau): the cleared point, its facet slacks, its edges d_i
+and the rate table R[f][i] = <a_f, d_i>.  The ratio test along d_k
+reads column k of R, and the neighbour's tableau is the parent's after
+one fraction-free pivot (_pivot) that swaps the relaxed facet for the
+blocking one, with |det| updated by the pivot's scale factors; a vertex
+is regular exactly when that |det| is 1.  The cost is one dim x dim
+inverse and facets x dim dot products at the start, then O(facets *
+dim) integer operations per vertex, rather than one solve per
+dim-subset of the facets.  A tie in a ratio test is a non-simple
+vertex, an edge no facet blocks is an unbounded ray, and a facet no
+vertex touches is redundant.  Membership queries (contains,
+active_facets, face_codim) read the same integer facet slacks.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from operator import mul
-from typing import Optional, Sequence
+from operator import itemgetter, mul
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators, integer_inverse, vadd, vec
 
@@ -201,67 +203,73 @@ class Polytope:
     def _walk(self) -> tuple[tuple, tuple, bool, bool]:
         """Every vertex with its edges, by pivoting along the vertex graph.
 
-        At a vertex with active facets S, vertex_frame gives the point,
-        the edge directions and whether they are unimodular.  Along each
-        edge a ratio test over the facet slacks finds the nearest facet
-        that blocks it; the neighbour's active set is S with the relaxed
-        facet swapped for the blocking one.  A tie makes the neighbour
-        non-simple, and an edge no facet blocks is an unbounded ray.
-        Returns the vertices sorted by point, the edges as sorted index
-        pairs, and the regular and integral flags.
+        Only the start vertex's tableau comes from an integer inverse
+        (_start_tableau, through vertex_frame's _frame).  Every other
+        vertex's tableau is its parent's after one _pivot, made when the
+        vertex is first queued and dropped once it is popped.  The ratio
+        test along edge k reads column k of the rate table: a facet f
+        with rate -R[f][k] > 0 blocks the edge after slack / rate, and
+        the nearest one is entered.  The neighbour's active set is S
+        with the relaxed facet swapped for the blocking one.  A tie makes
+        the neighbour non-simple, and an edge no facet blocks is an
+        unbounded ray.  Returns the vertices sorted by point, the edges
+        as sorted index pairs, and the regular and integral flags.
         """
         n, facets = self.dim, self.integer_facets
         start = self._first_vertex()
+        pending = {start: _start_tableau(facets, start)}
         graph = {}
         unbounded = {}
-        regular = integral = True
+        regular = True
         todo = [start]
-        queued = {start}
         while todo:
             active = todo.pop()
-            scaled, denom, dirs, unimodular = vertex_frame([facets[i] for i in active])
-            point = tuple(Fraction(a, denom) for a in scaled)
-            regular = regular and unimodular
-            integral = integral and denom == 1
-            slack = facet_slacks(facets, scaled, denom)
+            tab = pending.pop(active)
+            regular = regular and tab.absdet == 1
             neighbours = []
-            for relaxed, d in zip(active, dirs):
+            for k, (relaxed, d, col) in enumerate(zip(active, tab.edges, tab.rates)):
                 # nearest facets along d: least slack / rate, rate = -<a, d> > 0
                 blocking, near_s, near_r = [], 0, 1
-                for i, (normal, _) in enumerate(facets):
-                    rate = -sum(map(mul, normal, d))
-                    if rate <= 0:
+                for i, r in enumerate(col):
+                    if r >= 0:
                         continue
-                    s = slack[i]
+                    s, rate = tab.slack[i], -r
                     if not blocking or s * near_r < near_s * rate:
                         blocking, near_s, near_r = [i], s, rate
                     elif s * near_r == near_s * rate:
                         blocking.append(i)
                 if not blocking:
-                    unbounded.setdefault(point, d)
+                    unbounded.setdefault(active, d)
                     continue
                 nxt = tuple(sorted({*active, *blocking} - {relaxed}))
                 if len(blocking) > 1:
-                    # the tie is at point + d * near_s / (near_r * denom)
-                    den = near_r * denom
+                    # the tie is at point + d * near_s / (near_r * den)
+                    den = near_r * tab.den
                     raise _non_simple(
                         tuple(Fraction(x * near_r + near_s * a, den)
-                              for x, a in zip(scaled, d)),
+                              for x, a in zip(tab.num, d)),
                         nxt, n,
                     )
                 neighbours.append(nxt)
-                if nxt not in queued:
-                    queued.add(nxt)
+                if nxt not in graph and nxt not in pending:
+                    pending[nxt] = _pivot(tab, active, k, blocking[0])
                     todo.append(nxt)
-            graph[active] = (point, dirs, neighbours)
+            graph[active] = (tab.num, tab.den, tab.edges, neighbours)
 
-        order = sorted(graph, key=lambda active: graph[active][0])
+        # num * (scale // den) orders the points as their Fractions do
+        scale = lcm(*(den for _, den, _, _ in graph.values()))
+        order = sorted(graph, key=lambda active: [
+            x * (scale // graph[active][1]) for x in graph[active][0]
+        ])
+        points = {
+            active: tuple(Fraction(x, graph[active][1]) for x in graph[active][0])
+            for active in order
+        }
         for active in order:
-            point = graph[active][0]
-            if point in unbounded:
+            if active in unbounded:
                 raise UnboundedError(
-                    f"edge at vertex {fmt_point(point)} along {unbounded[point]} "
-                    f"never leaves the feasible region"
+                    f"edge at vertex {fmt_point(points[active])} along "
+                    f"{unbounded[active]} never leaves the feasible region"
                 )
         touched = set().union(*graph)
         for i in range(len(facets)):
@@ -271,12 +279,12 @@ class Polytope:
                 )
         index = {active: k for k, active in enumerate(order)}
         vertices = tuple(
-            Vertex(point=graph[a][0], active=a, edges=graph[a][1]) for a in order
+            Vertex(point=points[a], active=a, edges=graph[a][2]) for a in order
         )
         edges = sorted({
-            tuple(sorted((index[a], index[b]))) for a in order for b in graph[a][2]
+            tuple(sorted((index[a], index[b]))) for a in order for b in graph[a][3]
         })
-        return vertices, tuple(edges), regular, integral
+        return vertices, tuple(edges), regular, scale == 1
 
     # -- queries -----------------------------------------------------
 
@@ -333,6 +341,86 @@ class Polytope:
         )
 
 
+class _Tableau(NamedTuple):
+    """One vertex of the walk, all in integers.
+
+    The point is num / den with den > 0 and gcd(den, *num) == 1; slack
+    holds <a_f, num> - b_f * den per facet; edges are the primitive
+    edge directions d_i in active order; rates[i][f] = R[f][i] = <a_f,
+    d_i>, so rates[i] is the column of R that the ratio test along d_i
+    reads; absdet is |det| of the edge matrix.
+    """
+
+    num: tuple
+    den: int
+    slack: list
+    edges: tuple
+    rates: list
+    absdet: int
+
+
+def _start_tableau(facets: Sequence, active: tuple[int, ...]) -> _Tableau:
+    """The walk's first tableau: the frame of one integer inverse, then
+    facets x dim dot products for the rates."""
+    num, den, edges, absdet = _frame([facets[i] for i in active])
+    return _Tableau(
+        num, den, facet_slacks(facets, num, den), edges,
+        [[sum(map(mul, a, d)) for a, _ in facets] for d in edges], absdet,
+    )
+
+
+def _pivot(tab: _Tableau, active: tuple[int, ...], k: int, j: int) -> _Tableau:
+    """The neighbour's tableau: leave active[k] along d_k, enter facet j.
+
+    With rho = -R[j][k] > 0 and s_j the slack of j, the neighbour is
+    (rho * num + s_j * d_k) / (rho * den) with slacks rho * S_f + s_j *
+    R[f][k], all divided by the gcd of the point.  Its edge for j is
+    -d_k, and for each other i it is (rho * d_i + R[j][i] * d_k) / g_i,
+    which keeps every facet of S - {k} tight, vanishes on j, and is
+    primitive after the division by its gcd g_i; its rates are
+    (rho * R[f][i] + R[j][i] * R[f][k]) / g_i, each division exact.  Only
+    the scaling of column i by rho / g_i changes |det|, so the new
+    |det| is |det| * rho^(dim-1) / prod g_i.  The edges are reordered
+    by facet index.  Cost: O(facets * dim).
+    """
+    col_k, d_k = tab.rates[k], tab.edges[k]
+    rho, s_j = -col_k[j], tab.slack[j]
+    num = [rho * x + s_j * a for x, a in zip(tab.num, d_k)]
+    den = rho * tab.den
+    slack = [rho * s + s_j * r for s, r in zip(tab.slack, col_k)]
+    g = gcd(den, *num)
+    if g > 1:
+        num = [x // g for x in num]
+        den //= g
+        slack = [s // g for s in slack]
+    columns = [(j, tuple(-a for a in d_k), [-r for r in col_k])]
+    content = 1
+    for i, (facet, d, col) in enumerate(zip(active, tab.edges, tab.rates)):
+        if i == k:
+            continue
+        c = col[j]
+        if c:
+            # g_i is 1 on most pivots, and the divisions are then skipped
+            d = [rho * x + c * y for x, y in zip(d, d_k)]
+            g_i = gcd(*d)
+            col = [rho * r + c * q for r, q in zip(col, col_k)]
+            if g_i > 1:
+                d = [x // g_i for x in d]
+                col = [r // g_i for r in col]
+            d = tuple(d)
+        else:
+            # (rho * d_i) / rho: the edge and its column are unchanged
+            g_i = rho
+        content *= g_i
+        columns.append((facet, d, col))
+    columns.sort(key=itemgetter(0))
+    return _Tableau(
+        tuple(num), den, slack,
+        tuple(d for _, d, _ in columns), [col for _, _, col in columns],
+        tab.absdet * rho ** (len(active) - 1) // content,
+    )
+
+
 def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
     """Point, edge directions and regularity of the vertex on n integer rows.
 
@@ -345,7 +433,17 @@ def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
     g_k.  Since |det R| = |d|^(n-1), the edge matrix has |determinant|
     |d|^(n-1) / prod g_k, so the edges are unimodular (the last value)
     exactly when prod g_k == |d|^(n-1).
+
+    The walk runs this inverse (as _frame) at its start vertex only and
+    reaches every other vertex by _pivot; the tests call vertex_frame at
+    every vertex, as an oracle independent of the pivots.
     """
+    num, den, edges, absdet = _frame(rows)
+    return num, den, edges, absdet == 1
+
+
+def _frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, int]:
+    """vertex_frame with |det| of the edge matrix in place of its flag."""
     inv, d = integer_inverse([a for a, _ in rows])
     sign, size = (1, d) if d > 0 else (-1, -d)
     offsets = [b for _, b in rows]
@@ -358,7 +456,7 @@ def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
         edges.append(tuple(sign * a // gk for a in col))
     return (
         tuple(a // g for a in num), size // g, tuple(edges),
-        content == size ** (len(rows) - 1),
+        size ** (len(rows) - 1) // content,
     )
 
 

@@ -465,6 +465,87 @@ def test_vertices_frozen_output(capsys, monkeypatch, spec):
     assert digest == _VERTICES_FROZEN_SHA256[spec]
 
 
+# inputs whose walk pivots off the axes: cube:{4,5,6} and simplex:{5,8}
+# under the unimodular shear L U (unit-diagonal L and U with entries
+# on the first off-diagonal), so the blocking facet's rate along the
+# other edges is nonzero; cube:5,2 under the same shear with a rational
+# shift and a positive rational scale per facet, so the cleared rows
+# are not primitive and each pivot divides by a gcd above 1; and a
+# shifted, rescaled image of the non-regular 4-simplex {x >= 0,
+# x1 + 2 x2 + 3 x3 + x4 <= 6}.  Written to the working directory as
+# _BRION_FILES are; each maps to the sha256 of the whole stdout
+_VERTICES_FILES = {
+    "cube4-sheared.json": {"dim": 4, "facets": [
+        [1, -1, 0, 0, 0], [-1, 1, 0, 0, -1], [1, 0, 1, 0, 0],
+        [-1, 0, -1, 0, -1], [0, -1, 0, 0, 0], [0, 1, 0, 0, -1],
+        [0, 0, 2, 1, 0], [0, 0, -2, -1, -1],
+    ]},
+    "cube5-sheared.json": {"dim": 5, "facets": [
+        [1, -1, 0, 0, 0, 0], [-1, 1, 0, 0, 0, -1], [1, 0, 1, 0, 0, 0],
+        [-1, 0, -1, 0, 0, -1], [0, -1, 0, 0, 0, 0], [0, 1, 0, 0, 0, -1],
+        [0, 0, 2, 1, -1, 0], [0, 0, -2, -1, 1, -1], [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, -1, 0, -1],
+    ]},
+    "cube6-sheared.json": {"dim": 6, "facets": [
+        [1, -1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0, 0, -1], [1, 0, 1, 0, 0, 0, 0],
+        [-1, 0, -1, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, -1], [0, 0, 2, 1, -1, 0, 0],
+        [0, 0, -2, -1, 1, 0, -1], [0, 0, 0, 1, 0, 1, 0],
+        [0, 0, 0, -1, 0, -1, -1], [0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, 1, 0, -1],
+    ]},
+    "simplex5-sheared.json": {"dim": 5, "facets": [
+        [1, -1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, -1, 0, 0, 0, 0],
+        [0, 0, 2, 1, -1, 0], [0, 0, 0, 1, 0, 0], [-2, 2, -3, -2, 1, -1],
+    ]},
+    "simplex8-sheared.json": {"dim": 8, "facets": [
+        [1, -1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 2, 1, -1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 2, 1, -1, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0],
+        [-2, 2, -3, -2, 2, -3, -2, 1, -1],
+    ]},
+    "cube5-2-shifted.json": {"dim": 5, "facets": [
+        [3, -3, 0, 0, 0, "7/2"], ["-1/2", "1/2", 0, 0, 0, "-19/12"],
+        [2, 0, 2, 0, 0, "5/2"], ["-5/3", 0, "-5/3", 0, 0, "-65/12"],
+        [0, -1, 0, 0, 0, "2/3"], [0, 6, 0, 0, 0, -16],
+        [0, 0, 7, "7/2", "-7/2", "31/4"], [0, 0, -8, -4, 4, "-118/7"],
+        [0, 0, 0, "2/5", 0, 0], [0, 0, 0, -3, 0, -6],
+    ]},
+    "simplex4-weighted.json": {"dim": 4, "facets": [
+        [2, -2, 0, 0, "2/3"], [1, 0, 1, 0, "-1/6"], [0, "-3/2", 0, 0, 0],
+        [0, 0, 10, 5, 5], ["-3/4", 1, -1, "-1/4", "-7/4"],
+    ]},
+}
+
+_VERTICES_IMAGES_SHA256 = {
+    "cube4-sheared.json":
+        "e5e17ed8aadf38fccffb8c7b73ce6c1c8dac4a9ea3ad6c015def9b8e97c183c6",
+    "cube5-sheared.json":
+        "20167a8d05caf7a9a6a78dc5aef8544360f7015011f25e64996615d4e449457e",
+    "cube6-sheared.json":
+        "dd461f3e242bc03d35593a8c7c73faf9846cb7d4cef2799f49b8bab3d1630a42",
+    "simplex5-sheared.json":
+        "a00eb7b02c24df8a6f794c17663878e89b000aed4a65f9d7a8d116f89df0d2ed",
+    "simplex8-sheared.json":
+        "722c3c87cc551a219402e1086b085cb86aa44cba54a6f0d059d361080a44317e",
+    "cube5-2-shifted.json":
+        "e34ef382ecc19f51c72a9cf59ba2505cf5eb3f0fc12ba67a46e66030982de1ed",
+    "simplex4-weighted.json":
+        "189911176d444e81e23c73ca41ea27056de5d66ba942f09400b436dbb6d48604",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERTICES_IMAGES_SHA256))
+def test_vertices_frozen_output_on_images(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(_VERTICES_FILES[name]) + "\n")
+    code, out, _ = run(capsys, "vertices", name)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _VERTICES_IMAGES_SHA256[name]
+
+
 @pytest.mark.parametrize(
     "facets, reason",
     [
@@ -741,3 +822,25 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 def test_svg_mentions_command_only_in_file_mode(capsys):
     code, out, _ = run(capsys, "svg", "--builtin", "trapezoid")
     assert "command:" not in out
+
+
+@pytest.mark.parametrize("spec", ["cube:2", "cube:6"])
+def test_closed_stdout_exits_two_without_traceback(spec):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails: inside the handler for cube:6, whose 12 kB of
+    # output outgrow the stdout buffer, and at main's final flush for
+    # cube:2
+    env = {**os.environ, "PYTHONPATH": str(Path(polarcount.__file__).parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "polarcount.cli", "vertices", "--builtin", spec],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[0] == "error: stdout closed"
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr

@@ -7,12 +7,22 @@ from hypothesis import given, settings
 
 import polarcount as pc
 from conftest import DATA_DIR
+from polarcount import polytope
 from polarcount.latticegen import box_points
-from polarcount.linalg import clear_denominators, det, dot, primitive, solve_linear
+from polarcount.linalg import (
+    clear_denominators,
+    det,
+    dot,
+    integer_inverse,
+    primitive,
+    solve_linear,
+)
 from polarcount.polytope import vertex_frame
 from zoo import (
+    affine_image,
     decomposition_zoo,
     facet_systems,
+    high_dim_images,
     sheared_zoo,
     square_half,
     triangle_nonregular,
@@ -392,6 +402,12 @@ def test_walk_matches_subset_scan_on_images(image):
     assert walked(image) == subset_scan(image.facets)
 
 
+@settings(max_examples=25, deadline=None)
+@given(image=high_dim_images())
+def test_walk_matches_subset_scan_above_dimension_three(image):
+    assert walked(image) == subset_scan(image.facets)
+
+
 @settings(max_examples=300, deadline=None)
 @given(facets=facet_systems())
 def test_walk_accepts_and_rejects_like_subset_scan(facets):
@@ -440,3 +456,37 @@ def test_vertex_regularity_matches_edge_determinant_on_generated(facets):
     except pc.PolytopeError:
         return
     assert_vertex_frames(P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(image=high_dim_images())
+def test_vertex_regularity_matches_edge_determinant_above_dimension_three(image):
+    assert_vertex_frames(image)
+
+
+def test_one_integer_inverse_per_construction(monkeypatch):
+    # the walk inverts at its start vertex only; every other vertex is
+    # reached by a pivot
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return integer_inverse(rows)
+
+    monkeypatch.setattr(polytope, "integer_inverse", counting)
+    cube = pc.hypercube(4, 2)
+    shear = ((1, 0, 0, 0), (2, 1, 0, 0), (0, -1, 1, 0), (0, 0, 3, 1))
+    for build in (
+        lambda: pc.hypercube(6),
+        lambda: pc.dilated_simplex(8, 3),
+        lambda: pc.prism(2, 1),
+        triangle_nonregular,
+        square_half,
+        lambda: affine_image(
+            cube, shear, (Fraction(1, 2), 0, Fraction(-2, 3), 1),
+            (3, 1, Fraction(1, 2), 2, 5, 1, 7, 4),
+        ),
+    ):
+        calls.clear()
+        P = build()
+        assert calls == [P.dim]

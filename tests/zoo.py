@@ -126,16 +126,32 @@ def sheared_zoo() -> list[tuple[str, pc.Polytope]]:
     ]
 
 
-@st.composite
-def zoo_images(draw):
-    """A decomposition_zoo member under a random unimodular map, a rational
-    translation and a positive rational scale per facet."""
-    zoo = dict(decomposition_zoo())
-    P = zoo[draw(st.sampled_from(sorted(zoo)))]
+def rational_image(draw, P):
+    """P under a random unimodular map, a rational translation and a
+    positive rational scale per facet."""
     M = draw(unimodular(P.dim))
     shift = draw(st.tuples(*[small_fractions] * P.dim))
     scales = draw(st.tuples(*[positive_fractions] * len(P.facets)))
     return affine_image(P, M, shift, scales)
+
+
+@st.composite
+def zoo_images(draw):
+    """A rational_image of a decomposition_zoo member."""
+    zoo = dict(decomposition_zoo())
+    return rational_image(draw, zoo[draw(st.sampled_from(sorted(zoo)))])
+
+
+@st.composite
+def high_dim_images(draw):
+    """A rational_image of cube:{4,5} or simplex:{4,5,6} with its facets
+    in a random order, so the walk starts at a random vertex."""
+    build, n = draw(st.sampled_from([
+        (pc.hypercube, 4), (pc.hypercube, 5),
+        (pc.dilated_simplex, 4), (pc.dilated_simplex, 5), (pc.dilated_simplex, 6),
+    ]))
+    image = rational_image(draw, build(n))
+    return pc.Polytope(draw(st.permutations(image.facets)))
 
 
 # -- generated polytopes ----------------------------------------------
