@@ -49,14 +49,16 @@ class PolarizedCone:
     vertex_index: int
     facets: tuple[int, ...] = field(repr=False)
     rows: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
+    # (-1)**flip_count, fixed at construction: the pointwise check reads
+    # it once per cone at every sample point
+    sign: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sign", -1 if self.flip_count % 2 else 1)
 
     @property
     def flip_count(self) -> int:
         return sum(self.flipped)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.flip_count % 2 else 1
 
 
 def is_polarizing(poly: Polytope, xi: Sequence) -> bool:

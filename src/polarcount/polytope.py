@@ -8,25 +8,27 @@ every vertex lies on exactly dim facets; it is what makes tangent cones
 simplicial and the whole decomposition machinery well defined.
 
 Construction runs in integers on the facets scaled once to integer
-normals and offsets (integer_facets); the only Fractions it makes are
-the coordinates of each Vertex.point.  Vertices are found by walking the
-vertex graph with integer pivots, as reverse-search vertex enumeration
-does (Avis and Fukuda; lrs), simplified for simple polytopes.  A
-depth-first search over facet subsets in lexicographic order,
-eliminating on integer rows, finds one vertex, and vertex_frame reads
-its point, primitive edges and |det| of its edge matrix off one
-fraction-free inverse (linalg.integer_inverse).  Each vertex carries a
-tableau (_Tableau): the cleared point, its facet slacks, its edges d_i
-and the rate table R[f][i] = <a_f, d_i>.  The ratio test along d_k
-reads column k of R, and the neighbour's tableau is the parent's after
-one fraction-free pivot (_pivot) that swaps the relaxed facet for the
-blocking one, with |det| updated by the pivot's scale factors; a vertex
-is regular exactly when that |det| is 1.  The cost is one dim x dim
-inverse and facets x dim dot products at the start, then O(facets *
-dim) integer operations per vertex, rather than one solve per
-dim-subset of the facets.  A tie in a ratio test is a non-simple
-vertex, an edge no facet blocks is an unbounded ray, and a facet no
-vertex touches is redundant.  Membership queries (contains,
+normals and offsets (integer_facets).  It keeps the vertices as integer
+numerators over one common denominator (cleared_vertices), which the
+boxes, the figure and the sample points read; the only Fractions it
+makes are the coordinates of each Vertex.point, for printing and for the
+public API.  Vertices are found by walking the vertex graph with integer
+pivots, as reverse-search vertex enumeration does (Avis and Fukuda;
+lrs), simplified for simple polytopes.  A depth-first search over facet
+subsets in lexicographic order, eliminating on integer rows, finds one
+vertex, and vertex_frame reads its point, primitive edges and |det| of
+its edge matrix off one fraction-free inverse (linalg.integer_inverse).
+Each vertex carries a tableau (_Tableau): the cleared point, its facet
+slacks, its edges d_i and the rate table R[f][i] = <a_f, d_i>.  The
+ratio test along d_k reads column k of R, and the neighbour's tableau is
+the parent's after one fraction-free pivot (_pivot) that swaps the
+relaxed facet for the blocking one, with |det| updated by the pivot's
+scale factors; a vertex is regular exactly when that |det| is 1.  The
+cost is one dim x dim inverse and facets x dim dot products at the
+start, then O(facets * dim) integer operations per vertex, rather than
+one solve per dim-subset of the facets.  A tie in a ratio test is a
+non-simple vertex, an edge no facet blocks is an unbounded ray, and a
+facet no vertex touches is redundant.  Membership queries (contains,
 active_facets, face_codim) read the same integer facet slacks.
 """
 
@@ -34,13 +36,15 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import clear_denominators, integer_inverse, vadd, vec
+from .linalg import clear_denominators, integer_inverse, vec
 
 
 class PolytopeError(ValueError):
@@ -104,6 +108,8 @@ class Polytope:
         facets:   tuple of HalfSpace
         integer_facets: (normal, offset) per facet, scaled to integers
         vertices: tuple of Vertex, sorted by point
+        cleared_vertices: (nums, den): vertices[k].point == nums[k] / den,
+                  den > 0 the lcm of every coordinate's denominator
         regular:  True when every vertex edge matrix has determinant +-1
         integral: True when every vertex has integer coordinates
     """
@@ -127,7 +133,8 @@ class Polytope:
         self.facets = hs
         self.integer_facets = tuple(f.integer() for f in hs)
         self._reject_duplicate_facets()
-        self.vertices, self._edges, self.regular, self.integral = self._walk()
+        self.vertices, self.cleared_vertices, self._edges, self.regular = self._walk()
+        self.integral = self.cleared_vertices[1] == 1
 
     # -- construction ------------------------------------------------
 
@@ -200,7 +207,7 @@ class Polytope:
             raise _non_simple(tuple(Fraction(a, den) for a in num), active, n)
         return active
 
-    def _walk(self) -> tuple[tuple, tuple, bool, bool]:
+    def _walk(self) -> tuple[tuple, tuple, tuple, bool]:
         """Every vertex with its edges, by pivoting along the vertex graph.
 
         Only the start vertex's tableau comes from an integer inverse
@@ -212,8 +219,9 @@ class Polytope:
         the nearest one is entered.  The neighbour's active set is S
         with the relaxed facet swapped for the blocking one.  A tie makes
         the neighbour non-simple, and an edge no facet blocks is an
-        unbounded ray.  Returns the vertices sorted by point, the edges
-        as sorted index pairs, and the regular and integral flags.
+        unbounded ray.  Returns the vertices sorted by point, their
+        cleared points (cleared_vertices), the edges as sorted index pairs
+        and the regular flag.
         """
         n, facets = self.dim, self.integer_facets
         start = self._first_vertex()
@@ -241,35 +249,37 @@ class Polytope:
                 if not blocking:
                     unbounded.setdefault(active, d)
                     continue
-                nxt = tuple(sorted({*active, *blocking} - {relaxed}))
                 if len(blocking) > 1:
                     # the tie is at point + d * near_s / (near_r * den)
                     den = near_r * tab.den
                     raise _non_simple(
                         tuple(Fraction(x * near_r + near_s * a, den)
                               for x, a in zip(tab.num, d)),
-                        nxt, n,
+                        tuple(sorted({*active, *blocking} - {relaxed})), n,
                     )
+                # active is sorted: drop slot k and insert the entered facet
+                j = blocking[0]
+                rest = active[:k] + active[k + 1:]
+                at = bisect_left(rest, j)
+                nxt = rest[:at] + (j,) + rest[at:]
                 neighbours.append(nxt)
                 if nxt not in graph and nxt not in pending:
-                    pending[nxt] = _pivot(tab, active, k, blocking[0])
+                    pending[nxt] = _pivot(tab, active, k, j)
                     todo.append(nxt)
             graph[active] = (tab.num, tab.den, tab.edges, neighbours)
 
         # num * (scale // den) orders the points as their Fractions do
         scale = lcm(*(den for _, den, _, _ in graph.values()))
-        order = sorted(graph, key=lambda active: [
-            x * (scale // graph[active][1]) for x in graph[active][0]
-        ])
-        points = {
-            active: tuple(Fraction(x, graph[active][1]) for x in graph[active][0])
-            for active in order
+        cleared = {
+            active: tuple(x * (scale // den) for x in num)
+            for active, (num, den, _, _) in graph.items()
         }
+        order = sorted(graph, key=cleared.__getitem__)
         for active in order:
             if active in unbounded:
                 raise UnboundedError(
-                    f"edge at vertex {fmt_point(points[active])} along "
-                    f"{unbounded[active]} never leaves the feasible region"
+                    f"edge at vertex {fmt_point(_point(*graph[active][:2]))} "
+                    f"along {unbounded[active]} never leaves the feasible region"
                 )
         touched = set().union(*graph)
         for i in range(len(facets)):
@@ -279,12 +289,16 @@ class Polytope:
                 )
         index = {active: k for k, active in enumerate(order)}
         vertices = tuple(
-            Vertex(point=points[a], active=a, edges=graph[a][2]) for a in order
+            Vertex(point=_point(*graph[a][:2]), active=a, edges=graph[a][2])
+            for a in order
         )
-        edges = sorted({
-            tuple(sorted((index[a], index[b]))) for a in order for b in graph[a][3]
-        })
-        return vertices, tuple(edges), regular, scale == 1
+        # each edge is listed at both ends; keep it once, from its lower end
+        edges = sorted(
+            (index[a], index[b]) for a in order for b in graph[a][3]
+            if index[a] < index[b]
+        )
+        nums = tuple(cleared[a] for a in order)
+        return vertices, (nums, scale), tuple(edges), regular
 
     # -- queries -----------------------------------------------------
 
@@ -311,26 +325,24 @@ class Polytope:
         return self._edges
 
     def barycenter(self) -> tuple:
-        n = len(self.vertices)
-        acc = (Fraction(0),) * self.dim
-        for v in self.vertices:
-            acc = vadd(acc, v.point)
-        return tuple(a / n for a in acc)
+        nums, den = self.cleared_vertices
+        den *= len(nums)
+        return tuple(Fraction(sum(col), den) for col in zip(*nums))
 
     def bounding_box(self) -> tuple[tuple, tuple]:
-        lo = tuple(
-            min(v.point[i] for v in self.vertices) for i in range(self.dim)
+        nums, den = self.cleared_vertices
+        columns = list(zip(*nums))
+        return (
+            tuple(Fraction(min(col), den) for col in columns),
+            tuple(Fraction(max(col), den) for col in columns),
         )
-        hi = tuple(
-            max(v.point[i] for v in self.vertices) for i in range(self.dim)
-        )
-        return lo, hi
 
     def integer_box(self, margin: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lo, hi = self.bounding_box()
+        nums, den = self.cleared_vertices
+        columns = list(zip(*nums))
         return (
-            tuple(floor(a) - margin for a in lo),
-            tuple(ceil(a) + margin for a in hi),
+            tuple(min(col) // den - margin for col in columns),
+            tuple(-(-max(col) // den) + margin for col in columns),
         )
 
     def __repr__(self) -> str:
@@ -484,7 +496,16 @@ def _reduced(row: list[int]) -> list[int]:
 
 
 def fmt_point(x: Sequence) -> str:
-    return "(" + ", ".join(str(Fraction(a)) for a in x) + ")"
+    return "(" + ", ".join(
+        str(a if type(a) is Fraction else Fraction(a)) for a in x
+    ) + ")"
+
+
+def _point(num: Sequence[int], den: int) -> tuple:
+    """The Fraction coordinates of num / den, with gcd(den, *num) == 1."""
+    if den == 1:
+        return tuple(map(Fraction, num))
+    return tuple(Fraction(x, den) for x in num)
 
 
 def _non_simple(x: Sequence, active: tuple[int, ...], n: int) -> NonSimpleError:
@@ -578,10 +599,26 @@ def _parse_number(x, where: str) -> Fraction:
             raise PolytopeFormatError(
                 f"{where}: {x!r} is not an integer or 'p/q' fraction"
             )
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ValueError:
+            # past the pattern, only the integer digit limit fails here
+            raise PolytopeFormatError(f"{where}: {_too_many_digits()}") from None
     raise PolytopeFormatError(
         f"{where}: expected an integer or 'p/q' string, got {type(x).__name__}"
     )
+
+
+def _too_many_digits() -> str:
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _parse_int(text: str) -> int:
+    """json's integer hook: int, with the digit limit as a format error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolytopeFormatError(_too_many_digits()) from None
 
 
 def _reject_float(value):
@@ -621,10 +658,15 @@ def from_file(path) -> Polytope:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(
-                fh, parse_float=_reject_float, parse_constant=_reject_float
+                fh, parse_int=_parse_int, parse_float=_reject_float,
+                parse_constant=_reject_float,
             )
     except OSError as e:
         raise PolytopeFormatError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise PolytopeFormatError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise PolytopeFormatError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise PolytopeFormatError(f"{path} nests too deeply to parse") from e
     return from_dict(data)

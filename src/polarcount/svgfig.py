@@ -1,11 +1,15 @@
 """Plane figures of polytopes, lattice weights, and polarized cones.
 
-Output is plain SVG 1.1 text with nothing external.  Outlines and cone
-wedges are computed in Fractions; the lattice points of the box are
-integers, so their pixel coordinates are too, and each one's weight is
-read off its integer facet slacks.  Floats appear only when Fraction
-coordinates are printed into the SVG, and for label placement, which is
-display-only.
+Output is plain SVG 1.1 text with nothing external.  Everything is
+computed in integers.  The outline reads the vertices as numerators over
+one common denominator (Polytope.cleared_vertices), and each cone wedge
+is the viewport clipped by the cone's signed facet rows, its corners
+kept as homogeneous integer triples (X, Y, W).  The lattice points of
+the box are integers, so their pixel coordinates are too, and each one's
+weight is read off its integer facet slacks.  A rational pixel
+coordinate p / q becomes a float only when it is printed, as the
+correctly rounded int division p / q; label placement is display-only
+and uses floats.
 Conventions: one lattice unit is `_UNIT` = 40 pixels, the origin sits at the
 lower left, and the mathematical y axis points up (flipped at emission,
 since SVG y points down).
@@ -13,14 +17,14 @@ since SVG y points down).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Optional, Sequence
 
 from .latticegen import box_points
-from .linalg import dot, vadd, vsub
+from .linalg import clear_denominators
 from .polarize import PolarizedCone
-from .polytope import Polytope, facet_slacks, slack_codim
+from .polytope import Polytope, facet_slacks, fmt_point, slack_codim
 from .weights import WeightParam
 from .ypoly import YFrac
 
@@ -42,26 +46,43 @@ def _fmt(v) -> str:
     return f"{float(v):.2f}".rstrip("0").rstrip(".")
 
 
-def _clip(points: list, normal, anchor) -> list:
-    """Keep the part of a convex polygon with <normal, p - anchor> >= 0."""
+def _clip(points: list, row) -> list:
+    """Keep the part of a convex polygon where <a, p> >= b, for row (a, b).
+
+    Sutherland-Hodgman on homogeneous integers: a corner (X, Y, W), with
+    W > 0 and the gcd of the three divided out, is the point (X/W, Y/W),
+    and its slack s = <a, (X, Y)> - b * W has the sign of <a, p> - b.  An
+    edge whose ends have slacks of opposite signs crosses the line at
+    s_c * P_n - s_n * P_c, whose slack is zero.
+    """
+    (a0, a1), b = row
+    slacks = [a0 * x + a1 * y - b * w for x, y, w in points]
     out = []
     m = len(points)
     for i in range(m):
-        cur, nxt = points[i], points[(i + 1) % m]
-        dc = dot(normal, vsub(cur, anchor))
-        dn = dot(normal, vsub(nxt, anchor))
-        if dc >= 0:
-            out.append(cur)
-        if (dc > 0 and dn < 0) or (dc < 0 and dn > 0):
-            t = dc / (dc - dn)
-            out.append(vadd(cur, tuple(t * d for d in vsub(nxt, cur))))
+        sc, sn = slacks[i], slacks[(i + 1) % m]
+        if sc >= 0:
+            out.append(points[i])
+        if (sc > 0 and sn < 0) or (sc < 0 and sn > 0):
+            # W = s_c * W_n - s_n * W_c has the sign of s_c
+            sign = 1 if sc > 0 else -1
+            p = [sign * (sc * q - sn * r)
+                 for q, r in zip(points[(i + 1) % m], points[i])]
+            g = gcd(*p)
+            out.append((p[0] // g, p[1] // g, p[2] // g))
     return out
 
 
 def _boundary_order(poly: Polytope) -> list[int]:
-    """Vertex indices in counterclockwise order, decided exactly."""
-    bc = poly.barycenter()
-    dirs = [(i, vsub(v.point, bc)) for i, v in enumerate(poly.vertices)]
+    """Vertex indices in counterclockwise order, decided exactly.
+
+    Directions from the barycenter are compared scaled by the vertex
+    count times the common denominator, so they stay integers.
+    """
+    nums, _ = poly.cleared_vertices
+    m = len(nums)
+    sx, sy = (sum(col) for col in zip(*nums))
+    dirs = [(i, (m * x - sx, m * y - sy)) for i, (x, y) in enumerate(nums)]
 
     def half(d) -> int:
         # 0 for the upper half (including positive x axis), 1 below
@@ -100,14 +121,15 @@ def render_svg(
     width = (hi[0] - lo[0]) * _UNIT + 2 * pad
     height = (hi[1] - lo[1]) * _UNIT + 2 * pad
 
-    def px(p) -> tuple:
+    def px(x: int, y: int, w: int) -> tuple[float, float]:
+        """Pixel coordinates of the point (x/w, y/w), w > 0."""
         return (
-            pad + (Fraction(p[0]) - lo[0]) * _UNIT,
-            height - pad - (Fraction(p[1]) - lo[1]) * _UNIT,
+            (pad * w + (x - lo[0] * w) * _UNIT) / w,
+            ((height - pad) * w - (y - lo[1] * w) * _UNIT) / w,
         )
 
     def pt_attr(p) -> str:
-        x, y = px(p)
+        x, y = px(*p)
         return f"{_fmt(x)},{_fmt(y)}"
 
     out = [
@@ -118,19 +140,17 @@ def render_svg(
     ]
 
     world = [
-        (Fraction(lo[0]), Fraction(lo[1])),
-        (Fraction(hi[0]), Fraction(lo[1])),
-        (Fraction(hi[0]), Fraction(hi[1])),
-        (Fraction(lo[0]), Fraction(hi[1])),
+        (lo[0], lo[1], 1), (hi[0], lo[1], 1), (hi[0], hi[1], 1), (lo[0], hi[1], 1),
     ]
 
     if cones:
         for k, cone in enumerate(cones):
             color = _PALETTE[k % len(_PALETTE)]
-            # the wedge is where both signed active-facet slacks are >= 0
+            # the wedge is where both signed active-facet slacks are >= 0;
+            # the apex lies on both facets, so a flipped row is negated whole
             region = world
-            for (a, _), f in zip(cone.rows, cone.flipped):
-                region = _clip(region, tuple(-c for c in a) if f else a, cone.apex)
+            for (a, b), f in zip(cone.rows, cone.flipped):
+                region = _clip(region, ((-a[0], -a[1]), -b) if f else (a, b))
             if len(region) >= 3:
                 pts = " ".join(pt_attr(p) for p in region)
                 out.append(
@@ -139,8 +159,8 @@ def render_svg(
                     f'stroke-opacity="0.5" stroke-width="1"/>'
                 )
 
-    order = _boundary_order(poly)
-    outline = " ".join(pt_attr(poly.vertices[i].point) for i in order)
+    nums, den = poly.cleared_vertices
+    outline = " ".join(pt_attr((*nums[i], den)) for i in _boundary_order(poly))
     out.append(
         f'<polygon points="{outline}" fill="none" stroke="#111" '
         f'stroke-width="2"/>'
@@ -172,21 +192,23 @@ def render_svg(
     if cones:
         for k, cone in enumerate(cones):
             color = _PALETTE[k % len(_PALETTE)]
-            u = vadd(cone.generators[0], cone.generators[1])
-            norm = float(dot(u, u)) ** 0.5 or 1.0
-            ax, ay = px(cone.apex)
-            dx = float(u[0]) / norm * 0.55 * _UNIT
-            dy = -float(u[1]) / norm * 0.55 * _UNIT
+            (g0, g1), (h0, h1) = cone.generators
+            ux, uy = g0 + h0, g1 + h1
+            norm = float(ux * ux + uy * uy) ** 0.5 or 1.0
+            apex, apex_den = clear_denominators(cone.apex)
+            ax, ay = px(*apex, apex_den)
+            dx = ux / norm * 0.55 * _UNIT
+            dy = -uy / norm * 0.55 * _UNIT
             mark = "+" if cone.sign > 0 else "-"
             out.append(
-                f'<text x="{float(ax) + dx:.2f}" y="{float(ay) + dy:.2f}" '
+                f'<text x="{ax + dx:.2f}" y="{ay + dy:.2f}" '
                 f'font-size="16" font-weight="bold" fill="{color}" '
                 f'text-anchor="middle">{mark}</text>'
             )
 
     legend = []
     if xi is not None:
-        legend.append("xi = (" + ", ".join(str(Fraction(a)) for a in xi) + ")")
+        legend.append(f"xi = {fmt_point(xi)}")
     legend.append(f"y = {w.y}" if w is not None else "y symbolic")
     out.append(
         f'<text x="{pad / 2:.2f}" y="{pad / 2:.2f}" font-size="12" '
@@ -194,7 +216,7 @@ def render_svg(
     )
     if xi is not None:
         # arrow showing the polarizing direction, anchored top right
-        norm = float(dot(xi, xi)) ** 0.5 or 1.0
+        norm = float(sum(a * a for a in xi)) ** 0.5 or 1.0
         x0, y0 = width - pad * 1.8, pad * 0.8
         dx = float(xi[0]) / norm * _UNIT
         dy = -float(xi[1]) / norm * _UNIT

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators
@@ -184,13 +183,11 @@ def sample_points(
     One point per vertex, edge midpoints, facet barycenters, the
     barycenter, exterior probes past each vertex along +-xi (stepped far
     enough to leave the bounding box), and random rational points from a
-    box inflated to twice the size.  The vertices are cleared once to
-    integer numerators over one denominator D, and every derived point is
-    built from integer sums over a multiple of D.
+    box inflated to twice the size.  The vertices are read as integer
+    numerators over one denominator D (Polytope.cleared_vertices), and
+    every derived point is built from integer sums over a multiple of D.
     """
-    D = lcm(*(a.denominator for v in poly.vertices for a in v.point))
-    nums = [tuple(a.numerator * (D // a.denominator) for a in v.point)
-            for v in poly.vertices]
+    nums, D = poly.cleared_vertices
 
     def mean(indices) -> tuple:
         den = len(indices) * D

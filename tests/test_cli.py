@@ -370,6 +370,126 @@ def test_cones_frozen_output(capsys, monkeypatch, argv):
     assert digest == _CONES_FROZEN_SHA256[argv]
 
 
+# the benchmark's sheared images of simplex:2,3 and cube:2,3 (geometry
+# workload, seed 1), whose vertices and wedge apexes sit off the axes;
+# written to the working directory as _BRION_FILES are
+_SVG_FILES = {
+    "simplex2-3-sheared.json": {"dim": 2, "facets": [
+        [1, 1, 0], [0, 1, 0], [-1, -2, -3],
+    ]},
+    "cube2-3-sheared.json": {"dim": 2, "facets": [
+        [1, 1, 0], [-1, -1, -3], [0, 1, 0], [0, -1, -3],
+    ]},
+}
+
+# sha256 of the whole stdout of svg runs: the sheared images, margin 0
+# (wedges clipped close to the outline), the fractional vertices of
+# trapezoid:7/2,3/2, cube:2,1/2 and halfsquare, seeds 2 and 3 and
+# labels at y = 5 and y = -2/3
+_SVG_FROZEN_SHA256 = {
+    ("simplex2-3-sheared.json", "--seed", "2", "--y=-2/3"):
+        "5c5c5ab29aa31602389d91d19d96d359f292e2b6c93913f073d54d4c269e3f3f",
+    ("simplex2-3-sheared.json", "--margin", "0"):
+        "3db3dadae3018566eef9c98cfad8305d7d404b6f042ef2cbd1d8618c34465f0b",
+    ("cube2-3-sheared.json", "--seed", "3", "--y", "5"):
+        "1dddd493aaeee70c6da872f35a7a84dc1abe994ed673e3ef4c9691d4ad578e3a",
+    ("cube2-3-sheared.json", "--y", "3/4"):
+        "136f1fe1570ce0d9b8939389443b99e4e463477e567d59f8df12b13866fbef07",
+    ("polytopes/halfsquare.json", "--margin", "0"):
+        "bacb865433144328f37bbacf8817f8365126434fdb63d038024544e836307ec9",
+    ("polytopes/halfsquare.json", "--seed", "3", "--y", "5"):
+        "2669b599f4b8861c14bde436c9c6c4337c90871848a883d6b6f8d7be6d05788f",
+    ("polytopes/triangle-nonregular.json", "--seed", "3"):
+        "3ded1bcb99e0bd04cc8854ede11892c5a4baf019674f274a93fd24c016ae367c",
+    ("polytopes/square.json", "--margin", "0", "--y", "5"):
+        "cde3aaf5c648a1bdfdfabd2ad1d94931d47eb9a80ebb30f3b47b3d3ea6e416c9",
+    ("--builtin", "cube:2,3", "--margin", "0", "--seed", "2"):
+        "fbbc2ffc531406f9a119f96554664868a578d01412686a74977bc1501510d4b5",
+    ("--builtin", "trapezoid:7/2,3/2"):
+        "655dc345f65288f29cde1f95c15125ef65cb3bbcf1c93c277047cbe74edd0610",
+    ("--builtin", "trapezoid:7/2,3/2", "--seed", "3", "--y", "5"):
+        "deb788a121c5bc09b6692b12a75c5503a18f0b629baa9722001635472627f51e",
+    ("--builtin", "cube:2,1/2"):
+        "91891c4586604ceac33145181b67b0b1608197bb6ebe61f772413caa6c2e53ef",
+    ("--builtin", "cube:2,1/2", "--seed", "3", "--margin", "1", "--y=-2/3"):
+        "3c10ca0530d0eb792a737fa8f3f80d74a38125425ba9a5188ff19ba432516460",
+}
+
+# sha256 of the whole stdout of count runs: the lattice ladder's lower
+# rungs symbolically and at y on both sides of -1, the sheared cube4-2
+# file of _BRION_FILES, two example files and one --decimal run
+_COUNT_FROZEN_SHA256 = {
+    ("--builtin", "simplex:2,15"):
+        "ebd4be52a7f49553e63edd7f018b2065e93016a336bb3a94a03d99874ea47e23",
+    ("--builtin", "simplex:2,15", "--y=1/2"):
+        "bef49296eccbb3c88a97fe5d09e142b12f47b7460a90b781b7d651403dcd8f79",
+    ("--builtin", "simplex:2,15", "--y=-2/3"):
+        "1fa97f18232c225157c95d2fdc7186c004aa098023d09eaf7f785e640dc37416",
+    ("--builtin", "simplex:2,15", "--y=5/3"):
+        "09990c97dbf45ad5cbe6102350b823e824ffaeae1c03925e35ef43cf7861f4c4",
+    ("--builtin", "simplex:3,4"):
+        "cd4792cdcc87b49f3655857a8c7bbce1d30dec50fd4e9a71007d575ebc7c47eb",
+    ("--builtin", "simplex:3,4", "--y=1/2"):
+        "b14fd21e8138468fdf065d837a79ee3cb0ddeaa42d37e27950e70eb5a96a9fff",
+    ("--builtin", "simplex:3,4", "--y=-2/3"):
+        "2f700704d6e502e8447e2446d84e1091eedb888647d8417b2a28d11bbd00d5d0",
+    ("--builtin", "simplex:3,4", "--y=5/3"):
+        "3dcbff99ebce4eb27a82ef7553618a9911750c937889ba13b4a69c4e87eb06ac",
+    ("--builtin", "cube:3,3"):
+        "6ac3ddf9dee94e4ad0570c642e4c1f08bfe5c68f948a23fd4468fb4622e2d57b",
+    ("--builtin", "cube:3,3", "--y=1/2"):
+        "708455af16fd94a5c2b34ad28205240b216d52439f576735a9852ec940aeadf1",
+    ("--builtin", "cube:3,3", "--y=-2/3"):
+        "4eea947d2dc3dbecbbc7126af3196b0fed961330bade3599974d215ec6456b2f",
+    ("--builtin", "cube:3,3", "--y=5/3"):
+        "0319996222d773ade1d4ff59907c43881b6ee6a336b50fad5286501257ef9203",
+    ("--builtin", "prism:4,3"):
+        "534d97ab876758569dbda813d5250ee3befcb2207431fab2a5b7917065a0b30e",
+    ("--builtin", "prism:4,3", "--y=1/2"):
+        "09478ade6793124d3e2a886a6d9d4a14823692556068533d0498ffd37fd442dd",
+    ("--builtin", "prism:4,3", "--y=-2/3"):
+        "0b149f654cf67445aa796e42430e9ecd56155028afbcb04cdaa247964940ab46",
+    ("--builtin", "prism:4,3", "--y=5/3"):
+        "81414faf51355595b7ae8b35900a1720d2cad2e5b69bf234cc9e094c4f4b8426",
+    ("cube4-2-sheared.json",):
+        "6686bdd654d2f6f29efb8688df4bf444f3a8097235b152a68da21ae736380eba",
+    ("cube4-2-sheared.json", "--y=-2/3"):
+        "e289f705452c2122f7b4077ee1e63a8b238318a7f843ca2a559b770d685b0a29",
+    ("polytopes/square.json",):
+        "bf462dc7ee7945ec99c52b869a8284319958fd31db0b8a0f2dbb4ae21694c259",
+    ("polytopes/trapezoid.json", "--y", "1/2"):
+        "8e712e2375563b821f1216569a1b6e322615a9539904c38d9a2d5c46ce61bab0",
+    ("--builtin", "simplex:3,4", "--y", "2/3", "--decimal", "6"):
+        "3f0d301fd393c6c937b73415b1c19c2c222914f6e2c58e1ee3c4c4834271678f",
+}
+
+
+def _frozen_digest(capsys, tmp_path, monkeypatch, argv) -> tuple[int, str]:
+    """Exit code and stdout sha256 of one run; a file named in
+    _BRION_FILES or _SVG_FILES is written to the working directory, and
+    other paths are relative to the repository root."""
+    files = {**_BRION_FILES, **_SVG_FILES}
+    if argv[1] in files:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / argv[1]).write_text(json.dumps(files[argv[1]]) + "\n")
+    else:
+        monkeypatch.chdir(DATA_DIR.parent)
+    code, out, _ = run(capsys, *argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", sorted(_SVG_FROZEN_SHA256), ids=" ".join)
+def test_svg_frozen_output(capsys, tmp_path, monkeypatch, args):
+    assert _frozen_digest(capsys, tmp_path, monkeypatch, ("svg", *args)) == (
+        0, _SVG_FROZEN_SHA256[args])
+
+
+@pytest.mark.parametrize("args", sorted(_COUNT_FROZEN_SHA256), ids=" ".join)
+def test_count_frozen_output(capsys, tmp_path, monkeypatch, args):
+    assert _frozen_digest(capsys, tmp_path, monkeypatch, ("count", *args)) == (
+        0, _COUNT_FROZEN_SHA256[args])
+
+
 _BROKEN_HEAD = (
     "command: decompose\n"
     "input: builtin trapezoid (sha256 82eda434d6d2)\n"
@@ -786,6 +906,40 @@ def test_bad_file_contents(capsys, tmp_path):
     code, _, err = run(capsys, "vertices", str(path))
     assert code == 2
     assert "floating-point" in err
+
+
+_DIGITS = "9" * 5000  # over the interpreter's 4300-digit int conversion limit
+
+# files that json or Fraction used to reject with an uncaught exception:
+# bytes that are not UTF-8, nesting past the recursion limit, and an
+# integer over the digit limit, bare and quoted
+_MALFORMED_FILES = {
+    "not-utf8": (b"\xff\xfe", "is not UTF-8 text"),
+    "deep-nesting": (b"[" * 100000 + b"]" * 100000, "nests too deeply to parse"),
+    "long-integer": (
+        f'{{"dim": 2, "facets": [[1, 0, 0], [0, 1, 0], [-1, -1, -{_DIGITS}]]}}'
+        .encode(), "an integer has more than"),
+    "long-quoted-integer": (
+        f'{{"dim": 2, "facets": [[1, 0, 0], [0, 1, 0], [-1, -1, "-{_DIGITS}"]]}}'
+        .encode(), "facet 2, entry 2: an integer has more than"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_FILES))
+def test_malformed_file_exits_two_without_traceback(tmp_path, name):
+    content, reason = _MALFORMED_FILES[name]
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    env = {**os.environ, "PYTHONPATH": str(Path(polarcount.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "polarcount.cli", "vertices", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == "command: vertices\n"
+    assert reason in done.stderr.splitlines()[0]
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_stdout_deterministic(capsys):

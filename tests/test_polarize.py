@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -152,3 +153,15 @@ def test_nonregular_polytope_still_polarizes():
     xi = pc.find_polarizing(P, seed=1)
     cones = pc.polarize_cones(P, xi)
     assert sorted(c.flip_count for c in cones) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name, P", decomposition_zoo())
+def test_sign_is_fixed_from_the_flips(name, P):
+    for seed in SEEDS:
+        for cone in pc.polarize_cones(P, pc.find_polarizing(P, seed=seed)):
+            assert cone.sign == (-1) ** cone.flip_count
+            assert "sign" not in repr(cone)
+            # a copy with other flips gets its own sign
+            flipped = tuple(not f for f in cone.flipped)
+            other = dataclasses.replace(cone, flipped=flipped)
+            assert other.sign == (-1) ** (P.dim - cone.flip_count)

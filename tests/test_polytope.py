@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -490,3 +491,56 @@ def test_one_integer_inverse_per_construction(monkeypatch):
         calls.clear()
         P = build()
         assert calls == [P.dim]
+
+
+# the bodies of barycenter, bounding_box and integer_box before they read
+# Polytope.cleared_vertices: Fraction sums, min and max over Vertex.point
+def barycenter_oracle(P):
+    n = len(P.vertices)
+    acc = (Fraction(0),) * P.dim
+    for v in P.vertices:
+        acc = tuple(a + b for a, b in zip(acc, v.point))
+    return tuple(a / n for a in acc)
+
+
+def bounding_box_oracle(P):
+    lo = tuple(min(v.point[i] for v in P.vertices) for i in range(P.dim))
+    hi = tuple(max(v.point[i] for v in P.vertices) for i in range(P.dim))
+    return lo, hi
+
+
+def integer_box_oracle(P, margin):
+    lo, hi = bounding_box_oracle(P)
+    return (
+        tuple(floor(a) - margin for a in lo),
+        tuple(ceil(a) + margin for a in hi),
+    )
+
+
+def assert_cleared_vertices(P):
+    nums, den = P.cleared_vertices
+    assert den == lcm(*(a.denominator for v in P.vertices for a in v.point))
+    assert len(nums) == len(P.vertices)
+    for num, v in zip(nums, P.vertices):
+        assert all(type(x) is int for x in num)
+        assert tuple(Fraction(x, den) for x in num) == v.point
+        assert all(type(a) is Fraction for a in v.point)
+    assert P.integral == (den == 1)
+    assert P.barycenter() == barycenter_oracle(P)
+    assert all(type(a) is Fraction for a in P.barycenter())
+    assert P.bounding_box() == bounding_box_oracle(P)
+    assert all(type(a) is Fraction for side in P.bounding_box() for a in side)
+    for margin in (0, 1, 3):
+        assert P.integer_box(margin) == integer_box_oracle(P, margin)
+        assert all(type(a) is int for side in P.integer_box(margin) for a in side)
+
+
+@pytest.mark.parametrize("P", construction_cases())
+def test_cleared_vertices_and_boxes_match_the_points(P):
+    assert_cleared_vertices(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=zoo_images())
+def test_cleared_vertices_and_boxes_match_the_points_on_images(image):
+    assert_cleared_vertices(image)
