@@ -16,6 +16,7 @@ import functools
 import hashlib
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .laurent import LaurentPoly
 from .polarize import PolarizationError, find_polarizing, polarize_cones
 from .polytope import Polytope, PolytopeError, PolytopeFormatError, fmt_point
 from .weights import WeightParam, check_decomposition_at, sample_points
-from .ypoly import ONE_PLUS_Y
+from .ypoly import YFrac, den_text
 
 _BUILTIN_HELP = (
     "builtin polytope: interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
@@ -37,7 +38,15 @@ class InputError(ValueError):
     """Bad command-line input that is not argparse's business."""
 
 
+# an exponent, as in 1e5000: Fraction would expand it to a huge integer
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
+    if _EXPONENT.search(text):
+        raise InputError(
+            f"{what}: {text!r} has an exponent; write an integer, p/q or a decimal"
+        )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
@@ -136,8 +145,21 @@ def _load_and_describe(ns, out) -> Polytope:
 
 
 def _maybe_decimal(value: Fraction, places) -> str:
-    exact = str(value)
-    return exact if places is None else f"{exact} (~{float(value):.{places}f})"
+    """The exact value, then, with places given, its decimal to that many
+    places, rounded from the exact value half to even."""
+    try:
+        exact = str(value)
+        if places is None:
+            return exact
+        whole, part = divmod(abs(round(value * 10**places)), 10**places)
+        decimal = str(whole)
+        if places:
+            decimal += "." + str(part).rjust(places, "0")
+    except ValueError:
+        # int-to-str conversion refuses numbers past the digit limit
+        raise InputError(polytope._too_many_digits()) from None
+    sign = "-" if value < 0 else ""
+    return f"{exact} (~{sign}{decimal})"
 
 
 def _weight_param(ns) -> WeightParam | None:
@@ -155,6 +177,9 @@ def _weight_param(ns) -> WeightParam | None:
             raise InputError("--decimal needs --y")
         if places < 0:
             raise InputError("--decimal must be nonnegative")
+        limit = sys.get_int_max_str_digits()
+        if limit and places > limit:
+            raise InputError(f"--decimal must be at most {limit}")
     return w
 
 
@@ -265,21 +290,19 @@ def _cmd_brion(ns, out) -> int:
     poly = _load_and_describe(ns, out)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}", file=out)
-    # c * u^k * z^p with u = 1/(1+y) prints as c * (1+y)^(n-k) * z^p over
-    # (1+y)^n; only n+1 codimensions k occur, so each (c, k) is cleared
-    # once and its points share the one YPoly, printed once
+    # each c * u^k * z^p prints with c * u^k cleared to the power n; only
+    # n+1 codimensions k occur, so each (c, k) is cleared once and its
+    # points share the one YPoly, printed once
     n = poly.dim
-    powers = [ONE_PLUS_Y ** (n - k) for k in range(n + 1)]
     shared: dict = {}
     terms = {}
     for e, c in report.rhs.num.terms.items():
         key = (c, e[-1])
         if key not in shared:
-            shared[key] = c * powers[e[-1]]
+            shared[key] = YFrac(*key).cleared(n)
         terms[e[:-1]] = shared[key]
     cleared = LaurentPoly._of(n, terms)
-    den = "(1+y)" if n == 1 else f"(1+y)^{n}"
-    print(f"weighted lattice sum: ({cleared}) / {den}", file=out)
+    print(f"weighted lattice sum: ({cleared}) / {den_text(n)}", file=out)
     if not report.equal:
         print("check: FAIL (vertex sum differs from lattice sum)", file=out)
         return 1

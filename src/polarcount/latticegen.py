@@ -46,7 +46,7 @@ from .weights import (
     polytope_weight_y,
     signed_cone_sum_y,
 )
-from .ypoly import YFrac, _u_sum, _yfrac
+from .ypoly import YFrac
 
 
 class HypothesisError(ValueError):
@@ -130,28 +130,20 @@ def codim_census(poly: Polytope) -> dict[int, int]:
 
 
 def format_census(census: dict[int, int]) -> str:
-    """Render a census as a sum of (1/(1+y))-power terms, codim ascending."""
+    """Render a census as the sum of its weights count * u**codim, each
+    printed by YFrac, codim ascending."""
     if not census:
         return "0"
-    parts = []
-    for c in sorted(census):
-        count = census[c]
-        if c == 0:
-            parts.append(str(count))
-        elif c == 1:
-            parts.append(f"{count}/(1+y)")
-        else:
-            parts.append(f"{count}/(1+y)^{c}")
-    return " + ".join(parts)
+    return " + ".join(str(YFrac(census[c], c)) for c in sorted(census))
 
 
 # -- weighted counts ----------------------------------------------------
 
 
 def census_weight_y(census: dict[int, int]) -> YFrac:
-    """Symbolic weighted count of a census: the u-polynomial sum of
-    count * u**codim, u = 1/(1+y)."""
-    return _yfrac(_u_sum(census.items()))
+    """Symbolic weighted count of a census: the sum of count * u**codim,
+    u = 1/(1+y)."""
+    return YFrac.combination({(c, 0): k for c, k in census.items()})
 
 
 def weighted_count_y(poly: Polytope) -> YFrac:

@@ -3,10 +3,10 @@
 Exponents may be negative.  Coefficients are kept as given, with zeros
 dropped: the generating functions carry u = 1/(1+y) as a last variable
 and have int coefficients.  Only the lattice sum that the brion command
-prints has YPoly coefficients: each point's c * u^k is written as
-c * (1+y)^(n-k) over (1+y)^n, so its n+1 distinct coefficients are
-shared by every point, and printing formats each distinct coefficient
-once.
+prints has YPoly coefficients: each point's weight c * u^k is cleared
+by YFrac.cleared to the common denominator (1+y)^n, so its n+1
+distinct coefficients are shared by every point, and printing formats
+each distinct coefficient once.
 RationalFunction keeps an unreduced numerator/denominator pair: full gcd
 computation in many variables is never needed here, because identity
 checks go through cross-multiplication.

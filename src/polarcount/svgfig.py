@@ -6,7 +6,7 @@ one common denominator (Polytope.cleared_vertices), and each cone wedge
 is the viewport clipped by the cone's signed facet rows, its corners
 kept as homogeneous integer triples (X, Y, W).  The lattice points of
 the box are integers, so their pixel coordinates are too, and each one's
-weight is read off its integer facet slacks.  A rational pixel
+weight is read off latticegen.lattice_points.  A rational pixel
 coordinate p / q becomes a float only when it is printed, as the
 correctly rounded int division p / q; label placement is display-only
 and uses floats.
@@ -21,10 +21,10 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Optional, Sequence
 
-from .latticegen import box_points
+from .latticegen import box_points, lattice_points
 from .linalg import clear_denominators
 from .polarize import PolarizedCone
-from .polytope import Polytope, facet_slacks, fmt_point, slack_codim
+from .polytope import Polytope, fmt_point
 from .weights import WeightParam
 from .ypoly import YFrac
 
@@ -166,13 +166,14 @@ def render_svg(
         f'stroke-width="2"/>'
     )
 
-    # box points are integers, so are their pixel coordinates; each
-    # point's weight is u**codim, its label formatted once per codim
+    # box points are integers, so are their pixel coordinates; a lattice
+    # point of P weighs u**codim, its label formatted once per codim
+    codims = lattice_points(poly)
     labels: dict[int, str] = {}
     for p in box_points(lo, hi):
         x = pad + (p[0] - lo[0]) * _UNIT
         y = height - pad - (p[1] - lo[1]) * _UNIT
-        codim = slack_codim(facet_slacks(poly.integer_facets, p, 1))
+        codim = codims.get(p)
         if codim is None:
             out.append(
                 f'<circle cx="{x}" cy="{y}" r="2.5" fill="none" '

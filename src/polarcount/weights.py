@@ -15,11 +15,9 @@ membership and the zero counts need no inverse.
 
 The signed cone sum at a point is kept as a table: the net sign of the
 cones reaching it with each pair (r1, r2) of zero counts, in ints.  The
-symbolic check expands the table once, row by cached binomial row, into
-the u-polynomial sum of sign * u**r1 * (1-u)**r2 and compares it with
-u**codim.  At a concrete y = a/b (b > 0) it evaluates instead: u =
-b/(a+b), so (a+b)**n * u**r1 * (1-u)**r2 = b**r1 * a**r2 * (a+b)**(n-r1-r2)
-is an int, and both sides compare as ints over the common (a+b)**n.
+check builds both sides as YFracs, the table through YFrac.combination
+and the polytope side as u**codim, and compares them as u-polynomials,
+or, at a concrete y, compares their values there.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators
@@ -35,7 +32,7 @@ from .polarize import (
     PolarizedCone, cone_point_slacks, polarize_cones, slack_face_counts,
 )
 from .polytope import Polytope, facet_slacks, slack_codim
-from .ypoly import YFrac, _u_binomial, _yfrac
+from .ypoly import YFrac
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
 
 
 def _codim_weight(c: Optional[int]) -> YFrac:
-    return _yfrac({} if c is None else {c: 1})
+    return YFrac.combination({} if c is None else {(c, 0): 1})
 
 
 class CheckResult(NamedTuple):
@@ -95,7 +92,7 @@ class CheckResult(NamedTuple):
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     """Sign-weighted sum of the cone weights of x."""
     slack = cone_point_slacks(cones, x)[0]
-    return _yfrac(_expand(_signed_cone_sum(cones, slack)))
+    return YFrac.combination(_signed_cone_sum(cones, slack))
 
 
 def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> dict:
@@ -108,22 +105,6 @@ def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> dict:
     return table
 
 
-@cache
-def _weight_row(r1: int, r2: int) -> tuple:
-    """(k, c) pairs of u**r1 * (1-u)**r2 = sum of c * u**k."""
-    return tuple(_u_binomial(r1, r2).items())
-
-
-def _expand(table: dict) -> dict:
-    """The u-polynomial sum of sign * u**r1 * (1-u)**r2 over the table."""
-    u: dict = {}
-    for counts, sign in table.items():
-        if sign:
-            for k, c in _weight_row(*counts):
-                u[k] = u.get(k, 0) + sign * c
-    return {k: c for k, c in u.items() if c}
-
-
 def check_decomposition_at(
     poly: Polytope,
     cones: Sequence[PolarizedCone],
@@ -132,33 +113,20 @@ def check_decomposition_at(
 ) -> CheckResult:
     """Compare polytope weight with the signed cone sum at one point.
 
-    With w = None both sides are compared as u-polynomials, covering
-    every admissible y at once; otherwise both are evaluated at w.y =
-    a/b and compared as ints over (a+b)**dim, and returned as Fractions.
-    The point's integer slacks over poly's facets are computed once; the
+    Both sides are YFracs.  With w = None they are compared as
+    u-polynomials, covering every admissible y at once; otherwise both
+    are evaluated at w.y and compared, and returned, as Fractions.  The
+    point's integer slacks over poly's facets are computed once; the
     face codimension and the membership and zero counts of each cone,
     polarized from poly, are read off that one vector.
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
     slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
-    codim = slack_codim(slack)
-    table = _signed_cone_sum(cones, slack)
-    if w is None:
-        lhs = _codim_weight(codim)
-        rhs = _yfrac(_expand(table))
-        return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs.u == rhs.u)
-    a, b, n = w.y.numerator, w.y.denominator, poly.dim
-    s = a + b
-    left = 0 if codim is None else b**codim * s ** (n - codim)
-    right = sum(
-        sign * b**r1 * a**r2 * s ** (n - r1 - r2)
-        for (r1, r2), sign in table.items()
-    )
-    den = s**n
-    return CheckResult(
-        point=xt, lhs=Fraction(left, den), rhs=Fraction(right, den),
-        equal=left == right,
-    )
+    lhs = _codim_weight(slack_codim(slack))
+    rhs = YFrac.combination(_signed_cone_sum(cones, slack))
+    if w is not None:
+        lhs, rhs = lhs(w.y), rhs(w.y)
+    return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
 def check_decomposition(

@@ -4,8 +4,10 @@ Every weight in this package is an integer polynomial in u and 1-u =
 y/(1+y): a point on a codim-c face weighs u^c, and a cone point weighs
 u^r1 * (1-u)^r2.  YFrac stores such a weight as a Laurent polynomial in
 u; as u ranges over Q minus 0, y = 1/u - 1 ranges over every admissible
-y, so equality in u is equality for all y.  Its y form num / (1+y)**power
-in lowest terms, which is what it prints, is read off the u form.
+y, so equality in u is equality for all y.  This module is the one
+owner of that form: YFrac.combination builds every weight, YFrac.__call__
+evaluates it in ints, and YFrac.__str__ prints its y form
+num / (1+y)**power in lowest terms, read off the u form.
 
 YPoly is a dense polynomial in y over Q: the y form's numerator, and the
 coefficient ring of the series family and of the printed lattice sum.
@@ -17,6 +19,7 @@ hashing and printing do not depend on the stored type.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Union
 
@@ -182,9 +185,15 @@ def _yfrac(u: dict) -> "YFrac":
     return f
 
 
-def _u_binomial(shift: int, r: int) -> dict:
-    """u**shift * (1-u)**r."""
-    return {shift + i: (-1) ** i * comb(r, i) for i in range(r + 1)}
+@cache
+def _binomial_row(r1: int, r2: int) -> tuple:
+    """(k, c) pairs of u**r1 * (1-u)**r2 = sum of c * u**k; r1 may be negative."""
+    return tuple((r1 + i, (-1) ** i * comb(r2, i)) for i in range(r2 + 1))
+
+
+def den_text(power: int) -> str:
+    """The printed denominator (1+y)**power, power >= 1."""
+    return "(1+y)" if power == 1 else f"(1+y)^{power}"
 
 
 class YFrac:
@@ -202,18 +211,28 @@ class YFrac:
         num = _as_ypoly(num)
         if num is NotImplemented:
             raise TypeError("numerator must be YPoly, int, or Fraction")
-        # a * y**k / (1+y)**power = a * (1-u)**k * u**(power-k)
-        self.u = _u_sum(
-            (e, a * c) for k, a in enumerate(num.coeffs)
-            for e, c in _u_binomial(power - k, k).items()
-        )
+        # a * y**k / (1+y)**power = a * u**(power-k) * (1-u)**k
+        self.u = YFrac.combination(
+            {(power - k, k): a for k, a in enumerate(num.coeffs)}
+        ).u
+
+    @classmethod
+    def combination(cls, table: dict) -> "YFrac":
+        """Sum of c * u**r1 * (1-u)**r2 over table {(r1, r2): c}, r2 >= 0,
+        from cached binomial rows."""
+        u: dict = {}
+        for counts, c in table.items():
+            if c:
+                for k, b in _binomial_row(*counts):
+                    u[k] = u.get(k, 0) + c * b
+        return _yfrac({k: c for k, c in u.items() if c})
 
     @classmethod
     def weight(cls, unflipped_zeros: int, flipped_zeros: int) -> "YFrac":
         """(1/(1+y))**r1 * (y/(1+y))**r2 = u**r1 * (1-u)**r2 for r1, r2 >= 0."""
         if unflipped_zeros < 0 or flipped_zeros < 0:
             raise ValueError("zero-coordinate counts must be nonnegative")
-        return _yfrac(_u_binomial(unflipped_zeros, flipped_zeros))
+        return cls.combination({(unflipped_zeros, flipped_zeros): 1})
 
     @property
     def power(self) -> int:
@@ -267,11 +286,23 @@ class YFrac:
     __rmul__ = __mul__
 
     def __call__(self, yval) -> Fraction:
-        y = Fraction(yval)
-        if y == -1:
+        """The value at y = a/b, b > 0: with u = b/(a+b), N / (b**-lo *
+        (a+b)**hi) for N = sum of c_k * b**(k-lo) * (a+b)**(hi-k), taken
+        by Horner's rule over the span [lo, hi] of 0 and the u-exponents."""
+        y = yval if type(yval) is Fraction else Fraction(yval)
+        a, b = y.numerator, y.denominator
+        s = a + b
+        if s == 0:
             raise ZeroDivisionError("weight fraction undefined at y = -1")
-        u = 1 / (1 + y)
-        return sum((c * u**k for k, c in self.u.items()), Fraction(0))
+        u = self.u
+        if not u:
+            return Fraction(0)
+        lo, hi = min(0, *u), max(0, *u)
+        acc, bk = 0, 1
+        for k in range(lo, hi + 1):
+            acc = acc * s + u.get(k, 0) * bk
+            bk *= b
+        return Fraction(acc, b**-lo * s**hi)
 
     def cleared(self, total_power: int) -> YPoly:
         """num * (1+y)**(total_power - power); total_power >= power required."""
@@ -292,8 +323,7 @@ class YFrac:
             return text
         if sum(1 for c in num.coeffs if c != 0) > 1:
             text = f"({text})"
-        den = "(1+y)" if power == 1 else f"(1+y)^{power}"
-        return f"{text}/{den}"
+        return f"{text}/{den_text(power)}"
 
     def __repr__(self) -> str:
         return f"YFrac({self.num!r}, {self.power})"

@@ -785,6 +785,120 @@ def test_negative_counts_rejected(capsys, argv, expected_out, message):
     assert err.splitlines()[0] == f"error: {message}"
 
 
+_EXPONENT_REASON = "has an exponent; write an integer, p/q or a decimal"
+
+
+@pytest.mark.parametrize(
+    "argv, expected_out, message",
+    [
+        (("count", "--builtin", "cube:2", "--y", "1e5000"), "command: count\n",
+         "weight parameter y: '1e5000'"),
+        (("count", "--builtin", "cube:2,1e5000"), "command: count\n",
+         "cube side: '1e5000'"),
+        (("decompose", "--builtin", "cube:2", "--y", "2.5E-3"),
+         "command: decompose\n", "weight parameter y: '2.5E-3'"),
+        (("svg", "--builtin", "cube:2", "--y", "1e5000"), "",
+         "weight parameter y: '1e5000'"),
+        (("chi", "--builtin", "cube:2", "--y", "1", "--z", "1e5000,3"),
+         "command: chi\n", "z coordinate: '1e5000'"),
+        (("chi", "--builtin", "cube:2", "--y", ".5e+2", "--z", "2,3"),
+         "command: chi\n", "weight parameter y: '.5e+2'"),
+        (("series", "--y", "1e3"), "command: series\n",
+         "series parameter y: '1e3'"),
+    ],
+    ids=["count-y", "count-builtin", "decompose-y", "svg-y", "chi-z", "chi-y",
+         "series-y"],
+)
+def test_exponents_rejected(capsys, argv, expected_out, message):
+    """An exponent would expand to a huge integer; it exits 2 unparsed."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == expected_out
+    assert err.splitlines()[0] == f"error: {message} {_EXPONENT_REASON}"
+    assert "Traceback" not in err
+
+
+def test_integers_fractions_and_decimals_still_parse(capsys):
+    code, out, _ = run(
+        capsys, "count", "--builtin", "cube:2,2.0", "--y", "0.25", "--decimal", "2"
+    )
+    assert code == 0
+    assert "weighted count at y = 1/4: 169/25 (~6.76)" in out
+    code, out, _ = run(capsys, "chi", "--builtin", "cube:2", "--y=-3/2",
+                       "--z", "2,5")
+    assert code == 0
+    assert "y = -3/2, z = (2, 5)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, decimal",
+    [
+        # float formatting printed 3.333333333333333481363069950021
+        (("count", "--builtin", "interval:3", "--y", "1/2", "--decimal", "30"),
+         "10/3 (~3.333333333333333333333333333333)"),
+        (("count", "--builtin", "cube:2", "--y=-1/1000", "--decimal", "2"),
+         "4000000/998001 (~4.01)"),
+        (("count", "--builtin", "cube:2", "--y", "3/2", "--decimal", "0"),
+         "16/25 (~1)"),
+        # half to even: 1/8 = 0.125 and 3/8 = 0.375 at two places
+        (("count", "--builtin", "interval:1", "--y", "15", "--decimal", "2"),
+         "1/8 (~0.12)"),
+        (("count", "--builtin", "interval:1", "--y", "13/3", "--decimal", "2"),
+         "3/8 (~0.38)"),
+    ],
+    ids=["thirty-places", "small-negative-y", "zero-places", "half-even-down",
+         "half-even-tie"],
+)
+def test_decimal_is_rounded_from_the_exact_value(capsys, argv, decimal):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f": {decimal}")
+
+
+def test_decimal_of_a_value_past_float_range(capsys):
+    # float(value) overflowed here; the exact rounding has no range
+    big = "1" + "0" * 52
+    code, out, err = run(capsys, "chi", "--builtin", "cube:2,6", "--y", "1",
+                         "--z", f"{big},3", "--decimal", "2")
+    assert code == 0
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    for line in lines[-3:-1]:
+        exact, decimal = line.split(":")[1].strip().split(" (~")
+        assert "/" not in exact
+        assert decimal == f"{exact}.00)"
+    assert lines[-1] == "check: PASS"
+
+
+@pytest.mark.parametrize("command", [
+    ("count", "--builtin", "cube:2"),
+    ("chi", "--builtin", "cube:2", "--z", "2,3"),
+])
+def test_decimal_places_bounded_by_the_digit_limit(capsys, command):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, *command, "--y", "1", "--decimal", str(limit))
+    assert code == 0
+    assert max(len(line) for line in out.splitlines()) > limit
+    code, out, err = run(capsys, *command, "--y", "1", "--decimal", str(limit + 1))
+    assert code == 2
+    assert out == f"command: {command[0]}\n"
+    assert err.splitlines()[0] == f"error: --decimal must be at most {limit}"
+
+
+def test_value_past_the_digit_limit_exits_two(capsys):
+    # both sums parse and compute, but their exact text would exceed
+    # the int-to-str digit limit
+    big = "1" + "0" * 1000
+    code, out, err = run(capsys, "chi", "--builtin", "cube:3,6", "--y", "1",
+                         "--z", f"{big},3,5")
+    assert code == 2
+    assert "vertex sum" not in out
+    assert err.splitlines()[0] == (
+        f"error: an integer has more than {sys.get_int_max_str_digits()} digits"
+    )
+    assert "Traceback" not in err
+
+
 def test_svg_rejects_3d(capsys):
     code, _, err = run(capsys, "svg", "--builtin", "cube:3")
     assert code == 2

@@ -148,3 +148,5 @@ def test_membership_and_decomposition_on_generated_polytopes(facets, rng):
     xi = pc.find_polarizing(poly, seed=1)
     points = pc.sample_points(poly, xi, rng=rng)
     assert all(res.equal for res in pc.check_decomposition(poly, xi, points))
+    w = pc.WeightParam(Fraction(2, 3))
+    assert all(res.equal for res in pc.check_decomposition(poly, xi, points, w))

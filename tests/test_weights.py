@@ -259,3 +259,69 @@ def test_sample_points_match_oracle(random_count):
     # a rational polarizing vector steps the probes by rational amounts
     xi = (Fraction(1, 3), Fraction(-5, 2))
     assert pc.sample_points(P, xi) == sample_points_oracle(P, xi)
+
+
+# -- the concrete-y integer formula, as an oracle ------------------------
+#
+# At a concrete y the check evaluates both of its YFracs there.  The
+# oracle is the direct integer route: at y = a/b, u = b/(a+b), so
+# (a+b)**n * u**r1 * (1-u)**r2 = b**r1 * a**r2 * (a+b)**(n-r1-r2) is an
+# int, and both sides compare as ints over the common (a+b)**n.
+
+INT_ORACLE_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
+                 Fraction(5), Fraction(-5, 3))
+
+
+def concrete_check_oracle(poly, cones, x, w):
+    xt = tuple(Fraction(a) for a in x)
+    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    codim = slack_codim(slack)
+    table = {}
+    for cone in cones:
+        counts = slack_face_counts(cone, slack)
+        if counts is not None:
+            table[counts] = table.get(counts, 0) + cone.sign
+    a, b, n = w.y.numerator, w.y.denominator, poly.dim
+    s = a + b
+    left = 0 if codim is None else b**codim * s ** (n - codim)
+    right = sum(
+        sign * b**r1 * a**r2 * s ** (n - r1 - r2)
+        for (r1, r2), sign in table.items()
+    )
+    return CheckResult(point=xt, lhs=Fraction(left, s**n),
+                       rhs=Fraction(right, s**n), equal=left == right)
+
+
+def assert_concrete_check_matches_int_oracle(poly, seed):
+    xi = pc.find_polarizing(poly, seed=seed)
+    cones = pc.polarize_cones(poly, xi)
+    points = pc.sample_points(poly, xi, rng=random.Random(seed), random_count=8)
+    for y in INT_ORACLE_YS:
+        w = pc.WeightParam(y)
+        for cone_set in (cones, cones[:-1]):
+            for x in points:
+                got = pc.check_decomposition_at(poly, cone_set, x, w)
+                want = concrete_check_oracle(poly, cone_set, x, w)
+                assert got == want, (x, y, got, want)
+                assert type(got.lhs) is Fraction and type(got.rhs) is Fraction
+        assert all(
+            concrete_check_oracle(poly, cones, x, w).equal for x in points
+        )
+
+
+@pytest.mark.parametrize(
+    "poly", [pytest.param(P, id=name) for name, P in decomposition_zoo()]
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_concrete_check_matches_int_oracle_on_zoo(poly, seed):
+    assert_concrete_check_matches_int_oracle(poly, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(facets=facet_systems(), seed=st.sampled_from(SEEDS))
+def test_concrete_check_matches_int_oracle_on_generated_polytopes(facets, seed):
+    try:
+        poly = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_concrete_check_matches_int_oracle(poly, seed)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcount.laurent import LaurentPoly
@@ -259,3 +259,73 @@ def test_yfrac_hashes_like_what_it_equals():
         assert hash(YFrac(poly)) == hash(poly)
     assert hash(YFrac.weight(2, 0)) == hash(YFrac(1, 2))
     assert len({YFrac.weight(1, 1), YFrac(Y, 2), YFrac(1, 1)}) == 2
+
+
+# -- the Fraction loop over the u form, as an evaluation oracle ----------
+#
+# YFrac evaluates at y = a/b in ints over its u-exponent span; the oracle
+# sums c_k * u**k one Fraction at a time, u = 1/(1+y).
+
+EVAL_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
+           Fraction(5), Fraction(-5, 3))
+
+
+def eval_oracle(f, y):
+    u = 1 / (1 + Fraction(y))
+    return sum((c * u**k for k, c in f.u.items()), Fraction(0))
+
+
+def assert_evaluates_like_oracle(f):
+    for y in EVAL_YS:
+        got = f(y)
+        assert got == eval_oracle(f, y), (repr(f), y)
+        assert type(got) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_yfracs, raw_yfracs)
+def test_yfrac_eval_matches_fraction_loop(a, b):
+    fa, fb = YFrac(*a), YFrac(*b)
+    for f in (fa, fb, fa * fb, fa - fb):
+        assert_evaluates_like_oracle(f)
+
+
+def test_yfrac_eval_over_negative_u_exponents():
+    cases = {
+        YFrac(Y**3, 1): (-2, 1),   # y^3/(1+y) = (1-u)^3 * u^-2
+        YFrac(Y**3): (-3, 0),
+        YFrac(ONE_PLUS_Y): (-1, -1),
+        YFrac(ONE_PLUS_Y**2 * Y): (-3, -2),
+        YFrac(YPoly((Fraction(1, 2), 0, 3)), 1): (-1, 1),
+    }
+    for f, (lo, hi) in cases.items():
+        assert (min(f.u), max(f.u)) == (lo, hi)
+        assert_evaluates_like_oracle(f)
+    assert YFrac(Y**3, 1)(1) == Fraction(1, 2)
+    assert YFrac(ONE_PLUS_Y**2 * Y)(Fraction(-5, 3)) == Fraction(-20, 27)
+
+
+def test_yfrac_eval_pole_and_zero():
+    for f in (YFrac(0), YFrac(1), YFrac(Y**3, 1), YFrac.weight(2, 1)):
+        with pytest.raises(ZeroDivisionError, match="undefined at y = -1"):
+            f(-1)
+    assert YFrac(0)(Fraction(2, 3)) == 0
+    assert type(YFrac(0)(5)) is Fraction
+
+
+count_tables = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.integers(-3, 3), max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_tables)
+def test_combination_matches_summed_weights(table):
+    combined = YFrac.combination(table)
+    summed = sum(
+        (c * YFrac.weight(r1, r2) for (r1, r2), c in table.items()), YFrac(0)
+    )
+    assert combined == summed
+    assert str(combined) == str(summed)
+    assert_evaluates_like_oracle(combined)
