@@ -12,6 +12,7 @@ so stdout can be diffed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import os
@@ -144,10 +145,20 @@ def _load_and_describe(ns, out) -> Polytope:
     return poly
 
 
+@contextlib.contextmanager
+def _digit_limit():
+    """Turn int-to-str conversion past the digit limit, a ValueError,
+    into an InputError."""
+    try:
+        yield
+    except ValueError:
+        raise InputError(polytope._too_many_digits()) from None
+
+
 def _maybe_decimal(value: Fraction, places) -> str:
     """The exact value, then, with places given, its decimal to that many
     places, rounded from the exact value half to even."""
-    try:
+    with _digit_limit():
         exact = str(value)
         if places is None:
             return exact
@@ -155,9 +166,6 @@ def _maybe_decimal(value: Fraction, places) -> str:
         decimal = str(whole)
         if places:
             decimal += "." + str(part).rjust(places, "0")
-    except ValueError:
-        # int-to-str conversion refuses numbers past the digit limit
-        raise InputError(polytope._too_many_digits()) from None
     sign = "-" if value < 0 else ""
     return f"{exact} (~{sign}{decimal})"
 
@@ -222,12 +230,15 @@ def _cmd_decompose(ns, out) -> int:
             failures.append(res)
     mode = "symbolically in y" if w is None else f"at y = {w.y}"
     if failures:
-        for res in failures:
-            print(
+        # every line is formatted before any is printed
+        with _digit_limit():
+            lines = [
                 f"MISMATCH at {fmt_point(res.point)}: polytope {res.lhs}, "
-                f"cones {res.rhs}",
-                file=out,
-            )
+                f"cones {res.rhs}"
+                for res in failures
+            ]
+        for line in lines:
+            print(line, file=out)
         print(
             f"check: FAIL ({len(failures)}/{len(points)} points disagree "
             f"{mode})",
@@ -356,9 +367,11 @@ def _cmd_svg(ns, out) -> int:
         )
     xi = find_polarizing(poly, seed=ns.seed)
     cones = polarize_cones(poly, xi)
-    text = svgfig.render_svg(
-        poly, xi=xi, cones=cones, w=w, margin=ns.margin
-    )
+    # the weight labels at a long --y can pass the digit limit
+    with _digit_limit():
+        text = svgfig.render_svg(
+            poly, xi=xi, cones=cones, w=w, margin=ns.margin
+        )
     if ns.out == "-":
         print(text, file=out)
     else:

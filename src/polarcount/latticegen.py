@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
@@ -210,29 +211,52 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
 def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
     """The vertex's contribution as an explicit rational function."""
     term = vertex_term(poly, vertex_index)
-    one = LaurentPoly.const(poly.dim + 1, 1)
     return RationalFunction(
-        term.numerator, prod(map(_one_minus, term.canonical_dirs), start=one)
+        term.numerator, _denominator(poly.dim + 1, term.canonical_dirs)
     )
 
 
-def brion_sum(poly: Polytope) -> RationalFunction:
-    """Sum of all vertex terms over one common factored denominator, in
-    n+1 variables as in vertex_term: the last, printed z{n+1}, is u = 1/(1+y)."""
+def _times_one_minus(terms: dict, b: tuple[int, ...]) -> dict:
+    """The terms of p * (1 - z^b), u's exponent unchanged, from those of
+    p: each term is shifted by b and subtracted; zeros dropped."""
+    out = dict(terms)
+    for e, c in terms.items():
+        key = (*map(add, e, b), e[-1])
+        out[key] = out.get(key, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _denominator(nvars: int, dirs) -> LaurentPoly:
+    """The product of (1 - z^b) over dirs, expanded."""
+    den = {(0,) * nvars: 1}
+    for b in dirs:
+        den = _times_one_minus(den, b)
+    return LaurentPoly._of(nvars, den)
+
+
+def _vertex_sum(poly: Polytope) -> tuple[RationalFunction, list]:
+    """brion_sum, and the distinct directions b of its denominator
+    prod (1 - z^b), in order of first appearance."""
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     n = poly.dim
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
     all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
     total: dict = {}
     for t in terms:
-        lifted = t.numerator
+        lifted = t.numerator.terms
         for b in all_dirs:
             if b not in t.canonical_dirs:
-                lifted = lifted * _one_minus(b)
-        for e, c in lifted.terms.items():
+                lifted = _times_one_minus(lifted, b)
+        for e, c in lifted.items():
             total[e] = total.get(e, 0) + c
-    den = prod(map(_one_minus, all_dirs), start=LaurentPoly.const(n + 1, 1))
-    return RationalFunction(LaurentPoly._of(n + 1, total), den)
+    num = LaurentPoly._of(n + 1, total)
+    return RationalFunction(num, _denominator(n + 1, all_dirs)), all_dirs
+
+
+def brion_sum(poly: Polytope) -> RationalFunction:
+    """Sum of all vertex terms over one common factored denominator, in
+    n+1 variables as in vertex_term: the last, printed z{n+1}, is u = 1/(1+y)."""
+    return _vertex_sum(poly)[0]
 
 
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
@@ -254,13 +278,19 @@ class BrionReport(NamedTuple):
 def brion_check(poly: Polytope) -> BrionReport:
     """Vertex-sum route vs direct lattice enumeration, exactly.
 
-    Equality is decided by cross-multiplying the two rational functions;
-    no expansion of geometric series and no numeric sampling.
+    Equality is decided by cross-multiplying the two rational functions,
+    one binomial at a time: the lattice sum is multiplied by each factor
+    (1 - z^b) of the vertex sum's denominator in turn, as a shift and a
+    subtraction, and compared with the vertex sum's numerator.  No
+    expansion of geometric series and no numeric sampling.
     """
-    lhs = brion_sum(poly)
+    lhs, dirs = _vertex_sum(poly)
     one = LaurentPoly.const(poly.dim + 1, 1)
     rhs = RationalFunction(weighted_sum_poly(poly), one)
-    return BrionReport(lhs=lhs, rhs=rhs, equal=lhs.equivalent(rhs))
+    crossed = rhs.num.terms
+    for b in dirs:
+        crossed = _times_one_minus(crossed, b)
+    return BrionReport(lhs=lhs, rhs=rhs, equal=crossed == lhs.num.terms)
 
 
 # -- pointwise evaluation -------------------------------------------------

@@ -9,7 +9,10 @@ distinct coefficients are shared by every point, and printing formats
 each distinct coefficient once.
 RationalFunction keeps an unreduced numerator/denominator pair: full gcd
 computation in many variables is never needed here, because identity
-checks go through cross-multiplication.
+checks go through cross-multiplication.  RationalFunction.equivalent
+multiplies by whole denominators; latticegen.brion_check, whose
+denominator is a product of binomials (1 - z^b), cross-multiplies one
+binomial shift at a time.
 
 LaurentPoly.at is the one evaluator: the chi command's vertex and
 lattice sums at a concrete (z, u) are these objects evaluated, in ints

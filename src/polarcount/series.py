@@ -19,6 +19,12 @@ the caller has built, so one Todd serves a whole command; the public
 functions taking an order build todd_series(order) at most once per
 call.  The product e**(-x) * Todd stays in check_identities as the
 independent route the line is checked against.
+
+check_identities runs all nine checks on cleared integer rows: each
+series is cleared once to integer numerators over one lcm, products
+are integer convolutions, and rows are compared by cross-multiplying
+their denominators, so no Fraction is built per coefficient.
+hirzebruch_series shares the classical family's convolution with it.
 """
 
 from __future__ import annotations
@@ -38,8 +44,32 @@ def _cleared(coeffs) -> tuple[list[int], int]:
             raise TypeError(
                 f"series arithmetic is rational-only, got a {type(c).__name__}"
             )
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer rows of one length, truncated to it."""
+    n = len(a)
+    rb = b[::-1]
+    return [sum(map(mul, a[: k + 1], rb[n - 1 - k:])) for k in range(n)]
+
+
+def _same(a: list[int], da: int, b: list[int], db: int) -> bool:
+    """Whether the rows a/da and b/db are equal, by cross-multiplication."""
+    return [x * db for x in a] == [x * da for x in b]
+
+
+def _exp_row(c: Fraction, order: int) -> tuple[list[int], int]:
+    """e**(c*x) to x**order as integer numerators over q**order * order!,
+    for c = p/q: the k-th numerator is p**k * q**(order-k) * order!/k!."""
+    p, q = c.numerator, c.denominator
+    falling = [1] * (order + 1)  # order!/k!
+    for k in range(order, 0, -1):
+        falling[k - 1] = falling[k] * k
+    row = [p**k * q ** (order - k) * f for k, f in enumerate(falling)]
+    return row, q**order * falling[0]
 
 
 class TruncatedSeries:
@@ -82,9 +112,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -112,12 +140,7 @@ class TruncatedSeries:
             a, da = _cleared(self.coeffs)
             b, db = _cleared(other.coeffs)
             den = da * db
-            n = len(a)
-            rb = b[::-1]
-            return TruncatedSeries(tuple(
-                Fraction(sum(map(mul, a[: k + 1], rb[n - 1 - k:])), den)
-                for k in range(n)
-            ))
+            return TruncatedSeries(tuple(Fraction(c, den) for c in _convolve(a, b)))
         return TruncatedSeries(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -217,11 +240,20 @@ def _admissible(y) -> Fraction:
     return y
 
 
-def _hirzebruch(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
+def _hirzebruch(t: list[int], dt: int, y: Fraction) -> tuple[list[int], int]:
+    """The classical family at y as integer numerators over one
+    denominator, from Todd's row t/dt: (1/s) * Todd(s*x) * (1 + y*e**(-s*x))
+    with s = 1+y, multiplied out as one convolution."""
     # x/(1 - e**(-x(1+y))) is Todd(x(1+y)) with its numerator scaled back
-    scaled_todd = Fraction(1, 1 + y) * todd.scale_argument(1 + y)
-    factor = 1 + y * TruncatedSeries.exponential(-(1 + y), todd.order)
-    return scaled_todd * factor
+    p, q = y.numerator, y.denominator
+    s, order = p + q, len(t) - 1
+    scaled = [a * s**k * q ** (order - k) for k, a in enumerate(t)]
+    e, de = _exp_row(Fraction(-s, q), order)
+    factor = [p * a for a in e]
+    factor[0] += q * de
+    # the product is over dt*q**order * q*de; dividing by 1+y = s/q
+    # trades that q for s
+    return _convolve(scaled, factor), dt * q**order * de * s
 
 
 def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
@@ -255,7 +287,8 @@ def hirzebruch_series(y, order: int) -> TruncatedSeries:
     substituting x -> x/2 at y = 1 gives the half-angle cotangent.
     """
     y = _admissible(y)
-    return _hirzebruch(todd_series(order), y)
+    h, den = _hirzebruch(*_cleared(todd_series(order).coeffs), y)
+    return TruncatedSeries(tuple(Fraction(c, den) for c in h))
 
 
 def qy_series(y, order: int) -> TruncatedSeries:
@@ -290,42 +323,60 @@ def verify_identities(order: int) -> dict[str, bool]:
 def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries) -> dict[str, bool]:
     """verify_identities on a prebuilt todd_series and lhat_series.
 
-    The family comes from family_at, Todd minus a line; two checks keep
-    an independent route through the product e**(-x) * Todd, computed
-    once: todd_reflection, and weighted_average_form, which rebuilds the
-    family from it.  classical_family_halved runs the classical family
-    through its own series product.
+    Every series is cleared once to an integer row over one denominator;
+    products are integer convolutions, and two rows are compared by
+    cross-multiplying their denominators, so no Fraction is built per
+    coefficient.  The family comes from family_at, Todd minus a line;
+    two checks keep an independent route through the product
+    e**(-x) * Todd, convolved once: todd_reflection, and
+    weighted_average_form, which rebuilds the family from it.
+    classical_family_halved runs the classical family at y = 1 through
+    its own convolution, then substitutes x -> x/2.
     """
     order = todd.order
-    todd_neg = todd.scale_argument(-1)
-    shifted = TruncatedSeries.exponential(-1, order) * todd
+    t, dt = _cleared(todd.coeffs)
+    lh, dl = _cleared(lhat.coeffs)
+    t_neg = [-a if k % 2 else a for k, a in enumerate(t)]
+    e, de = _exp_row(Fraction(-1), order)
+    shifted, ds = _convolve(e, t), de * dt
+    # (1 - e**(-x))/x: coefficient k is -(coefficient k+1 of e**(-x))
+    e1, de1 = _exp_row(Fraction(-1), order + 1)
+    h, dh = _hirzebruch(t, dt, Fraction(1))
+    halved = [a * 2 ** (order - k) for k, a in enumerate(h)]
     cleared = family_cleared(todd)
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
+    family = {y: _cleared(family_at(todd, y).coeffs) for y in sample_ys}
     checks = {
-        "todd_defining_product": todd
-        * TruncatedSeries(
-            tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1))
-        )
-        == TruncatedSeries.constant(Fraction(1), order),
-        "todd_reflection": todd_neg == shifted,
-        "average_is_half_angle": Fraction(1, 2) * (todd + todd_neg) == lhat,
+        "todd_defining_product": _same(
+            _convolve(t, [-a for a in e1[1:]]), dt * de1, [1] + [0] * order, 1
+        ),
+        "todd_reflection": _same(t_neg, dt, shifted, ds),
+        "average_is_half_angle": _same(
+            [a + b for a, b in zip(t, t_neg)], 2 * dt, lh, dl
+        ),
         "half_angle_is_even": all(
             lhat[k] == 0 for k in range(1, order + 1, 2)
         ),
         "family_at_zero_is_todd": family_at(todd, Fraction(0)) == todd,
         "family_at_one_is_half_angle": family_at(todd, Fraction(1)) == lhat,
-        "classical_family_halved": _hirzebruch(todd, Fraction(1)).scale_argument(
-            Fraction(1, 2)
-        )
-        == lhat,
+        "classical_family_halved": _same(halved, dh * 2**order, lh, dl),
+        # (1+y) * family, with 1+y = (p+q)/q at y = p/q
         "cleared_family_matches": all(
-            TruncatedSeries(tuple(c(y) for c in cleared.coeffs))
-            == (1 + y) * family_at(todd, y)
+            _same(
+                *_cleared([c(y) for c in cleared.coeffs]),
+                [(y.numerator + y.denominator) * a for a in family[y][0]],
+                y.denominator * family[y][1],
+            )
             for y in sample_ys
         ),
+        # (q * todd + p * shifted) / (p+q) at y = p/q
         "weighted_average_form": all(
-            family_at(todd, y)
-            == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * shifted
+            _same(
+                *family[y],
+                [y.denominator * de * a + y.numerator * b
+                 for a, b in zip(t, shifted)],
+                (y.numerator + y.denominator) * ds,
+            )
             for y in sample_ys
         ),
     }

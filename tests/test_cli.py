@@ -899,6 +899,38 @@ def test_value_past_the_digit_limit_exits_two(capsys):
     assert "Traceback" not in err
 
 
+# a --y whose codim-2 weight 1/(1+y)^2 has about 6000 digits
+_LONG_Y = "1" + "0" * 3000
+
+
+def test_svg_label_past_the_digit_limit_exits_two_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(polarcount.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "polarcount.cli", "svg", "--builtin", "cube:2",
+         "--y", _LONG_Y],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[0] == (
+        f"error: an integer has more than {sys.get_int_max_str_digits()} digits"
+    )
+    assert "Traceback" not in done.stderr
+
+
+def test_mismatch_past_the_digit_limit_exits_two(capsys, monkeypatch):
+    polarize = polarcount.cli.polarize_cones
+    monkeypatch.setattr(
+        polarcount.cli, "polarize_cones", lambda poly, xi: polarize(poly, xi)[:-1]
+    )
+    code, out, err = run(capsys, "decompose", "--builtin", "trapezoid", "--y", _LONG_Y)
+    assert code == 2
+    assert out == _BROKEN_HEAD
+    assert err.splitlines()[0] == (
+        f"error: an integer has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def test_svg_rejects_3d(capsys):
     code, _, err = run(capsys, "svg", "--builtin", "cube:3")
     assert code == 2

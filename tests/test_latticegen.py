@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarcount as pc
-from polarcount.latticegen import box_points, vertex_term
+from polarcount import latticegen
+from polarcount.cli import main
+from polarcount.latticegen import VertexTerm, box_points, vertex_term
 from polarcount.linalg import canonical_direction
 from polarcount.laurent import LaurentPoly, RationalFunction
 from polarcount.polytope import fmt_point
@@ -18,6 +22,7 @@ from zoo import (
     sheared_zoo,
     square_half,
     triangle_nonregular,
+    unimodular,
     zoo_images,
 )
 
@@ -380,3 +385,102 @@ def test_cone_series_check_concrete_weight():
         pc.hypercube(2, 1), (1, 2), margin=1, w=pc.WeightParam(Fraction(1, 3))
     )
     assert results and all(r.equal for r in results)
+
+
+# -- the one-binomial-at-a-time check against cross-multiplication -------
+
+
+def brion_by_equivalent(P):
+    """Reference route: each vertex numerator lifted by LaurentPoly
+    products, the full denominator expanded, and equality decided by
+    RationalFunction.equivalent."""
+    n1 = P.dim + 1
+    one = LaurentPoly.const(n1, 1)
+
+    def one_minus(b):
+        return LaurentPoly(n1, {(0,) * n1: 1, (*b, 0): -1})
+
+    terms = [latticegen.vertex_term(P, i) for i in range(len(P.vertices))]
+    dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
+    num = LaurentPoly.zero(n1)
+    for t in terms:
+        lifted = t.numerator
+        for b in dirs:
+            if b not in t.canonical_dirs:
+                lifted = lifted * one_minus(b)
+        num = num + lifted
+    lhs = RationalFunction(num, prod(map(one_minus, dirs), start=one))
+    rhs = RationalFunction(latticegen.weighted_sum_poly(P), one)
+    return lhs, rhs, lhs.equivalent(rhs)
+
+
+def assert_brion_matches_reference(P):
+    report = pc.brion_check(P)
+    lhs, rhs, equal = brion_by_equivalent(P)
+    assert (report.lhs.num, report.lhs.den) == (lhs.num, lhs.den)
+    assert (report.rhs.num, report.rhs.den) == (rhs.num, rhs.den)
+    assert report.equal == equal
+    return report
+
+
+def lattice_cases():
+    return brion_zoo() + [
+        (name, Q) for name, Q in sheared_zoo() if Q.regular and Q.integral
+    ]
+
+
+def test_brion_check_matches_cross_multiplication():
+    for name, P in lattice_cases():
+        assert assert_brion_matches_reference(P).equal, name
+
+
+@st.composite
+def lattice_images(draw):
+    """A brion_zoo member under a unimodular map and an integer shift,
+    which keep it regular and integral."""
+    zoo = dict(brion_zoo())
+    P = zoo[draw(st.sampled_from(sorted(zoo)))]
+    M = draw(unimodular(P.dim))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * P.dim))
+    return affine_image(P, M, shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_images())
+def test_brion_check_matches_cross_multiplication_on_images(P):
+    assert assert_brion_matches_reference(P).equal
+
+
+def dropped_first(P, i):
+    """vertex_term with vertex 0's term made zero."""
+    t = vertex_term(P, i)
+    if i:
+        return t
+    return VertexTerm(i, (LaurentPoly.zero(P.dim + 1),), t.canonical_dirs)
+
+
+def flipped_first_binomial(P, i):
+    """vertex_term with the sign of vertex 0's first binomial flipped."""
+    t = vertex_term(P, i)
+    if i:
+        return t
+    monomial, first, *rest = t.factors
+    return t._replace(factors=(monomial, -first, *rest))
+
+
+BROKEN_TERMS = {"dropped": dropped_first, "flipped": flipped_first_binomial}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
+def test_brion_check_fails_on_a_broken_vertex_term(monkeypatch, broken):
+    monkeypatch.setattr(latticegen, "vertex_term", BROKEN_TERMS[broken])
+    for name, P in lattice_cases():
+        assert not assert_brion_matches_reference(P).equal, name
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
+def test_brion_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken):
+    monkeypatch.setattr(latticegen, "vertex_term", BROKEN_TERMS[broken])
+    assert main(["brion", "--builtin", "cube:3,2"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "check: FAIL (vertex sum differs from lattice sum)"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given
@@ -303,3 +304,118 @@ def test_family_is_todd_minus_a_line(order):
     assert qy_series_cleared(order) == TruncatedSeries(
         tuple(YPoly((t, s)) for t, s in zip(todd.coeffs, shifted.coeffs))
     )
+
+
+# -- the integer-row checks against the Fraction checks they replaced -----
+
+
+def fraction_check_identities(todd, lhat):
+    """Reference checks: every series product, scaling and comparison in
+    Fraction coefficients, and the classical family through the series
+    operations."""
+    order = todd.order
+    todd_neg = todd.scale_argument(-1)
+    shifted = TruncatedSeries.exponential(-1, order) * todd
+    cleared = series.family_cleared(todd)
+    sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
+    scaled_todd = Fraction(1, 2) * todd.scale_argument(2)
+    classical = scaled_todd * (1 + TruncatedSeries.exponential(-2, order))
+    return {
+        "todd_defining_product": todd
+        * TruncatedSeries(
+            tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1))
+        )
+        == TruncatedSeries.constant(Fraction(1), order),
+        "todd_reflection": todd_neg == shifted,
+        "average_is_half_angle": Fraction(1, 2) * (todd + todd_neg) == lhat,
+        "half_angle_is_even": all(lhat[k] == 0 for k in range(1, order + 1, 2)),
+        "family_at_zero_is_todd": series.family_at(todd, Fraction(0)) == todd,
+        "family_at_one_is_half_angle": series.family_at(todd, Fraction(1)) == lhat,
+        "classical_family_halved": classical.scale_argument(Fraction(1, 2)) == lhat,
+        "cleared_family_matches": all(
+            TruncatedSeries(tuple(c(y) for c in cleared.coeffs))
+            == (1 + y) * series.family_at(todd, y)
+            for y in sample_ys
+        ),
+        "weighted_average_form": all(
+            series.family_at(todd, y)
+            == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * shifted
+            for y in sample_ys
+        ),
+    }
+
+
+def mutants(order):
+    """(name, todd, lhat) wrong inputs: one Todd coefficient perturbed,
+    the x term changed to -1/2 (the series x/(e**x - 1)), an odd
+    half-angle coefficient made nonzero, an even one perturbed."""
+    todd, lhat = todd_series(order), lhat_series(order)
+    out = []
+    for k in sorted({0, order // 2, order}):
+        t = list(todd.coeffs)
+        t[k] += Fraction(1, 7)
+        out.append((f"todd[{k}]", TruncatedSeries(t), lhat))
+    if order >= 1:
+        t = list(todd.coeffs)
+        t[1] = Fraction(-1, 2)
+        out.append(("x term", TruncatedSeries(t), lhat))
+        l = list(lhat.coeffs)
+        l[order if order % 2 else order - 1] = Fraction(1, 3)
+        out.append(("odd lhat", todd, TruncatedSeries(l)))
+    for k in sorted({0, 2 * (order // 4)}):
+        l = list(lhat.coeffs)
+        l[k] -= 5
+        out.append((f"lhat[{k}]", todd, TruncatedSeries(l)))
+    return out
+
+
+def family_with_u_for_1_minus_u(todd, y):
+    """A broken family_at: takes 1/(1+y) off the x coefficient, not y/(1+y)."""
+    coeffs = list(todd.coeffs)
+    if len(coeffs) > 1:
+        coeffs[1] -= 1 / (1 + Fraction(y))
+    return TruncatedSeries(coeffs)
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_integer_checks_match_fraction_checks(order):
+    cases = [("right", todd_series(order), lhat_series(order)), *mutants(order)]
+    for name, todd, lhat in cases:
+        got = series.check_identities(todd, lhat)
+        want = fraction_check_identities(todd, lhat)
+        assert list(got.items()) == list(want.items()), name
+    assert all(series.check_identities(todd_series(order), lhat_series(order)).values())
+
+
+def test_every_identity_fails_on_some_mutant(monkeypatch):
+    failed = set()
+    for order in (0, 1, 6, 13):
+        for _, todd, lhat in mutants(order):
+            checks = series.check_identities(todd, lhat)
+            failed |= {name for name, ok in checks.items() if not ok}
+    # family_at_zero_is_todd and cleared_family_matches hold for every
+    # input series; a broken family_at is what they catch
+    monkeypatch.setattr(series, "family_at", family_with_u_for_1_minus_u)
+    todd = todd_series(6)
+    checks = series.check_identities(todd, lhat_series(6))
+    assert checks == fraction_check_identities(todd, lhat_series(6))
+    failed |= {name for name, ok in checks.items() if not ok}
+    assert failed == set(checks)
+
+
+def test_series_command_reports_a_wrong_todd(capsys, monkeypatch):
+    build = series.todd_series
+
+    def wrong(order):
+        t = list(build(order).coeffs)
+        t[2] += Fraction(1, 7)
+        return TruncatedSeries(t)
+
+    monkeypatch.setattr(series, "todd_series", wrong)
+    expected = fraction_check_identities(wrong(8), lhat_series(8))
+    failed = [name for name, ok in expected.items() if not ok]
+    assert main(["series", "--order", "8"]) == 1
+    out = capsys.readouterr().out
+    assert f"check: FAIL ({len(failed)}/9 identities)\n" == out.splitlines(True)[-1]
+    for name, ok in expected.items():
+        assert f"  {name}: {'ok' if ok else 'FAIL'}\n" in out

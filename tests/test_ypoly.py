@@ -329,3 +329,44 @@ def test_combination_matches_summed_weights(table):
     assert combined == summed
     assert str(combined) == str(summed)
     assert_evaluates_like_oracle(combined)
+
+
+# -- YPoly evaluation in ints against the Fraction Horner loop ----------
+
+
+def horner_oracle(p, y):
+    """Reference value: Horner's rule with one Fraction per step."""
+    acc = Fraction(0)
+    y = Fraction(y)
+    for c in reversed(p.coeffs):
+        acc = acc * y + c
+    return acc
+
+
+_LONG = Fraction(int("7" * 2000), int("3" + "1" * 1999))  # 2000-digit parts
+YPOLY_YS = (0, 2, Fraction(-1, 2), Fraction(5, 3), _LONG, -_LONG)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (),
+    (0,),
+    (5,),
+    (1, 2, 3),
+    (-4, 0, 0, 7),
+    (Fraction(1, 2), 0, Fraction(-7, 12)),
+    (3, Fraction(-1, 720), 0, Fraction(5, 6), -2),
+    (Fraction(1, 30240),) * 9,
+])
+def test_ypoly_eval_matches_fraction_loop(coeffs):
+    p = YPoly(coeffs)
+    for y in YPOLY_YS:
+        got = p(y)
+        assert got == horner_oracle(p, y), (coeffs, y)
+        assert type(got) is Fraction
+
+
+@given(coeff_lists, st.fractions(max_denominator=10**6))
+def test_ypoly_eval_matches_fraction_loop_generated(coeffs, y):
+    p = YPoly(coeffs)
+    assert p(y) == horner_oracle(p, y)
+    assert type(p(y)) is Fraction
