@@ -194,7 +194,7 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     factors = [LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))]
     one, u = (0,) * (n + 1), (0,) * n + (1,)
     dirs = []
-    # the edges are primitive int vectors (polytope.vertex_frame), so the
+    # the edges are primitive int vectors (Polytope construction), so the
     # canonical direction is the edge itself or its negation
     for a in v.edges:
         if next(x for x in a if x) > 0:

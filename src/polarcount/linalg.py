@@ -4,11 +4,12 @@ Vectors are plain tuples of Fraction (ints are accepted and compare
 equal), matrices are tuples of row tuples.  Everything here is
 immutable, hashable, and exact; no floats anywhere.
 
-Polytope construction calls integer_inverse once, at the start vertex
-of its walk, and reaches every other vertex by an integer pivot.  The
-Fraction routines solve_linear, det, inverse and rank are no longer
-called by the program: the tests use them as oracles for it, and the
-benchmark's tracer (bench/tracing.py) wraps them by name.
+No program path calls integer_inverse: polytope construction reaches
+every vertex, the first one included, by integer pivots, and the tests
+call integer_inverse (through polytope.vertex_frame) as an oracle for
+them.  The Fraction routines solve_linear, det, inverse and rank are no
+longer called by the program either: the tests use them as oracles for
+it, and the benchmark's tracer (bench/tracing.py) wraps them by name.
 """
 
 from __future__ import annotations

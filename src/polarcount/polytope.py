@@ -14,21 +14,20 @@ boxes, the figure and the sample points read; the only Fractions it
 makes are the coordinates of each Vertex.point, for printing and for the
 public API.  Vertices are found by walking the vertex graph with integer
 pivots, as reverse-search vertex enumeration does (Avis and Fukuda;
-lrs), simplified for simple polytopes.  A depth-first search over facet
-subsets in lexicographic order, eliminating on integer rows, finds one
-vertex, and vertex_frame reads its point, primitive edges and |det| of
-its edge matrix off one fraction-free inverse (linalg.integer_inverse).
-Each vertex carries a tableau (_Tableau): the cleared point, its facet
-slacks, its edges d_i and the rate table R[f][i] = <a_f, d_i>.  The
-ratio test along d_k reads column k of R, and the neighbour's tableau is
-the parent's after one fraction-free pivot (_pivot) that swaps the
-relaxed facet for the blocking one, with |det| updated by the pivot's
-scale factors; a vertex is regular exactly when that |det| is 1.  The
-cost is one dim x dim inverse and facets x dim dot products at the
-start, then O(facets * dim) integer operations per vertex, rather than
-one solve per dim-subset of the facets.  A tie in a ratio test is a
-non-simple vertex, an edge no facet blocks is an unbounded ray, and a
-facet no vertex touches is redundant.  Membership queries (contains,
+lrs), simplified for simple polytopes.  Each vertex carries a tableau
+(_Tableau): the cleared point, its facet slacks, its edges d_i and the
+rate table R[f][i] = <a_f, d_i>.  The ratio test along d_k reads column
+k of R, and the neighbour's tableau is the parent's after one
+fraction-free pivot (_pivot) that swaps the relaxed facet for the
+blocking one, with |det| updated by the pivot's scale factors; a vertex
+is regular exactly when that |det| is 1.  The same pivot finds the
+start vertex (_first_vertex): a depth-first search over facet subsets
+in lexicographic order enters one facet per level, starting from the
+origin with the coordinate directions as free edges.  The cost is
+O(facets * dim) integer operations per pivot, rather than one solve per
+dim-subset of the facets.  A tie in a ratio test is a non-simple
+vertex, an edge no facet blocks is an unbounded ray, and a facet no
+vertex touches is redundant.  Membership queries (contains,
 active_facets, face_codim) read the same integer facet slacks.
 """
 
@@ -152,80 +151,25 @@ class Polytope:
                 )
             seen[key] = i
 
-    def _first_vertex(self) -> tuple[int, ...]:
-        """Active facets of the first vertex in lexicographic subset order.
-
-        Depth first over the n-subsets of facets in lexicographic order,
-        carrying the integer rows [normal | offset] of the prefix reduced
-        to echelon form, each divided by its gcd: a prefix whose normals
-        are linearly dependent is pruned, since no extension of it has a
-        unique solution.  The first full subset whose solution has no
-        negative facet slack gives the vertex.
-        """
-        n, facets = self.dim, self.integer_facets
-
-        def extend(first: int, basis: list) -> Optional[tuple]:
-            if len(basis) == n:
-                # row b reads b[p] * x_p = b[n]: clear to one denominator
-                den = lcm(*(abs(b[p]) for p, b in basis))
-                num = [0] * n
-                for p, b in basis:
-                    num[p] = b[n] * (den // b[p])
-                slack = facet_slacks(facets, num, den)
-                return None if slack_codim(slack) is None else (num, den, slack)
-            for i in range(first, len(facets) - (n - len(basis)) + 1):
-                normal, offset = facets[i]
-                row = [*normal, offset]
-                for pivot, b in basis:
-                    c = row[pivot]
-                    if c:
-                        row = [b[pivot] * r - c * s for r, s in zip(row, b)]
-                pivot = next((k for k in range(n) if row[k]), None)
-                if pivot is None:
-                    continue
-                row = _reduced(row)
-                c = row[pivot]
-                reduced = [
-                    (p, _reduced([c * s - b[pivot] * r for s, r in zip(b, row)])
-                     if b[pivot] else b)
-                    for p, b in basis
-                ]
-                found = extend(i + 1, reduced + [(pivot, row)])
-                if found is not None:
-                    return found
-            return None
-
-        found = extend(0, [])
-        if found is None:
-            raise UnboundedError(
-                "inequality system has no vertices: the region is empty "
-                "or unbounded with no corner"
-            )
-        num, den, slack = found
-        active = tuple(i for i, s in enumerate(slack) if s == 0)
-        if len(active) > n:
-            raise _non_simple(tuple(Fraction(a, den) for a in num), active, n)
-        return active
-
     def _walk(self) -> tuple[tuple, tuple, tuple, bool]:
         """Every vertex with its edges, by pivoting along the vertex graph.
 
-        Only the start vertex's tableau comes from an integer inverse
-        (_start_tableau, through vertex_frame's _frame).  Every other
-        vertex's tableau is its parent's after one _pivot, made when the
-        vertex is first queued and dropped once it is popped.  The ratio
-        test along edge k reads column k of the rate table: a facet f
-        with rate -R[f][k] > 0 blocks the edge after slack / rate, and
-        the nearest one is entered.  The neighbour's active set is S
-        with the relaxed facet swapped for the blocking one.  A tie makes
-        the neighbour non-simple, and an edge no facet blocks is an
-        unbounded ray.  Returns the vertices sorted by point, their
-        cleared points (cleared_vertices), the edges as sorted index pairs
-        and the regular flag.
+        The start vertex's tableau comes from _first_vertex's search,
+        which runs on _pivot too.  Every other vertex's tableau is its
+        parent's after one _pivot, made when the vertex is first queued
+        and dropped once it is popped.  The ratio test along edge k
+        reads column k of the rate table: a facet f with rate -R[f][k]
+        > 0 blocks the edge after slack / rate, and the nearest one is
+        entered.  The neighbour's active set is S with the relaxed facet
+        swapped for the blocking one.  A tie makes the neighbour
+        non-simple, and an edge no facet blocks is an unbounded ray.
+        Returns the vertices sorted by point, their cleared points
+        (cleared_vertices), the edges as sorted index pairs and the
+        regular flag.
         """
         n, facets = self.dim, self.integer_facets
-        start = self._first_vertex()
-        pending = {start: _start_tableau(facets, start)}
+        start, tab = _first_vertex(facets)
+        pending = {start: tab}
         graph = {}
         unbounded = {}
         regular = True
@@ -371,13 +315,63 @@ class _Tableau(NamedTuple):
     absdet: int
 
 
-def _start_tableau(facets: Sequence, active: tuple[int, ...]) -> _Tableau:
-    """The walk's first tableau: the frame of one integer inverse, then
-    facets x dim dot products for the rates."""
-    num, den, edges, absdet = _frame([facets[i] for i in active])
-    return _Tableau(
-        num, den, facet_slacks(facets, num, den), edges,
-        [[sum(map(mul, a, d)) for a, _ in facets] for d in edges], absdet,
+def _first_vertex(facets: Sequence) -> tuple[tuple[int, ...], _Tableau]:
+    """Active facets and tableau of the first vertex in subset order.
+
+    Depth first over the dim-subsets of the integer facets in
+    lexicographic order, on _pivot alone.  The root is the origin, whose
+    edges are the coordinate directions, kept as free slots labelled
+    -dim..-1 so that _pivot's sort by label keeps them first; the rates
+    of slot k are a_f[k] and |det| is 1.  Facet i enters through the
+    first free slot with a nonzero rate on it, negated first when that
+    rate is positive, so that _pivot's rho is positive.  A facet with
+    zero rate on every free slot has its normal in the span of the
+    prefix's, so no extension has a unique solution and it is skipped.
+    The first full subset with no negative slack is the start vertex,
+    and its tableau is the one the walk takes: the point, the primitive
+    edges in facet order, the rates and |det| are all fixed by the
+    active set.  An explicit stack holds one child per level, made when
+    it is entered.
+    """
+    n = len(facets[0][0])
+    root = _Tableau(
+        (0,) * n, 1, [-b for _, b in facets],
+        tuple(tuple(int(p == k) for p in range(n)) for k in range(n)),
+        [list(col) for col in zip(*(a for a, _ in facets))], 1,
+    )
+    # (labels, tableau, next facet to try) per level of the prefix
+    stack = [(tuple(range(-n, 0)), root, 0)]
+    while stack:
+        labels, tab, i = stack.pop()
+        # len(stack) facets are entered and free slots remain, so the
+        # next facet is at most len(facets) - free: the rest come after
+        free = n - len(stack)
+        stop = len(facets) - free
+        while i <= stop and not any(col[i] for col in tab.rates[:free]):
+            i += 1
+        if i > stop:
+            continue
+        stack.append((labels, tab, i + 1))
+        k = next(k for k in range(free) if tab.rates[k][i])
+        if tab.rates[k][i] > 0:
+            edges, rates = list(tab.edges), list(tab.rates)
+            edges[k] = tuple(-a for a in edges[k])
+            rates[k] = [-r for r in rates[k]]
+            tab = tab._replace(edges=tuple(edges), rates=rates)
+        child = _pivot(tab, labels, k, i)
+        labels = labels[:k] + labels[k + 1:] + (i,)
+        if free > 1:
+            stack.append((labels, child, i + 1))
+            continue
+        if min(child.slack) < 0:
+            continue
+        active = tuple(f for f, s in enumerate(child.slack) if s == 0)
+        if len(active) > n:
+            raise _non_simple(_point(child.num, child.den), active, n)
+        return active, child
+    raise UnboundedError(
+        "inequality system has no vertices: the region is empty "
+        "or unbounded with no corner"
     )
 
 
@@ -446,16 +440,9 @@ def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
     |d|^(n-1) / prod g_k, so the edges are unimodular (the last value)
     exactly when prod g_k == |d|^(n-1).
 
-    The walk runs this inverse (as _frame) at its start vertex only and
-    reaches every other vertex by _pivot; the tests call vertex_frame at
-    every vertex, as an oracle independent of the pivots.
+    Construction never calls this: the tests call it at every vertex, as
+    an oracle independent of the walk's pivots.
     """
-    num, den, edges, absdet = _frame(rows)
-    return num, den, edges, absdet == 1
-
-
-def _frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, int]:
-    """vertex_frame with |det| of the edge matrix in place of its flag."""
     inv, d = integer_inverse([a for a, _ in rows])
     sign, size = (1, d) if d > 0 else (-1, -d)
     offsets = [b for _, b in rows]
@@ -468,7 +455,7 @@ def _frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, int]:
         edges.append(tuple(sign * a // gk for a in col))
     return (
         tuple(a // g for a in num), size // g, tuple(edges),
-        size ** (len(rows) - 1) // content,
+        content == size ** (len(rows) - 1),
     )
 
 
@@ -487,12 +474,6 @@ def facet_slacks(rows: Sequence, num: Sequence[int], den: int) -> list[int]:
 def slack_codim(slack: Sequence[int]) -> Optional[int]:
     """Tight facets among a point's slacks over every facet; None outside."""
     return None if min(slack) < 0 else slack.count(0)
-
-
-def _reduced(row: list[int]) -> list[int]:
-    """A nonzero integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [a // g for a in row]
 
 
 def fmt_point(x: Sequence) -> str:

@@ -1,7 +1,8 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from polarcount.linalg import (
     primitive,
     solve_linear,
 )
-from polarcount.polytope import vertex_frame
+from polarcount.polytope import facet_slacks, slack_codim, vertex_frame
 from zoo import (
     affine_image,
     decomposition_zoo,
@@ -465,9 +466,9 @@ def test_vertex_regularity_matches_edge_determinant_above_dimension_three(image)
     assert_vertex_frames(image)
 
 
-def test_one_integer_inverse_per_construction(monkeypatch):
-    # the walk inverts at its start vertex only; every other vertex is
-    # reached by a pivot
+def test_no_integer_inverse_per_construction(monkeypatch):
+    # the start search and the walk both run on pivots; only the tests'
+    # vertex_frame oracle inverts
     calls = []
 
     def counting(rows):
@@ -489,8 +490,129 @@ def test_one_integer_inverse_per_construction(monkeypatch):
         ),
     ):
         calls.clear()
-        P = build()
-        assert calls == [P.dim]
+        build()
+        assert calls == []
+
+
+# -- the start search against the echelon search it replaced --------------
+
+
+def echelon_first_vertex(facets):
+    """Active facets of the first vertex in lexicographic subset order.
+
+    A recursive search on integer echelon rows [normal | offset], each
+    divided by its gcd, so an elimination independent of _pivot: a
+    prefix whose normals are dependent is pruned, and the first full
+    subset whose solution has no negative slack is the vertex.  Raises
+    the constructor's errors for that vertex.
+    """
+    n = len(facets[0][0])
+
+    def reduced(row):
+        g = gcd(*row)
+        return [a // g for a in row]
+
+    def extend(first, basis):
+        if len(basis) == n:
+            den = lcm(*(abs(b[p]) for p, b in basis))
+            num = [0] * n
+            for p, b in basis:
+                num[p] = b[n] * (den // b[p])
+            slack = facet_slacks(facets, num, den)
+            return None if slack_codim(slack) is None else (num, den, slack)
+        for i in range(first, len(facets) - (n - len(basis)) + 1):
+            normal, offset = facets[i]
+            row = [*normal, offset]
+            for pivot, b in basis:
+                c = row[pivot]
+                if c:
+                    row = [b[pivot] * r - c * s for r, s in zip(row, b)]
+            pivot = next((k for k in range(n) if row[k]), None)
+            if pivot is None:
+                continue
+            row = reduced(row)
+            c = row[pivot]
+            rows = [
+                (p, reduced([c * s - b[pivot] * r for s, r in zip(b, row)])
+                 if b[pivot] else b)
+                for p, b in basis
+            ]
+            found = extend(i + 1, rows + [(pivot, row)])
+            if found is not None:
+                return found
+        return None
+
+    found = extend(0, [])
+    if found is None:
+        raise pc.UnboundedError(
+            "inequality system has no vertices: the region is empty "
+            "or unbounded with no corner"
+        )
+    num, den, slack = found
+    active = tuple(i for i, s in enumerate(slack) if s == 0)
+    if len(active) > n:
+        raise polytope._non_simple(tuple(Fraction(a, den) for a in num), active, n)
+    return active
+
+
+def inverse_start_tableau(facets, active):
+    """The start tableau from one integer inverse (vertex_frame), with
+    facets x dim dot products for the rates and a Fraction determinant."""
+    num, den, edges, _ = vertex_frame([facets[i] for i in active])
+    return polytope._Tableau(
+        num, den, facet_slacks(facets, num, den), edges,
+        [[sum(x * y for x, y in zip(a, d)) for a, _ in facets] for d in edges],
+        int(abs(det(edges))),
+    )
+
+
+def assert_start_like_echelon(facets):
+    """The pivot search finds the echelon search's vertex, or raises its
+    error, and hands the walk the tableau an inverse gives there."""
+    try:
+        expected = echelon_first_vertex(facets)
+    except pc.PolytopeError as e:
+        with pytest.raises(type(e)) as err:
+            polytope._first_vertex(facets)
+        assert str(err.value) == str(e)
+        return
+    active, tab = polytope._first_vertex(facets)
+    assert active == expected
+    assert tab._asdict() == inverse_start_tableau(facets, active)._asdict()
+
+
+@pytest.mark.parametrize("P", [
+    pytest.param(P, id=name) for name, P in decomposition_zoo() + sheared_zoo()
+])
+def test_start_search_matches_echelon_search(P):
+    assert_start_like_echelon(P.integer_facets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(image=high_dim_images())
+def test_start_search_matches_echelon_search_above_dimension_three(image):
+    assert_start_like_echelon(image.integer_facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facets=facet_systems())
+def test_start_search_matches_echelon_search_on_generated(facets):
+    assert_start_like_echelon([f.integer() for f in facets])
+
+
+def test_start_search_does_not_recurse():
+    # the echelon search recursed once per dimension, so simplex:40 ran
+    # past a recursion limit this close to the caller's depth
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        P = pc.dilated_simplex(40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(P.vertices) == 41
 
 
 # the bodies of barycenter, bounding_box and integer_box before they read
