@@ -16,9 +16,12 @@ The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
 The lattice side of every identity comes from one enumeration,
-lattice_points, which scans the integer box row by row with the facets
-scaled to integer normals and offsets, and maps each lattice point to
-the codimension of its face.  Weighted quantities are computed
+lattice_points, a depth-first walk over the coordinates of the integer
+box with the facets scaled to integer normals and offsets.  It bounds
+each coordinate from the facets' residuals, prunes every prefix that
+no point of the box completes, and maps each lattice point to the
+codimension of its face; its cost is the visited prefixes times the
+facets, not the box volume.  Weighted quantities are computed
 symbolically in y; a concrete y only evaluates the symbolic answer.
 In particular each side of the chi identity is written once: at a
 concrete (z, y) the vertex sum evaluates each vertex_term's factors
@@ -31,10 +34,11 @@ integer vertices, and raises HypothesisError otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from operator import add
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction
@@ -83,35 +87,70 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
     """Each lattice point of the polytope, in lexicographic order, mapped
     to the codimension of the smallest face containing it.
 
-    One integer row scan over Polytope.integer_facets.  For each prefix
-    of the first n-1 coordinates in the integer box, a facet <a, x> >= b
-    with residual r = b - <a[:n-1], prefix> bounds the last coordinate
-    below by ceil(r/a_n) when a_n > 0 and above by floor(r/a_n) when a_n < 0;
-    with a_n = 0 it empties the row when r > 0 and is tight on all of it
-    when r = 0.  A facet with a_n != 0 is tight at the last coordinate
-    r/a_n when that is an integer.
+    A depth-first walk over the coordinates of the integer box, on an
+    explicit stack, with the facets <a, x> >= b of Polytope.integer_facets.
+    A node at level k is a prefix x_0..x_(k-1) carrying each facet's
+    residual r = b - <a[:k], prefix>; each step along x_k subtracts a_k
+    from it.  With R the most that the coordinates after k can add to
+    <a, x> inside the box (the table ahead), a facet requires
+    a_k * x_k >= r - R: a floor on x_k when a_k > 0, a ceiling when
+    a_k < 0, and no child at all when a_k = 0 and r - R > 0.  Only
+    prefixes that no point of the box satisfies are dropped, so the cost
+    is the visited prefixes times the facets, not the box volume.
+
+    At the last level R = 0 and the rule bounds a row of points: a facet
+    with a_k != 0 is tight at x_k = r/a_k when that is an integer, and
+    one with a_k = 0 is tight on the whole row when r = 0.
     """
     lo, hi = poly.integer_box()
-    facets = poly.integer_facets
+    normals, offsets = zip(*poly.integer_facets)
+    columns = tuple(zip(*normals))
+    leaf = len(columns) - 1
+    # ahead[k][f]: the most that coordinates k+1.. add to facet f in the box
+    ahead = [(0,) * len(offsets)]
+    for k in range(leaf, 0, -1):
+        ahead.append(tuple(
+            R + max(a * lo[k], a * hi[k]) for R, a in zip(ahead[-1], columns[k])
+        ))
+    ahead.reverse()
     points: dict[tuple[int, ...], int] = {}
-    for prefix in box_points(lo[:-1], hi[:-1]):
-        first, last = lo[-1], hi[-1]
+    stack = [((), offsets)]
+    while stack:
+        prefix, residual = stack.pop()
+        k = len(prefix)
+        column = columns[k]
+        first, last = lo[k], hi[k]
+        if k < leaf:
+            for a, s in zip(column, map(sub, residual, ahead[k])):
+                if a > 0:
+                    first = max(first, -(-s // a))
+                elif a < 0:
+                    last = min(last, s // a)
+                elif s > 0:
+                    break
+            else:
+                # pushed last to first, so that they pop in lexicographic order
+                child = tuple(r - a * last for r, a in zip(residual, column))
+                for x in range(last, first - 1, -1):
+                    stack.append(((*prefix, x), child))
+                    child = tuple(map(add, child, column))
+            continue
+        # the last level: the same rule with R = 0, one pass that also
+        # records where each facet is tight
         row_tight = 0
         tight_at = []
-        for a, b in facets:
-            r = b - sum(ai * pi for ai, pi in zip(a, prefix))
-            an = a[-1]
-            if an > 0:
-                first = max(first, -(-r // an))
-            elif an < 0:
-                last = min(last, r // an)
+        for a, r in zip(column, residual):
+            if a > 0:
+                first = max(first, -(-r // a))
+            elif a < 0:
+                last = min(last, r // a)
             elif r > 0:
                 break
             else:
                 row_tight += r == 0
                 continue
-            if r % an == 0:
-                tight_at.append(r // an)
+            if r % a == 0:
+                tight_at.append(r // a)
         else:
             codims = [row_tight] * (last - first + 1)
             for t in tight_at:
@@ -124,10 +163,7 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
 
 def codim_census(poly: Polytope) -> dict[int, int]:
     """How many lattice points sit on faces of each codimension."""
-    census: dict[int, int] = {}
-    for c in lattice_points(poly).values():
-        census[c] = census.get(c, 0) + 1
-    return census
+    return dict(Counter(lattice_points(poly).values()))
 
 
 def format_census(census: dict[int, int]) -> str:

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import prod
+from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from zoo import (
     affine_image,
     brion_zoo,
     decomposition_zoo,
+    high_dim_images,
     regular_zoo,
     sheared_zoo,
     square_half,
@@ -85,6 +90,58 @@ def test_row_scan_matches_brute_force_on_images(image):
     assert list(pc.lattice_points(image).items()) == list(
         brute_force_points(image).items()
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(image=high_dim_images())
+def test_walk_matches_brute_force_on_high_dim_images(image):
+    # dimensions 4-6 with rational offsets and shuffled facets, so the
+    # facet bounds cut prefixes above the last level; many images have
+    # no lattice point at all
+    assert list(pc.lattice_points(image).items()) == list(
+        brute_force_points(image).items()
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_closed_forms(n):
+    for s in (1, 2, 3):
+        expected = {c: comb(n, c) * (s - 1) ** (n - c) * 2**c for c in range(n + 1)}
+        want = {c: k for c, k in expected.items() if k}
+        assert pc.codim_census(pc.hypercube(n, s)) == want, (n, s)
+    for d in (1, 2, 3, 5):
+        expected = {c: comb(n + 1, c) * comb(d - 1, n - c) for c in range(n + 1)}
+        want = {c: k for c, k in expected.items() if k}
+        assert pc.codim_census(pc.dilated_simplex(n, d)) == want, (n, d)
+    assert type(pc.codim_census(pc.hypercube(n, 2))) is dict
+
+
+def test_walk_does_not_recurse():
+    P = pc.dilated_simplex(40)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        points = pc.lattice_points(P)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert set(points.values()) == {40} and len(points) == 41
+
+
+def test_count_simplex_40_finishes():
+    # the box has 2^40 points; an unpruned scan of it never returns
+    env = {**os.environ, "PYTHONPATH": str(Path(pc.__file__).parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "polarcount.cli", "count", "--builtin", "simplex:40"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("count --builtin simplex:40 ran past 60 s")
+    assert done.returncode == 0, done.stderr
+    assert "lattice points: 41\n  codim 40: 41\n" in done.stdout
 
 
 def test_census_and_format():
