@@ -22,10 +22,12 @@ from .latticegen import (
     chi_y_lattice_sum,
     chi_y_vertex_sum,
     codim_census,
+    codim_sums,
     coefficient_extract,
     cone_series_check,
     format_census,
     lattice_points,
+    lattice_rows,
     multiplicity,
     multiplicity_check,
     vertex_genfun,

@@ -16,17 +16,20 @@ The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
 The lattice side of every identity comes from one enumeration,
-lattice_points, a depth-first walk over the coordinates of the integer
+lattice_rows, a depth-first walk over the coordinates of the integer
 box with the facets scaled to integer normals and offsets.  It bounds
 each coordinate from the facets' residuals, prunes every prefix that
-no point of the box completes, and maps each lattice point to the
-codimension of its face; its cost is the visited prefixes times the
-facets, not the box volume.  Weighted quantities are computed
-symbolically in y; a concrete y only evaluates the symbolic answer.
-In particular each side of the chi identity is written once: at a
-concrete (z, y) the vertex sum evaluates each vertex_term's factors
-and the lattice sum evaluates weighted_sum_poly, both through
-LaurentPoly.at at (z, u) with u = 1/(1+y).
+no point of the box completes, and yields the lattice points a row at
+a time, with the facets tight on the row and where the others are
+tight; its cost is the visited prefixes times the facets, not the box
+volume.  codim_sums reads the rows without listing the points: the
+census, or at a concrete z the sum of z^p per codimension.
+lattice_points expands them into a dict of points.  Weighted
+quantities are computed symbolically in y; a concrete y only evaluates
+the symbolic answer.  In particular each side of the chi identity is
+written once: at a concrete (z, y) the vertex sum evaluates each
+vertex_term's factors through LaurentPoly.at at (z, u), u = 1/(1+y),
+and the lattice sum evaluates census_weight_y of the codim_sums at y.
 Enumeration and the truncated cone series hold for any simple polytope;
 everything else needs determinant +-1 edge bases at every vertex and
 integer vertices, and raises HypothesisError otherwise.
@@ -34,7 +37,6 @@ integer vertices, and raises HypothesisError otherwise.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
@@ -83,9 +85,13 @@ def box_points(lo: Sequence[int], hi: Sequence[int]):
     return iter_product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
-    """Each lattice point of the polytope, in lexicographic order, mapped
-    to the codimension of the smallest face containing it.
+def lattice_rows(poly: Polytope):
+    """Each row of lattice points of the polytope, in lexicographic order,
+    as (prefix, first, last, row_tight, tight_at): the points
+    (*prefix, x) for first <= x <= last, row_tight facets tight on all
+    of them, and one entry x in tight_at for each other facet tight at
+    (*prefix, x), which may lie outside first..last.  A point's
+    codimension is row_tight plus the number of its entries in tight_at.
 
     A depth-first walk over the coordinates of the integer box, on an
     explicit stack, with the facets <a, x> >= b of Polytope.integer_facets.
@@ -100,7 +106,8 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
 
     At the last level R = 0 and the rule bounds a row of points: a facet
     with a_k != 0 is tight at x_k = r/a_k when that is an integer, and
-    one with a_k = 0 is tight on the whole row when r = 0.
+    one with a_k = 0 is tight on the whole row when r = 0.  Empty rows
+    are not yielded.
     """
     lo, hi = poly.integer_box()
     normals, offsets = zip(*poly.integer_facets)
@@ -113,7 +120,6 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
             R + max(a * lo[k], a * hi[k]) for R, a in zip(ahead[-1], columns[k])
         ))
     ahead.reverse()
-    points: dict[tuple[int, ...], int] = {}
     stack = [((), offsets)]
     while stack:
         prefix, residual = stack.pop()
@@ -152,18 +158,93 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
             if r % a == 0:
                 tight_at.append(r // a)
         else:
-            codims = [row_tight] * (last - first + 1)
+            if first <= last:
+                yield prefix, first, last, row_tight, tight_at
+
+
+def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
+    """Each lattice point of the polytope, in lexicographic order, mapped
+    to the codimension of the smallest face containing it: the rows of
+    lattice_rows, expanded."""
+    points: dict[tuple[int, ...], int] = {}
+    for prefix, first, last, row_tight, tight_at in lattice_rows(poly):
+        codims = [row_tight] * (last - first + 1)
+        for t in tight_at:
+            if first <= t <= last:
+                codims[t - first] += 1
+        for x, c in zip(range(first, last + 1), codims):
+            points[(*prefix, x)] = c
+    return points
+
+
+def codim_sums(
+    poly: Polytope, z: Optional[Sequence[Fraction]] = None
+) -> tuple[dict[int, int], Fraction]:
+    """(sums, scale): for each codimension c, the sum of z^p over the
+    lattice points p on faces of codimension c is sums[c] * scale, with
+    the ints sums[c] nonzero and in ascending c.  With z None, z is
+    (1, ..., 1): sums is the census and scale is 1.
+
+    Read off lattice_rows without listing the points.  A coordinate
+    z_i = a/b over the box's [lo, hi] gives z_i**e = a**(e-lo) *
+    b**(hi-e) times a**lo / b**hi, and the product of the second factors
+    is the scale.  So a row (*prefix, first..last) of L points sums to
+    pre * a**(first-lo) * b**(hi-last) * G(L), with pre the prefix's int
+    part and G(L) = a**(L-1) + a**(L-2)*b + ... + b**(L-1), which is
+    (a**L - b**L)/(a - b), or L when z_n = 1.  Each facet tight at x
+    then moves that point's part from its codimension to the next.
+    """
+    sums = [0] * (len(poly.facets) + 1)
+    if z is None:
+        for _, first, last, row_tight, tight_at in lattice_rows(poly):
+            sums[row_tight] += last - first + 1
+            # moved[x]: x's codimension so far, as facets tight at x repeat
+            moved: dict[int, int] = {}
             for t in tight_at:
                 if first <= t <= last:
-                    codims[t - first] += 1
-            for x, c in zip(range(first, last + 1), codims):
-                points[(*prefix, x)] = c
-    return points
+                    c = moved.get(t, row_tight)
+                    moved[t] = c + 1
+                    sums[c] -= 1
+                    sums[c + 1] += 1
+        return {c: s for c, s in enumerate(sums) if s}, Fraction(1)
+    lo, hi = poly.integer_box()
+    num = den = 1  # the scale
+    parts = []  # parts[i][e - lo[i]]: the int part of z_i**e
+    for c, lo_i, hi_i in zip(z, lo, hi):
+        a, b = c.numerator, c.denominator
+        num *= a ** max(lo_i, 0) * b ** max(-hi_i, 0)
+        den *= a ** max(-lo_i, 0) * b ** max(hi_i, 0)
+        apow = [a**k for k in range(hi_i - lo_i + 1)]
+        bpow = [b**k for k in range(hi_i - lo_i + 1)]
+        parts.append([p * q for p, q in zip(apow, reversed(bpow))])
+    # a, b, apow and bpow are the last coordinate's now; geometric[L] is
+    # G(L), as G(L+1) = a**L + b*G(L)
+    geometric = [0]
+    for p in apow:
+        geometric.append(p + b * geometric[-1])
+    *outer, part = parts
+    lo_n, hi_n = lo[-1], hi[-1]
+    for prefix, first, last, row_tight, tight_at in lattice_rows(poly):
+        pre = 1
+        for outer_part, e, lo_i in zip(outer, prefix, lo):
+            pre *= outer_part[e - lo_i]
+        sums[row_tight] += pre * (
+            apow[first - lo_n] * bpow[hi_n - last] * geometric[last - first + 1]
+        )
+        moved = {}
+        for t in tight_at:
+            if first <= t <= last:
+                c = moved.get(t, row_tight)
+                moved[t] = c + 1
+                point = pre * part[t - lo_n]
+                sums[c] -= point
+                sums[c + 1] += point
+    return {c: s for c, s in enumerate(sums) if s}, Fraction(num, den)
 
 
 def codim_census(poly: Polytope) -> dict[int, int]:
     """How many lattice points sit on faces of each codimension."""
-    return dict(Counter(lattice_points(poly).values()))
+    return codim_sums(poly)[0]
 
 
 def format_census(census: dict[int, int]) -> str:
@@ -368,10 +449,11 @@ def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
 
 
 def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
-    """The weighted lattice sum evaluated at a concrete z."""
+    """The weighted lattice sum evaluated at a concrete z: the census
+    weight of codim_sums(poly, z), evaluated at w.y and scaled."""
     require_lattice_hypotheses(poly, "weighted lattice evaluation")
-    point = (*_evaluation_point(poly, z), w.on_face)
-    return weighted_sum_poly(poly).at(point)
+    sums, scale = codim_sums(poly, _evaluation_point(poly, z))
+    return census_weight_y(sums)(w.y) * scale
 
 
 class ChiReport(NamedTuple):

@@ -14,9 +14,10 @@ multiplies by whole denominators; latticegen.brion_check, whose
 denominator is a product of binomials (1 - z^b), cross-multiplies one
 binomial shift at a time.
 
-LaurentPoly.at is the one evaluator: the chi command's vertex and
-lattice sums at a concrete (z, u) are these objects evaluated, in ints
-over one common denominator.
+LaurentPoly.at evaluates the chi command's vertex sum at a concrete
+(z, u), in ints over one common denominator; the lattice sum is read
+off the enumeration's rows in the same split of each coordinate
+(latticegen.codim_sums).
 """
 
 from __future__ import annotations

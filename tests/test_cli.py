@@ -155,16 +155,33 @@ def test_chi_malformed_z_rejected_before_loading(capsys):
 )
 def test_one_lattice_enumeration_per_command(capsys, monkeypatch, argv):
     calls = []
-    enumerate_box = latticegen.lattice_points
+    walk = latticegen.lattice_rows
 
     def counted(poly):
         calls.append(poly)
-        return enumerate_box(poly)
+        return walk(poly)
 
-    monkeypatch.setattr(latticegen, "lattice_points", counted)
+    monkeypatch.setattr(latticegen, "lattice_rows", counted)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--builtin", "simplex:2,4"),
+        ("count", "--builtin", "simplex:2,4", "--y", "1/2"),
+        ("chi", "--builtin", "cube:2", "--y", "1", "--z", "2,3"),
+    ],
+)
+def test_count_and_chi_build_no_point_dict(capsys, monkeypatch, argv):
+    def refused(poly):
+        raise AssertionError("lattice_points called")
+
+    monkeypatch.setattr(latticegen, "lattice_points", refused)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_brion_pass(capsys):

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
@@ -114,6 +116,47 @@ def test_census_closed_forms(n):
         want = {c: k for c, k in expected.items() if k}
         assert pc.codim_census(pc.dilated_simplex(n, d)) == want, (n, d)
     assert type(pc.codim_census(pc.hypercube(n, 2))) is dict
+
+
+def census_by_points(P):
+    return dict(Counter(pc.lattice_points(P).values()))
+
+
+any_image = st.one_of(zoo_images(), high_dim_images())
+
+
+@settings(max_examples=90, deadline=None)
+@given(image=any_image)
+def test_census_matches_the_point_dict_on_images(image):
+    # rational and non-regular images too: the census has no gate
+    census = pc.codim_census(image)
+    assert census == census_by_points(image)
+    # the concrete-z route at z = (1, ..., 1) is the census too
+    assert pc.codim_sums(image, (1,) * image.dim) == (census, 1)
+
+
+@pytest.mark.parametrize(
+    "P, want",
+    [
+        (
+            pc.dilated_simplex(2, 3000),
+            {c: comb(3, c) * comb(2999, 2 - c) for c in range(3)},
+        ),
+        (pc.hypercube(3, 120), {c: comb(3, c) * 119 ** (3 - c) * 2**c for c in range(4)}),
+    ],
+    ids=["simplex:2,3000", "cube:3,120"],
+)
+def test_census_closed_forms_at_large_dilations(P, want):
+    # 4.5 and 1.8 million points: a dict entry per point would hold
+    # hundreds of megabytes, the rows only a few
+    tracemalloc.start()
+    try:
+        census = pc.codim_census(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census == want
+    assert peak < 16 * 2**20
 
 
 def test_walk_does_not_recurse():
@@ -373,6 +416,20 @@ def test_chi_sides_match_the_y_form_oracles(P):
     with pytest.raises(pc.PoleError) as got:
         pc.chi_y_vertex_sum(P, pc.WeightParam(2), ones)
     assert str(got.value) == str(err.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    P=any_image.filter(lambda P: P.regular and P.integral),
+    y=st.fractions(-6, 6, max_denominator=4).filter(lambda y: y != -1),
+    data=st.data(),
+)
+def test_chi_lattice_sum_matches_the_oracle_on_images(P, y, data):
+    # shifted images have negative boxes; z_n = +-1 and points on two or
+    # more facets are drawn too
+    z = data.draw(st.tuples(*[st.sampled_from(_Z_CHOICES)] * P.dim))
+    w = pc.WeightParam(y)
+    assert pc.chi_y_lattice_sum(P, w, z) == lattice_sum_oracle(P, w, z)
 
 
 def test_chi_vertex_sum_expands_no_numerator(monkeypatch):
