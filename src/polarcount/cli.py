@@ -121,13 +121,10 @@ def _load_polytope(ns) -> tuple[Polytope, str, str]:
         digest = hashlib.sha256(f"builtin:{ns.builtin}".encode()).hexdigest()
         return _build_builtin(ns.builtin), f"builtin {ns.builtin}", digest[:12]
     if ns.file:
-        try:
-            with open(ns.file, "rb") as fh:
-                raw = fh.read()
-        except OSError as e:
-            raise InputError(f"cannot read {ns.file}: {e}") from e
+        # the digest and the polytope come from the same bytes
+        raw = polytope.read_file(ns.file)
         digest = hashlib.sha256(raw).hexdigest()
-        return polytope.from_file(ns.file), f"file {ns.file}", digest[:12]
+        return polytope.from_bytes(raw, ns.file), f"file {ns.file}", digest[:12]
     raise InputError("no polytope given: pass a file or --builtin NAME")
 
 
@@ -307,7 +304,7 @@ def _cmd_brion(ns, out) -> int:
     n = poly.dim
     shared: dict = {}
     terms = {}
-    for e, c in report.rhs.num.terms.items():
+    for e, c in report.lattice_sum.terms.items():
         key = (c, e[-1])
         if key not in shared:
             shared[key] = YFrac(*key).cleared(n)

@@ -12,6 +12,8 @@ and the sum over vertices collapses to the polynomial
 
 Both sides are LaurentPolys in n+1 variables, z_1..z_n and then u, with
 int coefficients; the denominators are products of (1 - z^b) alone.
+brion_check multiplies the lattice sum by them one at a time, and only
+brion_sum and vertex_genfun build the quotient as a RationalFunction.
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
@@ -100,9 +102,11 @@ def lattice_rows(poly: Polytope):
     from it.  With R the most that the coordinates after k can add to
     <a, x> inside the box (the table ahead), a facet requires
     a_k * x_k >= r - R: a floor on x_k when a_k > 0, a ceiling when
-    a_k < 0, and no child at all when a_k = 0 and r - R > 0.  Only
-    prefixes that no point of the box satisfies are dropped, so the cost
-    is the visited prefixes times the facets, not the box volume.
+    a_k < 0, and always true when a_k = 0, since every node has
+    r <= R + max(a_k * lo_k, a_k * hi_k) (the root as P is nonempty in
+    its box, each child as its x_k meets the rule).  Only prefixes that
+    no point of the box satisfies are dropped, so the cost is the
+    visited prefixes times the facets, not the box volume.
 
     At the last level R = 0 and the rule bounds a row of points: a facet
     with a_k != 0 is tight at x_k = r/a_k when that is an integer, and
@@ -132,14 +136,11 @@ def lattice_rows(poly: Polytope):
                     first = max(first, -(-s // a))
                 elif a < 0:
                     last = min(last, s // a)
-                elif s > 0:
-                    break
-            else:
-                # pushed last to first, so that they pop in lexicographic order
-                child = tuple(r - a * last for r, a in zip(residual, column))
-                for x in range(last, first - 1, -1):
-                    stack.append(((*prefix, x), child))
-                    child = tuple(map(add, child, column))
+            # pushed last to first, so that they pop in lexicographic order
+            child = tuple(r - a * last for r, a in zip(residual, column))
+            for x in range(last, first - 1, -1):
+                stack.append(((*prefix, x), child))
+                child = tuple(map(add, child, column))
             continue
         # the last level: the same rule with R = 0, one pass that also
         # records where each facet is tight
@@ -150,16 +151,13 @@ def lattice_rows(poly: Polytope):
                 first = max(first, -(-r // a))
             elif a < 0:
                 last = min(last, r // a)
-            elif r > 0:
-                break
             else:
                 row_tight += r == 0
                 continue
             if r % a == 0:
                 tight_at.append(r // a)
-        else:
-            if first <= last:
-                yield prefix, first, last, row_tight, tight_at
+        if first <= last:
+            yield prefix, first, last, row_tight, tight_at
 
 
 def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
@@ -308,7 +306,8 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     require_lattice_hypotheses(poly, "the vertex generating function")
     n = poly.dim
     v = poly.vertices[vertex_index]
-    factors = [LaurentPoly.monomial(n + 1, (*(int(a) for a in v.point), 0))]
+    apex = poly.cleared_vertices[0][vertex_index]  # P is integral: den 1
+    factors = [LaurentPoly._of(n + 1, {(*apex, 0): 1})]
     one, u = (0,) * (n + 1), (0,) * n + (1,)
     dirs = []
     # the edges are primitive int vectors (Polytope construction), so the
@@ -351,11 +350,10 @@ def _denominator(nvars: int, dirs) -> LaurentPoly:
     return LaurentPoly._of(nvars, den)
 
 
-def _vertex_sum(poly: Polytope) -> tuple[RationalFunction, list]:
-    """brion_sum, and the distinct directions b of its denominator
-    prod (1 - z^b), in order of first appearance."""
+def _vertex_sum(poly: Polytope) -> tuple[dict, list]:
+    """The vertex sum's numerator terms over prod (1 - z^b), and the
+    distinct directions b, in order of first appearance."""
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
-    n = poly.dim
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
     all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
     total: dict = {}
@@ -366,14 +364,15 @@ def _vertex_sum(poly: Polytope) -> tuple[RationalFunction, list]:
                 lifted = _times_one_minus(lifted, b)
         for e, c in lifted.items():
             total[e] = total.get(e, 0) + c
-    num = LaurentPoly._of(n + 1, total)
-    return RationalFunction(num, _denominator(n + 1, all_dirs)), all_dirs
+    return {e: c for e, c in total.items() if c}, all_dirs
 
 
 def brion_sum(poly: Polytope) -> RationalFunction:
     """Sum of all vertex terms over one common factored denominator, in
     n+1 variables as in vertex_term: the last, printed z{n+1}, is u = 1/(1+y)."""
-    return _vertex_sum(poly)[0]
+    num, dirs = _vertex_sum(poly)
+    n1 = poly.dim + 1
+    return RationalFunction(LaurentPoly._of(n1, num), _denominator(n1, dirs))
 
 
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
@@ -387,27 +386,21 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
 
 
 class BrionReport(NamedTuple):
-    lhs: RationalFunction
-    rhs: RationalFunction
+    lattice_sum: LaurentPoly
     equal: bool
 
 
 def brion_check(poly: Polytope) -> BrionReport:
-    """Vertex-sum route vs direct lattice enumeration, exactly.
-
-    Equality is decided by cross-multiplying the two rational functions,
-    one binomial at a time: the lattice sum is multiplied by each factor
-    (1 - z^b) of the vertex sum's denominator in turn, as a shift and a
-    subtraction, and compared with the vertex sum's numerator.  No
-    expansion of geometric series and no numeric sampling.
-    """
-    lhs, dirs = _vertex_sum(poly)
-    one = LaurentPoly.const(poly.dim + 1, 1)
-    rhs = RationalFunction(weighted_sum_poly(poly), one)
-    crossed = rhs.num.terms
+    """The weighted lattice sum, and whether the vertex sum equals it:
+    exactly, as the lattice sum times each factor (1 - z^b) of the vertex
+    sum's denominator in turn, a shift and a subtraction, against the
+    vertex sum's numerator.  No rational function is built."""
+    num, dirs = _vertex_sum(poly)
+    lattice = weighted_sum_poly(poly)
+    crossed = lattice.terms
     for b in dirs:
         crossed = _times_one_minus(crossed, b)
-    return BrionReport(lhs=lhs, rhs=rhs, equal=crossed == lhs.num.terms)
+    return BrionReport(lattice_sum=lattice, equal=crossed == num)
 
 
 # -- pointwise evaluation -------------------------------------------------

@@ -7,12 +7,11 @@ prints has YPoly coefficients: each point's weight c * u^k is cleared
 by YFrac.cleared to the common denominator (1+y)^n, so its n+1
 distinct coefficients are shared by every point, and printing formats
 each distinct coefficient once.
-RationalFunction keeps an unreduced numerator/denominator pair: full gcd
-computation in many variables is never needed here, because identity
-checks go through cross-multiplication.  RationalFunction.equivalent
-multiplies by whole denominators; latticegen.brion_check, whose
-denominator is a product of binomials (1 - z^b), cross-multiplies one
-binomial shift at a time.
+RationalFunction, the type of latticegen.brion_sum and vertex_genfun
+only, keeps an unreduced numerator/denominator pair, and equivalent
+cross-multiplies whole denominators, so no gcd is ever taken.
+latticegen.brion_check builds none: it multiplies the lattice sum by the
+vertex sum's binomials (1 - z^b) one shift at a time.
 
 LaurentPoly.at evaluates the chi command's vertex sum at a concrete
 (z, u), in ints over one common denominator; the lattice sum is read

@@ -33,6 +33,7 @@ active_facets, face_codim) read the same integer facet slacks.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -634,16 +635,21 @@ def from_dict(data: dict) -> Polytope:
     return Polytope(facets)
 
 
-def from_file(path) -> Polytope:
-    """Read a polytope from a JSON file of integers and 'p/q' strings."""
+def read_file(path) -> bytes:
+    """A polytope file's bytes, for from_bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(
-                fh, parse_int=_parse_int, parse_float=_reject_float,
-                parse_constant=_reject_float,
-            )
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as e:
         raise PolytopeFormatError(f"cannot read {path}: {e}") from e
+
+
+def from_bytes(raw: bytes, path) -> Polytope:
+    """from_file on the bytes read from path, decoded as by open(path)."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        data = json.load(text, parse_int=_parse_int, parse_float=_reject_float,
+                         parse_constant=_reject_float)
     except UnicodeDecodeError as e:
         raise PolytopeFormatError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
@@ -651,3 +657,8 @@ def from_file(path) -> Polytope:
     except RecursionError as e:
         raise PolytopeFormatError(f"{path} nests too deeply to parse") from e
     return from_dict(data)
+
+
+def from_file(path) -> Polytope:
+    """Read a polytope from a JSON file of integers and 'p/q' strings."""
+    return from_bytes(read_file(path), path)

@@ -1,15 +1,15 @@
 """Plane figures of polytopes, lattice weights, and polarized cones.
 
 Output is plain SVG 1.1 text with nothing external.  Everything is
-computed in integers.  The outline reads the vertices as numerators over
-one common denominator (Polytope.cleared_vertices), and each cone wedge
-is the viewport clipped by the cone's signed facet rows, its corners
-kept as homogeneous integer triples (X, Y, W).  The lattice points of
-the box are integers, so their pixel coordinates are too, and each one's
-weight is read off latticegen.lattice_points.  A rational pixel
-coordinate p / q becomes a float only when it is printed, as the
-correctly rounded int division p / q; label placement is display-only
-and uses floats.
+computed in integers.  The outline and the cones' sign marks read the
+vertices as numerators over one denominator (Polytope.cleared_vertices),
+and each cone wedge is the viewport clipped by the cone's signed facet
+rows, its corners kept as homogeneous integer triples (X, Y, W).  The
+lattice points of the box are integers, so their pixel coordinates are
+too, and each one's weight is read off latticegen.lattice_points.  A
+rational pixel coordinate p / q becomes a float only when it is
+printed, as the correctly rounded int division p / q; label placement
+is display-only and uses floats.
 Conventions: one lattice unit is `_UNIT` = 40 pixels, the origin sits at the
 lower left, and the mathematical y axis points up (flipped at emission,
 since SVG y points down).
@@ -22,7 +22,6 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .latticegen import box_points, lattice_points
-from .linalg import clear_denominators
 from .polarize import PolarizedCone
 from .polytope import Polytope, fmt_point
 from .weights import WeightParam
@@ -196,8 +195,7 @@ def render_svg(
             (g0, g1), (h0, h1) = cone.generators
             ux, uy = g0 + h0, g1 + h1
             norm = float(ux * ux + uy * uy) ** 0.5 or 1.0
-            apex, apex_den = clear_denominators(cone.apex)
-            ax, ay = px(*apex, apex_den)
+            ax, ay = px(*nums[cone.vertex_index], den)
             dx = ux / norm * 0.55 * _UNIT
             dy = -uy / norm * 0.55 * _UNIT
             mark = "+" if cone.sign > 0 else "-"

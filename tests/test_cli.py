@@ -695,8 +695,16 @@ def test_vertices_frozen_output_on_images(capsys, tmp_path, monkeypatch, name):
          "unbounded with no corner"),
         ([[1, 0, 0], [0, 1, 0], [-1, 0, -1], [0, -1, -1], [1, 0, -1]],
          "facet 4 touches no vertex; the inequality is redundant"),
+        ([[True, 0], [-1, -1]], "facet 0, entry 0: booleans are not numbers"),
+        ([[1, None], [-1, -1]],
+         "facet 0, entry 1: expected an integer or 'p/q' string, got NoneType"),
+        # a numerator over the interpreter's int conversion digit limit
+        ([[1, 0], [-1, "-" + "9" * 5000 + "/7"]],
+         "facet 1, entry 1: an integer has more than "
+         f"{sys.get_int_max_str_digits()} digits"),
     ],
-    ids=["non-simple", "unbounded", "empty", "redundant"],
+    ids=["non-simple", "unbounded", "empty", "redundant", "true-entry",
+         "null-entry", "long-fraction"],
 )
 def test_construction_rejections_frozen(capsys, tmp_path, facets, reason):
     if facets is None:
@@ -708,6 +716,7 @@ def test_construction_rejections_frozen(capsys, tmp_path, facets, reason):
     assert code == 2
     assert out == "command: vertices\n"
     assert err.splitlines()[0] == f"error: {reason}"
+    assert "Traceback" not in err
 
 
 def test_series_concrete_y(capsys):
@@ -789,10 +798,13 @@ def test_svg_unwritable_out_rejected(capsys, tmp_path):
         (("chi", "--builtin", "cube:,2", "--y", "1", "--z", "2,3"),
          "command: chi\n",
          "--builtin 'cube:,2': empty item in a comma-separated list"),
+        (("series", "--order", "-1"), "command: series\n",
+         "--order must be nonnegative"),
     ],
     ids=["count-decimal", "chi-decimal", "svg-margin", "decompose-random-points",
          "count-y-abc", "count-y-minus-one", "decompose-y-minus-one",
-         "chi-z-empty-ends", "chi-z-empty-middle", "chi-builtin-empty-item"],
+         "chi-z-empty-ends", "chi-z-empty-middle", "chi-builtin-empty-item",
+         "series-order"],
 )
 def test_negative_counts_rejected(capsys, argv, expected_out, message):
     """Bad options exit 2 before the polytope is loaded or anything printed."""
@@ -800,6 +812,7 @@ def test_negative_counts_rejected(capsys, argv, expected_out, message):
     assert code == 2
     assert out == expected_out
     assert err.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in err
 
 
 _EXPONENT_REASON = "has an exponent; write an integer, p/q or a decimal"
@@ -1008,6 +1021,8 @@ _PRISM_USAGE = "prism takes zero or two parameters: prism[:DILATION,HEIGHT]"
         ("cube:2,,3",
          "--builtin 'cube:2,,3': empty item in a comma-separated list"),
         ("cube:2,", "--builtin 'cube:2,': empty item in a comma-separated list"),
+        ("cube:2,0", "side must be positive"),
+        ("simplex:0", "dimension must be at least 1"),
         ("trapezoid:,",
          "--builtin 'trapezoid:,': empty item in a comma-separated list"),
         ("dodecahedron", "unknown builtin 'dodecahedron'; builtin polytope: "
@@ -1020,6 +1035,7 @@ def test_builtin_parse_errors(capsys, spec, message):
     assert code == 2
     assert out == "command: vertices\n"
     assert err.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -1103,6 +1119,22 @@ def test_malformed_file_exits_two_without_traceback(tmp_path, name):
     assert reason in done.stderr.splitlines()[0]
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def test_vertices_opens_its_file_once(capsys, monkeypatch):
+    path = DATA_DIR / "trapezoid.json"
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run(capsys, "vertices", str(path))
+    assert code == 0
+    assert "4 vertices" in out
+    assert opened.count(str(path)) == 1
 
 
 def test_stdout_deterministic(capsys):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcount as pc
-from polarcount import latticegen
+from polarcount import latticegen, laurent
 from polarcount.cli import main
 from polarcount.latticegen import VertexTerm, box_points, vertex_term
 from polarcount.linalg import canonical_direction
@@ -287,12 +288,14 @@ def test_brion_check_across_zoo():
 
 def test_brion_interval_closed_form():
     # [0,1]: the sum collapses to (1 + z)/(1+y) = u + u*z, variables (z, u)
-    report = pc.brion_check(pc.interval(1))
+    P = pc.interval(1)
+    report = pc.brion_check(P)
     expected = RationalFunction(
         LaurentPoly(2, {(0, 1): 1, (1, 1): 1}), LaurentPoly.const(2, 1)
     )
-    assert report.lhs.equivalent(expected)
-    assert report.rhs.equivalent(expected)
+    assert report.equal
+    assert pc.brion_sum(P).equivalent(expected)
+    assert report.lattice_sum == expected.num
 
 
 def test_weighted_sum_poly_square():
@@ -531,8 +534,9 @@ def brion_by_equivalent(P):
 def assert_brion_matches_reference(P):
     report = pc.brion_check(P)
     lhs, rhs, equal = brion_by_equivalent(P)
-    assert (report.lhs.num, report.lhs.den) == (lhs.num, lhs.den)
-    assert (report.rhs.num, report.rhs.den) == (rhs.num, rhs.den)
+    vertex_sum = pc.brion_sum(P)
+    assert (vertex_sum.num, vertex_sum.den) == (lhs.num, lhs.den)
+    assert report.lattice_sum == rhs.num
     assert report.equal == equal
     return report
 
@@ -598,3 +602,37 @@ def test_brion_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken)
     assert main(["brion", "--builtin", "cube:3,2"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "check: FAIL (vertex sum differs from lattice sum)"
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
+def test_chi_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken):
+    monkeypatch.setattr(latticegen, "vertex_term", BROKEN_TERMS[broken])
+    argv = ["chi", "--builtin", "cube:3,2", "--y", "2/3", "--z", "2,3,5"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "check: FAIL (vertex and lattice sums disagree)"
+    assert "Traceback" not in err
+
+
+def test_brion_command_builds_no_rational_function(capsys, monkeypatch, tmp_path):
+    """brion reads the lattice sum and the verdict only: with
+    RationalFunction and the expanded denominator made to raise, every
+    brion_zoo member prints what it printed before and passes."""
+    runs = []
+    for name, P in brion_zoo():
+        path = tmp_path / f"{name}.json"
+        facets = [[*map(str, f.normal), str(f.offset)] for f in P.facets]
+        path.write_text(json.dumps({"dim": P.dim, "facets": facets}))
+        assert main(["brion", str(path)]) == 0
+        runs.append((P, path, capsys.readouterr().out))
+
+    def built(*args, **kwargs):
+        raise AssertionError("brion built a rational function")
+
+    monkeypatch.setattr(laurent.RationalFunction, "__init__", built)
+    monkeypatch.setattr(latticegen, "_denominator", built)
+    for P, path, out in runs:
+        with pytest.raises(AssertionError):
+            pc.brion_sum(P)
+        assert main(["brion", str(path)]) == 0
+        assert capsys.readouterr().out == out

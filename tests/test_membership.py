@@ -24,9 +24,14 @@ from zoo import (
 )
 
 
-def membership_oracle(cone, x):
+def generator_inverse(cone):
+    """The inverse of the matrix whose columns are the cone's generators."""
     n = len(cone.generators)
-    inv = inverse([[g[i] for g in cone.generators] for i in range(n)])
+    return inverse([[g[i] for g in cone.generators] for i in range(n)])
+
+
+def membership_oracle(cone, inv, x):
+    """x's cone coordinates, inv times x - apex, or None if one is negative."""
     coords = tuple(dot(row, vsub(x, cone.apex)) for row in inv)
     return None if any(c < 0 for c in coords) else coords
 
@@ -74,10 +79,12 @@ def probe_points(poly, cones, rng, per_cone=6):
 
 def assert_matches_oracles(poly, rng):
     cones = pc.polarize_cones(poly, pc.find_polarizing(poly, seed=1))
+    # one inverse per cone serves every probe point
+    inverses = [generator_inverse(cone) for cone in cones]
     for x in probe_points(poly, cones, rng):
         assert poly.face_codim(x) == codim_oracle(poly, x), x
-        for cone in cones:
-            expect = membership_oracle(cone, x)
+        for cone, inv in zip(cones, inverses):
+            expect = membership_oracle(cone, inv, x)
             got = pc.cone_membership(cone, x)
             assert got == expect, (cone.apex, x)
             if got is not None:

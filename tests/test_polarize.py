@@ -67,6 +67,14 @@ def test_zero_pairing_rejected():
         pc.polarize_cones(P, (1, 1))
 
 
+def test_wrong_length_xi_rejected():
+    P = pc.trapezoid()
+    for xi in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError) as err:
+            pc.polarize_cones(P, xi)
+        assert str(err.value) == f"dimension mismatch: 2 vs {len(xi)}"
+
+
 def test_exactly_one_sink_and_one_source():
     for name, P in decomposition_zoo():
         for seed in SEEDS:

@@ -196,6 +196,21 @@ def test_zero_normal_rejected():
         pc.Polytope([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
 
 
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([], "no facets given"),
+        ([((1, 0), 0), ((1,), 0), ((0, -1), -1)],
+         "facet normals have mixed dimensions"),
+    ],
+    ids=["no-facets", "mixed-normals"],
+)
+def test_construction_rejections_name_the_reason(facets, message):
+    with pytest.raises(pc.PolytopeError) as err:
+        pc.Polytope(facets)
+    assert str(err.value) == message
+
+
 # the membership oracle: one Fraction dot product per facet, against the
 # integer slacks (polytope.facet_slacks) that the program reads
 
