@@ -43,6 +43,17 @@ class InputError(ValueError):
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 
 
+def _attach_negative_values(argv: list) -> list:
+    """argv with "--y -2/3" as "--y=-2/3": argparse reads -2/3 as an option."""
+    args = []
+    for arg in argv:
+        if args and args[-1] in ("--y", "--z") and re.match(r"-[\d.]", arg):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
+    return args
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
     if _EXPONENT.search(text):
         raise InputError(
@@ -484,8 +495,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = sys.argv[1:] if argv is None else argv
+    ns = build_parser().parse_args(_attach_negative_values(args))
     start = time.monotonic()
     try:
         if ns.command != "svg":

@@ -181,7 +181,8 @@ def codim_sums(
     """(sums, scale): for each codimension c, the sum of z^p over the
     lattice points p on faces of codimension c is sums[c] * scale, with
     the ints sums[c] nonzero and in ascending c.  With z None, z is
-    (1, ..., 1): sums is the census and scale is 1.
+    (1, ..., 1): sums is the census and scale is 1; else z has dim
+    nonzero coordinates, or ValueError.
 
     Read off lattice_rows without listing the points.  A coordinate
     z_i = a/b over the box's [lo, hi] gives z_i**e = a**(e-lo) *
@@ -205,6 +206,7 @@ def codim_sums(
                     sums[c] -= 1
                     sums[c + 1] += 1
         return {c: s for c, s in enumerate(sums) if s}, Fraction(1)
+    z = _evaluation_point(poly, z)
     lo, hi = poly.integer_box()
     num = den = 1  # the scale
     parts = []  # parts[i][e - lo[i]]: the int part of z_i**e
@@ -445,7 +447,7 @@ def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     """The weighted lattice sum evaluated at a concrete z: the census
     weight of codim_sums(poly, z), evaluated at w.y and scaled."""
     require_lattice_hypotheses(poly, "weighted lattice evaluation")
-    sums, scale = codim_sums(poly, _evaluation_point(poly, z))
+    sums, scale = codim_sums(poly, z)
     return census_weight_y(sums)(w.y) * scale
 
 

@@ -44,7 +44,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import clear_denominators, integer_inverse, vec
+from .linalg import clear_denominators, vec
 
 
 class PolytopeError(ValueError):
@@ -283,6 +283,8 @@ class Polytope:
         )
 
     def integer_box(self, margin: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if margin < 0:
+            raise ValueError(f"margin must be nonnegative, got {margin}")
         nums, den = self.cleared_vertices
         columns = list(zip(*nums))
         return (
@@ -425,38 +427,6 @@ def _pivot(tab: _Tableau, active: tuple[int, ...], k: int, j: int) -> _Tableau:
         tuple(num), den, slack,
         tuple(d for _, d, _ in columns), [col for _, _, col in columns],
         tab.absdet * rho ** (len(active) - 1) // content,
-    )
-
-
-def vertex_frame(rows: Sequence) -> tuple[tuple[int, ...], int, tuple, bool]:
-    """Point, edge directions and regularity of the vertex on n integer rows.
-
-    rows are the n linearly independent (normal, offset) pairs of the
-    active facets.  With normals^-1 = R / d from linalg.integer_inverse,
-    the point is sign(d) * R * offsets / |d|, returned as (num, den)
-    reduced by one gcd, so den > 0 is the lcm of the coordinates'
-    denominators.  Edge k, the direction that relaxes row k and keeps
-    the others tight, is column k of sign(d) * R divided by its gcd
-    g_k.  Since |det R| = |d|^(n-1), the edge matrix has |determinant|
-    |d|^(n-1) / prod g_k, so the edges are unimodular (the last value)
-    exactly when prod g_k == |d|^(n-1).
-
-    Construction never calls this: the tests call it at every vertex, as
-    an oracle independent of the walk's pivots.
-    """
-    inv, d = integer_inverse([a for a, _ in rows])
-    sign, size = (1, d) if d > 0 else (-1, -d)
-    offsets = [b for _, b in rows]
-    num = [sign * sum(map(mul, row, offsets)) for row in inv]
-    g = gcd(size, *num)
-    edges, content = [], 1
-    for col in zip(*inv):
-        gk = gcd(*col)
-        content *= gk
-        edges.append(tuple(sign * a // gk for a in col))
-    return (
-        tuple(a // g for a in num), size // g, tuple(edges),
-        content == size ** (len(rows) - 1),
     )
 
 

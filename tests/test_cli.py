@@ -860,6 +860,57 @@ def test_integers_fractions_and_decimals_still_parse(capsys):
     assert "y = -3/2, z = (2, 5)" in out
 
 
+def run_to_exit(capsys, argv):
+    """(exit code, stdout, stderr) of main, argparse's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("count", "--builtin", "cube:2", "--y=-2/3", "--decimal", "3"), 0),
+        (("count", "--builtin", "cube:2", "--y=-2"), 0),
+        (("count", "--builtin", "cube:2", "--y=-1"), 2),
+        (("count", "--builtin", "cube:2", "--y=-1e5"), 2),
+        (("chi", "--builtin", "cube:2,2", "--y=-2/3", "--z=-1/2,3/5"), 0),
+        (("chi", "--builtin", "cube:2", "--z=-0.5,-3", "--y=2"), 0),
+        (("chi", "--builtin", "cube:2", "--y=2", "--z=-1/2,1"), 2),
+        (("decompose", "--builtin", "cube:2", "--y=-5/3"), 0),
+        (("svg", "--builtin", "cube:2,3", "--y=-3/4"), 0),
+        (("series", "--order", "3", "--y=-1/2"), 0),
+    ],
+    ids=["count", "count-int", "count-minus-one", "count-exponent", "chi",
+         "chi-decimal-z-first", "chi-pole", "decompose", "svg", "series"],
+)
+def test_negative_value_after_a_space_parses_like_equals(capsys, argv, expected):
+    spaced = [part for arg in argv for part in arg.split("=", 1)]
+    code, out, _ = run_to_exit(capsys, spaced)
+    assert (code, out) == run_to_exit(capsys, argv)[:2]
+    assert code == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--builtin", "cube:2", "--y"),
+        ("count", "--builtin", "cube:2", "--y", "--decimal", "3"),
+        ("chi", "--builtin", "cube:2", "--z", "--y", "-2", "2,3"),
+    ],
+    ids=["count-y-last", "count-y-before-option", "chi-z-before-option"],
+)
+def test_option_after_y_or_z_still_exits_two(capsys, argv):
+    code, out, err = run_to_exit(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, decimal",
     [

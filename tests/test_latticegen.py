@@ -476,6 +476,21 @@ def test_chi_rejects_wrong_length_z(side, z):
     assert str(err.value) == f"expected 2 coordinates, got {len(z)}"
 
 
+@pytest.mark.parametrize(
+    "z, message",
+    [((2,), "expected 2 coordinates, got 1"),
+     ((2, 3, 5), "expected 2 coordinates, got 3"),
+     ((0, 3), "evaluation point must have nonzero coordinates")],
+    ids=["short", "long", "zero"],
+)
+def test_codim_sums_rejects_a_bad_z(z, message):
+    # a short z used to be cut to length by zip, and cube:2,2 at z = (2,)
+    # summed to {0: 2, 1: 9, 2: 10}
+    with pytest.raises(ValueError) as err:
+        pc.codim_sums(pc.hypercube(2, 2), z)
+    assert str(err.value) == message
+
+
 def test_multiplicity_both_routes_agree():
     P = pc.trapezoid()
     xi = pc.find_polarizing(P, seed=1)
@@ -502,6 +517,13 @@ def test_cone_series_check_concrete_weight():
         pc.hypercube(2, 1), (1, 2), margin=1, w=pc.WeightParam(Fraction(1, 3))
     )
     assert results and all(r.equal for r in results)
+
+
+def test_cone_series_check_rejects_a_negative_margin():
+    # an empty box would pass the check vacuously
+    P = pc.trapezoid()
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        pc.cone_series_check(P, pc.find_polarizing(P, seed=1), margin=-5)
 
 
 # -- the one-binomial-at-a-time check against cross-multiplication -------

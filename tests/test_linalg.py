@@ -1,14 +1,15 @@
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarcount.linalg import (
     canonical_direction,
     det,
     dot,
-    integer_inverse,
     inverse,
     primitive,
     rank,
@@ -127,20 +128,22 @@ def integer_matrices(draw):
     return rows
 
 
+def leibniz_det(rows):
+    """The permutation expansion: sum of sign(p) * prod rows[i][p(i)]."""
+    n = len(rows)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        * prod(rows[i][p[i]] for i in range(n))
+        for p in permutations(range(n))
+    )
+
+
 @given(integer_matrices())
 @example([[0, 1], [1, 0]])
 @example([[0, 0, 2], [0, 3, 1], [1, 0, 0]])
-@example([[2, 1], [1, 3]])
-def test_integer_inverse_matches_fraction_inverse(rows):
-    assume(det(rows) != 0)
-    R, d = integer_inverse(rows)
-    assert all(type(a) is int for row in R for a in row) and type(d) is int
-    assert abs(d) == abs(det(rows))
-    assert tuple(tuple(Fraction(a, d) for a in row) for row in R) == inverse(rows)
-
-
-@given(integer_matrices())
-def test_integer_inverse_rejects_singular(rows):
-    # the last row becomes a combination of two earlier ones (or 0 if n = 1)
-    rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[-2])] if len(rows) > 1 else [0]
-    assert integer_inverse(rows) is None
+@example([[1, 2, 3], [2, 4, 7], [0, 5, 1]])
+@example([[1, 2], [2, 4]])
+def test_det_matches_permutation_expansion(rows):
+    # the examples swap rows at the first pivot, at a later pivot after
+    # elimination zeroes it, and leave a singular matrix
+    assert det(rows) == leibniz_det(rows)

@@ -3,23 +3,23 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 
 import polarcount as pc
 from conftest import DATA_DIR
-from polarcount import polytope
+from polarcount import linalg, polytope
 from polarcount.latticegen import box_points
 from polarcount.linalg import (
     clear_denominators,
     det,
     dot,
-    integer_inverse,
     primitive,
     solve_linear,
 )
-from polarcount.polytope import facet_slacks, slack_codim, vertex_frame
+from polarcount.polytope import facet_slacks, slack_codim
 from zoo import (
     affine_image,
     decomposition_zoo,
@@ -437,32 +437,65 @@ def test_walk_accepts_and_rejects_like_subset_scan(facets):
         assert walked(pc.Polytope(facets)) == expected
 
 
-# -- each vertex's frame against the Fraction determinant -----------------
+# -- each tableau the walk makes against Fraction solves ------------------
 
 
-def assert_vertex_frames(P):
-    """vertex_frame reproduces each vertex's point (cleared to the lcm of
-    its denominators) and edges, and its regularity flag is
-    |det(edges)| == 1 computed in Fractions."""
-    flags = []
-    for v in P.vertices:
-        num, den, edges, regular = vertex_frame([P.integer_facets[i] for i in v.active])
-        assert (num, den) == clear_denominators(v.point)
-        assert edges == v.edges
-        assert regular == (abs(det(v.edges)) == 1)
-        flags.append(regular)
-    assert P.regular == all(flags)
+def fraction_tableau(facets, active):
+    """The tableau at the active facets from Fraction solves, as
+    subset_scan makes them: the point, each edge relaxing one facet made
+    primitive, facets x dim dot products for the rates and a Fraction
+    determinant."""
+    rows = [facets[i] for i in active]
+    num, den = clear_denominators(solve_linear(
+        [a for a, _ in rows], [b for _, b in rows]
+    ))
+    edges = tuple(
+        primitive(solve_linear(
+            [a for j, (a, _) in enumerate(rows) if j != k] + [rows[k][0]],
+            [0] * (len(rows) - 1) + [1],
+        ))
+        for k in range(len(rows))
+    )
+    return polytope._Tableau(
+        num, den, facet_slacks(facets, num, den), edges,
+        [[sum(x * y for x, y in zip(a, d)) for a, _ in facets] for d in edges],
+        int(abs(det(edges))),
+    )
+
+
+def assert_walked_tableaux(P):
+    """The start's tableau and every one _pivot makes equal
+    fraction_tableau at their active facets, one per vertex, so each
+    vertex's |det| is the Fraction determinant of its edges and
+    P.regular is the conjunction of |det| == 1."""
+    facets = P.integer_facets
+    made = [polytope._first_vertex(facets)]
+    pivot = polytope._pivot
+
+    def recording(tab, active, k, j):
+        made.append((tuple(sorted(active[:k] + active[k + 1:] + (j,))),
+                     pivot(tab, active, k, j)))
+        return made[-1][1]
+
+    # the start search pivots too; the walk is handed its result
+    with patch.object(polytope, "_first_vertex", lambda _: made[0]), \
+            patch.object(polytope, "_pivot", recording):
+        pc.Polytope(P.facets)
+    assert sorted(active for active, _ in made) == sorted(v.active for v in P.vertices)
+    for active, tab in made:
+        assert tab._asdict() == fraction_tableau(facets, active)._asdict()
+    assert P.regular == all(tab.absdet == 1 for _, tab in made)
 
 
 @pytest.mark.parametrize("P", construction_cases())
 def test_vertex_regularity_matches_edge_determinant(P):
-    assert_vertex_frames(P)
+    assert_walked_tableaux(P)
 
 
 @settings(max_examples=60, deadline=None)
 @given(image=zoo_images())
 def test_vertex_regularity_matches_edge_determinant_on_images(image):
-    assert_vertex_frames(image)
+    assert_walked_tableaux(image)
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,25 +505,23 @@ def test_vertex_regularity_matches_edge_determinant_on_generated(facets):
         P = pc.Polytope(facets)
     except pc.PolytopeError:
         return
-    assert_vertex_frames(P)
+    assert_walked_tableaux(P)
 
 
 @settings(max_examples=25, deadline=None)
 @given(image=high_dim_images())
 def test_vertex_regularity_matches_edge_determinant_above_dimension_three(image):
-    assert_vertex_frames(image)
+    assert_walked_tableaux(image)
 
 
-def test_no_integer_inverse_per_construction(monkeypatch):
-    # the start search and the walk both run on pivots; only the tests'
-    # vertex_frame oracle inverts
-    calls = []
+def test_no_fraction_elimination_per_construction(monkeypatch):
+    # the start search and the walk both run on integer pivots; the
+    # Fraction routines (solve_linear, inverse, det, rank) are the tests'
+    # oracles, and every one of them goes through _eliminate
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction entered a Fraction elimination")
 
-    def counting(rows):
-        calls.append(len(rows))
-        return integer_inverse(rows)
-
-    monkeypatch.setattr(polytope, "integer_inverse", counting)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
     cube = pc.hypercube(4, 2)
     shear = ((1, 0, 0, 0), (2, 1, 0, 0), (0, -1, 1, 0), (0, 0, 3, 1))
     for build in (
@@ -504,9 +535,15 @@ def test_no_integer_inverse_per_construction(monkeypatch):
             (3, 1, Fraction(1, 2), 2, 5, 1, 7, 4),
         ),
     ):
-        calls.clear()
         build()
-        assert calls == []
+    # the patch reaches every Fraction route
+    one = [[1]]
+    for route, args in (
+        (linalg.solve_linear, (one, [1])), (linalg.inverse, (one,)),
+        (linalg.det, (one,)), (linalg.rank, (one,)),
+    ):
+        with pytest.raises(AssertionError, match="Fraction elimination"):
+            route(*args)
 
 
 # -- the start search against the echelon search it replaced --------------
@@ -570,17 +607,6 @@ def echelon_first_vertex(facets):
     return active
 
 
-def inverse_start_tableau(facets, active):
-    """The start tableau from one integer inverse (vertex_frame), with
-    facets x dim dot products for the rates and a Fraction determinant."""
-    num, den, edges, _ = vertex_frame([facets[i] for i in active])
-    return polytope._Tableau(
-        num, den, facet_slacks(facets, num, den), edges,
-        [[sum(x * y for x, y in zip(a, d)) for a, _ in facets] for d in edges],
-        int(abs(det(edges))),
-    )
-
-
 def assert_start_like_echelon(facets):
     """The pivot search finds the echelon search's vertex, or raises its
     error, and hands the walk the tableau an inverse gives there."""
@@ -593,7 +619,7 @@ def assert_start_like_echelon(facets):
         return
     active, tab = polytope._first_vertex(facets)
     assert active == expected
-    assert tab._asdict() == inverse_start_tableau(facets, active)._asdict()
+    assert tab._asdict() == fraction_tableau(facets, active)._asdict()
 
 
 @pytest.mark.parametrize("P", [
@@ -670,6 +696,11 @@ def assert_cleared_vertices(P):
     for margin in (0, 1, 3):
         assert P.integer_box(margin) == integer_box_oracle(P, margin)
         assert all(type(a) is int for side in P.integer_box(margin) for a in side)
+
+
+def test_integer_box_rejects_a_negative_margin():
+    with pytest.raises(ValueError, match="margin must be nonnegative, got -1"):
+        pc.hypercube(2, 1).integer_box(-1)
 
 
 @pytest.mark.parametrize("P", construction_cases())

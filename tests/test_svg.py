@@ -32,6 +32,12 @@ def test_rejects_other_dimensions():
         render_svg(pc.hypercube(3, 1))
 
 
+def test_rejects_a_negative_margin():
+    # the box would be drawn inside out
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        render_svg(pc.trapezoid(), margin=-3)
+
+
 def test_lattice_dot_counts():
     P = pc.trapezoid()
     text, root = render_parsed(poly=P, margin=2)
