@@ -26,6 +26,7 @@ from .latticegen import (
     coefficient_extract,
     cone_series_check,
     format_census,
+    format_lattice_sum,
     lattice_points,
     lattice_rows,
     multiplicity,

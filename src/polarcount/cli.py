@@ -3,10 +3,15 @@
 Subcommands cover the whole pipeline: vertex enumeration, the signed
 cone decomposition check, weighted lattice counts, the two-sided
 character evaluation, the generating-function identity, the series
-family, and SVG figures.  Exit codes: 0 success, 1 a mathematical check
-failed, 2 bad input or usage, or stdout closed before the output was
-written.  All output is exact and deterministic; timing goes to stderr
-so stdout can be diffed.
+family, and SVG figures.  This module only parses, dispatches and
+prints; every quantity and its printed form come from the library.
+Each subparser names its handler with set_defaults(run=...), and the
+options that several subcommands share are declared once, as parent
+parsers.  A handler takes the parsed namespace, prints to stdout and
+returns the exit code: 0 success, 1 a mathematical check failed, 2 bad
+input or usage, or stdout closed before the output was written.  All
+output is exact and deterministic; timing goes to stderr so stdout can
+be diffed.
 """
 
 from __future__ import annotations
@@ -23,11 +28,9 @@ import time
 from fractions import Fraction
 
 from . import latticegen, polytope, series, svgfig
-from .laurent import LaurentPoly
 from .polarize import PolarizationError, find_polarizing, polarize_cones
 from .polytope import Polytope, PolytopeError, PolytopeFormatError, fmt_point
 from .weights import WeightParam, check_decomposition_at, sample_points
-from .ypoly import YFrac, den_text
 
 _BUILTIN_HELP = (
     "builtin polytope: interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
@@ -139,16 +142,15 @@ def _load_polytope(ns) -> tuple[Polytope, str, str]:
     raise InputError("no polytope given: pass a file or --builtin NAME")
 
 
-def _load_and_describe(ns, out) -> Polytope:
+def _load_and_describe(ns) -> Polytope:
     """Load the polytope and print the input and polytope lines."""
     poly, source, digest = _load_polytope(ns)
-    print(f"input: {source} (sha256 {digest})", file=out)
+    print(f"input: {source} (sha256 {digest})")
     print(
         f"polytope: dim {poly.dim}, {len(poly.facets)} facets, "
         f"{len(poly.vertices)} vertices, "
         f"{'regular' if poly.regular else 'not regular'}, "
-        f"{'integral' if poly.integral else 'not integral'}",
-        file=out,
+        f"{'integral' if poly.integral else 'not integral'}"
     )
     return poly
 
@@ -199,36 +201,30 @@ def _weight_param(ns) -> WeightParam | None:
     return w
 
 
-# -- subcommand bodies (each returns the exit code) ----------------------
+# -- subcommand bodies (each prints to stdout and returns the exit code) --
 
 
-def _cmd_vertices(ns, out) -> int:
-    poly = _load_and_describe(ns, out)
+def _cmd_vertices(ns) -> int:
+    poly = _load_and_describe(ns)
     for i, v in enumerate(poly.vertices):
         edges = ", ".join(str(e) for e in v.edges)
-        print(
-            f"vertex {i}: {fmt_point(v.point)}  facets {list(v.active)}  "
-            f"edges [{edges}]",
-            file=out,
-        )
+        print(f"vertex {i}: {fmt_point(v.point)}  facets {list(v.active)}  "
+              f"edges [{edges}]")
     return 0
 
 
-def _cmd_decompose(ns, out) -> int:
+def _cmd_decompose(ns) -> int:
     if ns.random_points < 0:
         raise InputError("--random-points must be nonnegative")
     w = _weight_param(ns)
-    poly = _load_and_describe(ns, out)
+    poly = _load_and_describe(ns)
     xi = find_polarizing(poly, seed=ns.seed)
-    print(f"xi: {fmt_point(xi)}", file=out)
+    print(f"xi: {fmt_point(xi)}")
     cones = polarize_cones(poly, xi)
     for cone in cones:
         gens = ", ".join(str(g) for g in cone.generators)
-        print(
-            f"vertex {cone.vertex_index}: flips {cone.flip_count}, "
-            f"sign {'+' if cone.sign > 0 else '-'}, generators [{gens}]",
-            file=out,
-        )
+        print(f"vertex {cone.vertex_index}: flips {cone.flip_count}, "
+              f"sign {'+' if cone.sign > 0 else '-'}, generators [{gens}]")
     rng = random.Random(ns.seed)
     points = sample_points(poly, xi, rng=rng, random_count=ns.random_points)
     failures = []
@@ -246,90 +242,67 @@ def _cmd_decompose(ns, out) -> int:
                 for res in failures
             ]
         for line in lines:
-            print(line, file=out)
-        print(
-            f"check: FAIL ({len(failures)}/{len(points)} points disagree "
-            f"{mode})",
-            file=out,
-        )
+            print(line)
+        print(f"check: FAIL ({len(failures)}/{len(points)} points disagree {mode})")
         return 1
-    print(f"check: PASS ({len(points)}/{len(points)} points agree {mode})", file=out)
+    print(f"check: PASS ({len(points)}/{len(points)} points agree {mode})")
     return 0
 
 
-def _cmd_count(ns, out) -> int:
+def _cmd_count(ns) -> int:
     w = _weight_param(ns)
-    poly = _load_and_describe(ns, out)
+    poly = _load_and_describe(ns)
     census = latticegen.codim_census(poly)
     total = sum(census.values())
-    print(f"lattice points: {total}", file=out)
+    print(f"lattice points: {total}")
     for c in sorted(census):
-        print(f"  codim {c}: {census[c]}", file=out)
+        print(f"  codim {c}: {census[c]}")
     latticegen.require_lattice_hypotheses(poly, "weighted counting")
     count = latticegen.census_weight_y(census)
     if w is None:
-        print(f"weighted count: {latticegen.format_census(census)}", file=out)
-        print(f"reduced: {count}", file=out)
+        print(f"weighted count: {latticegen.format_census(census)}")
+        print(f"reduced: {count}")
     else:
-        print(
-            f"weighted count at y = {w.y}: "
-            f"{_maybe_decimal(count(w.y), ns.decimal)}",
-            file=out,
-        )
+        print(f"weighted count at y = {w.y}: "
+              f"{_maybe_decimal(count(w.y), ns.decimal)}")
     return 0
 
 
-def _cmd_chi(ns, out) -> int:
+def _cmd_chi(ns) -> int:
     w = _weight_param(ns)
     parts = _split_items(ns.z, f"--z {ns.z!r}")
     z = tuple(_parse_fraction(p, "z coordinate") for p in parts)
     if any(a == 0 for a in z):
         raise InputError("z coordinates must be nonzero")
-    poly = _load_and_describe(ns, out)
+    poly = _load_and_describe(ns)
     if len(z) != poly.dim:
         raise InputError(
             f"--z needs {poly.dim} comma-separated rationals, got {len(z)}"
         )
     report = latticegen.chi_y_check(poly, w, z)
-    print(f"y = {w.y}, z = {fmt_point(z)}", file=out)
-    print(
-        f"vertex sum:  {_maybe_decimal(report.lhs, ns.decimal)}", file=out
-    )
-    print(
-        f"lattice sum: {_maybe_decimal(report.rhs, ns.decimal)}", file=out
-    )
+    print(f"y = {w.y}, z = {fmt_point(z)}")
+    print(f"vertex sum:  {_maybe_decimal(report.lhs, ns.decimal)}")
+    print(f"lattice sum: {_maybe_decimal(report.rhs, ns.decimal)}")
     if not report.equal:
-        print("check: FAIL (vertex and lattice sums disagree)", file=out)
+        print("check: FAIL (vertex and lattice sums disagree)")
         return 1
-    print("check: PASS", file=out)
+    print("check: PASS")
     return 0
 
 
-def _cmd_brion(ns, out) -> int:
-    poly = _load_and_describe(ns, out)
+def _cmd_brion(ns) -> int:
+    poly = _load_and_describe(ns)
     report = latticegen.brion_check(poly)
-    print(f"vertex terms: {len(poly.vertices)}", file=out)
-    # each c * u^k * z^p prints with c * u^k cleared to the power n; only
-    # n+1 codimensions k occur, so each (c, k) is cleared once and its
-    # points share the one YPoly, printed once
-    n = poly.dim
-    shared: dict = {}
-    terms = {}
-    for e, c in report.lattice_sum.terms.items():
-        key = (c, e[-1])
-        if key not in shared:
-            shared[key] = YFrac(*key).cleared(n)
-        terms[e[:-1]] = shared[key]
-    cleared = LaurentPoly._of(n, terms)
-    print(f"weighted lattice sum: ({cleared}) / {den_text(n)}", file=out)
+    print(f"vertex terms: {len(poly.vertices)}")
+    print(f"weighted lattice sum: {latticegen.format_lattice_sum(report.lattice_sum)}")
     if not report.equal:
-        print("check: FAIL (vertex sum differs from lattice sum)", file=out)
+        print("check: FAIL (vertex sum differs from lattice sum)")
         return 1
-    print("check: PASS (cross-multiplied equality of both routes)", file=out)
+    print("check: PASS (cross-multiplied equality of both routes)")
     return 0
 
 
-def _cmd_series(ns, out) -> int:
+def _cmd_series(ns) -> int:
     if ns.order < 0:
         raise InputError("--order must be nonnegative")
     k = ns.order
@@ -340,66 +313,58 @@ def _cmd_series(ns, out) -> int:
             raise InputError("series family undefined at y = -1")
     todd = series.todd_series(k)
     lhat = series.lhat_series(k)
-    print(f"order: {k}", file=out)
-    print(f"todd:        {todd}", file=out)
-    print(
-        "todd coefficients: " + ", ".join(str(c) for c in todd.coeffs), file=out
-    )
-    print(f"half-angle:  {lhat}", file=out)
-    print(
-        "half-angle coefficients: " + ", ".join(str(c) for c in lhat.coeffs),
-        file=out,
-    )
-    print(f"family*(1+y): {series.family_cleared(todd)}", file=out)
+    print(f"order: {k}")
+    print(f"todd:        {todd}")
+    print("todd coefficients: " + ", ".join(str(c) for c in todd.coeffs))
+    print(f"half-angle:  {lhat}")
+    print("half-angle coefficients: " + ", ".join(str(c) for c in lhat.coeffs))
+    print(f"family*(1+y): {series.family_cleared(todd)}")
     if y is not None:
-        print(f"family at y = {y}: {series.family_at(todd, y)}", file=out)
+        print(f"family at y = {y}: {series.family_at(todd, y)}")
     checks = series.check_identities(todd, lhat)
     failed = [name for name, ok in checks.items() if not ok]
     for name, ok in checks.items():
-        print(f"  {name}: {'ok' if ok else 'FAIL'}", file=out)
+        print(f"  {name}: {'ok' if ok else 'FAIL'}")
     if failed:
-        print(f"check: FAIL ({len(failed)}/{len(checks)} identities)", file=out)
+        print(f"check: FAIL ({len(failed)}/{len(checks)} identities)")
         return 1
-    print(f"check: PASS ({len(checks)}/{len(checks)} identities)", file=out)
+    print(f"check: PASS ({len(checks)}/{len(checks)} identities)")
     return 0
 
 
-def _cmd_svg(ns, out) -> int:
+def _cmd_svg(ns) -> int:
     if ns.margin < 0:
         raise InputError("--margin must be nonnegative")
     w = _weight_param(ns)
     poly, source, digest = _load_polytope(ns)
     if poly.dim != 2:
-        raise InputError(
-            f"svg needs a 2-dimensional polytope, got dim {poly.dim}"
-        )
+        raise InputError(f"svg needs a 2-dimensional polytope, got dim {poly.dim}")
     xi = find_polarizing(poly, seed=ns.seed)
-    cones = polarize_cones(poly, xi)
     # the weight labels at a long --y can pass the digit limit
     with _digit_limit():
-        text = svgfig.render_svg(
-            poly, xi=xi, cones=cones, w=w, margin=ns.margin
-        )
+        text = svgfig.render_svg(poly, xi, w, ns.margin)
     if ns.out == "-":
-        print(text, file=out)
+        print(text)
     else:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as e:
             raise InputError(f"cannot write {ns.out}: {e}") from e
-        print("command: svg", file=out)
-        print(f"input: {source} (sha256 {digest})", file=out)
-        print(f"wrote {ns.out}", file=out)
+        print("command: svg")
+        print(f"input: {source} (sha256 {digest})")
+        print(f"wrote {ns.out}")
     return 0
 
 
 # -- parser ---------------------------------------------------------------
 
 
-def _add_input_args(p: argparse.ArgumentParser):
-    p.add_argument("file", nargs="?", help="polytope JSON file")
-    p.add_argument("--builtin", metavar="NAME[:ARGS]", help=_BUILTIN_HELP)
+def _shared(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring an argument that several subcommands share."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
 
 
 @functools.cache
@@ -417,81 +382,54 @@ def build_parser() -> argparse.ArgumentParser:
             "weighted lattice-point counts."
         ),
     )
+    source = _shared("file", nargs="?", help="polytope JSON file")
+    source.add_argument("--builtin", metavar="NAME[:ARGS]", help=_BUILTIN_HELP)
+    seed = _shared("--seed", type=int, default=1, help="polarizing vector seed")
+    symbolic_y = _shared("--y", default=None,
+                         help="weight parameter (default: symbolic in y)")
+    decimal = _shared("--decimal", type=int, default=None, metavar="K",
+                      help="also print a K-digit decimal approximation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vertices", help="enumerate vertices and edge directions")
-    _add_input_args(p)
+    p = sub.add_parser("vertices", parents=[source],
+                       help="enumerate vertices and edge directions")
+    p.set_defaults(run=_cmd_vertices)
 
     p = sub.add_parser(
-        "decompose",
-        help="check the signed cone decomposition of the weight function",
-    )
-    _add_input_args(p)
-    p.add_argument("--seed", type=int, default=1, help="polarizing vector seed")
-    p.add_argument(
-        "--y", default=None, help="weight parameter (default: symbolic in y)"
-    )
-    p.add_argument(
-        "--random-points",
-        type=int,
-        default=20,
-        metavar="N",
-        help="extra random sample points (default 20)",
-    )
+        "decompose", parents=[source, seed, symbolic_y],
+        help="check the signed cone decomposition of the weight function")
+    p.add_argument("--random-points", type=int, default=20, metavar="N",
+                   help="extra random sample points (default 20)")
+    p.set_defaults(run=_cmd_decompose)
 
-    p = sub.add_parser("count", help="weighted lattice-point count")
-    _add_input_args(p)
-    p.add_argument(
-        "--y", default=None, help="weight parameter (default: symbolic in y)"
-    )
-    p.add_argument(
-        "--decimal", type=int, default=None, metavar="K",
-        help="also print a K-digit decimal approximation",
-    )
+    p = sub.add_parser("count", parents=[source, symbolic_y, decimal],
+                       help="weighted lattice-point count")
+    p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser(
-        "chi", help="evaluate both sides of the character identity at a point"
-    )
-    _add_input_args(p)
+        "chi", parents=[source, decimal],
+        help="evaluate both sides of the character identity at a point")
     p.add_argument("--y", required=True, help="weight parameter")
-    p.add_argument(
-        "--z", required=True, help="comma-separated rational coordinates"
-    )
-    p.add_argument(
-        "--decimal", type=int, default=None, metavar="K",
-        help="also print a K-digit decimal approximation",
-    )
+    p.add_argument("--z", required=True, help="comma-separated rational coordinates")
+    p.set_defaults(run=_cmd_chi)
 
     p = sub.add_parser(
-        "brion",
-        help="compare the vertex generating-function sum with the lattice sum",
-    )
-    _add_input_args(p)
+        "brion", parents=[source],
+        help="compare the vertex generating-function sum with the lattice sum")
+    p.set_defaults(run=_cmd_brion)
 
     p = sub.add_parser("series", help="series family and its identities")
     p.add_argument("--order", type=int, default=8, help="truncation order")
     p.add_argument("--y", default=None, help="also print the family at this y")
+    p.set_defaults(run=_cmd_series)
 
-    p = sub.add_parser("svg", help="draw a 2-d polytope with cones and weights")
-    _add_input_args(p)
-    p.add_argument("--seed", type=int, default=1, help="polarizing vector seed")
+    p = sub.add_parser("svg", parents=[source, seed],
+                       help="draw a 2-d polytope with cones and weights")
     p.add_argument("--y", default="0", help="weight parameter for labels")
     p.add_argument("--margin", type=int, default=2, help="lattice margin")
-    p.add_argument(
-        "--out", default="-", help="output file, or - for stdout (default)"
-    )
+    p.add_argument("--out", default="-", help="output file, or - for stdout (default)")
+    p.set_defaults(run=_cmd_svg)
     return parser
-
-
-_HANDLERS = {
-    "vertices": _cmd_vertices,
-    "decompose": _cmd_decompose,
-    "count": _cmd_count,
-    "chi": _cmd_chi,
-    "brion": _cmd_brion,
-    "series": _cmd_series,
-    "svg": _cmd_svg,
-}
 
 
 def main(argv=None) -> int:
@@ -502,7 +440,7 @@ def main(argv=None) -> int:
         if ns.command != "svg":
             # svg may stream the image itself to stdout; keep that clean
             print(f"command: {ns.command}")
-        code = _HANDLERS[ns.command](ns, sys.stdout)
+        code = ns.run(ns)
         # a reader that is gone (`| head -1`) must fail here, not at exit
         sys.stdout.flush()
     except BrokenPipeError:

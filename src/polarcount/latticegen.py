@@ -14,6 +14,7 @@ Both sides are LaurentPolys in n+1 variables, z_1..z_n and then u, with
 int coefficients; the denominators are products of (1 - z^b) alone.
 brion_check multiplies the lattice sum by them one at a time, and only
 brion_sum and vertex_genfun build the quotient as a RationalFunction.
+format_lattice_sum prints the lattice sum in y, over (1+y)^n.
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
@@ -55,7 +56,7 @@ from .weights import (
     polytope_weight_y,
     signed_cone_sum_y,
 )
-from .ypoly import YFrac
+from .ypoly import YFrac, den_text
 
 
 class HypothesisError(ValueError):
@@ -253,6 +254,24 @@ def format_census(census: dict[int, int]) -> str:
     if not census:
         return "0"
     return " + ".join(str(YFrac(census[c], c)) for c in sorted(census))
+
+
+def format_lattice_sum(lattice_sum: LaurentPoly) -> str:
+    """Render a weighted lattice sum in y: (sum of c*(1+y)^(n-k) * z^p) /
+    (1+y)^n, each c * u^k * z^p cleared to the power n.
+
+    Only n+1 codimensions k occur, so each distinct (c, k) is cleared
+    once and its points share the one YPoly, printed once.
+    """
+    n = lattice_sum.nvars - 1
+    shared: dict = {}
+    terms = {}
+    for e, c in lattice_sum.terms.items():
+        key = (c, e[-1])
+        if key not in shared:
+            shared[key] = YFrac(*key).cleared(n)
+        terms[e[:-1]] = shared[key]
+    return f"({LaurentPoly._of(n, terms)}) / {den_text(n)}"
 
 
 # -- weighted counts ----------------------------------------------------

@@ -1,5 +1,9 @@
 """Plane figures of polytopes, lattice weights, and polarized cones.
 
+render_svg draws one kind of figure: a 2-dimensional polytope, the
+tangent cones that a polarizing vector xi gives it (polarize_cones,
+each a wedge tagged with its sign), the weight of every lattice point
+at a concrete y, and a legend and an arrow for xi.
 Output is plain SVG 1.1 text with nothing external.  Everything is
 computed in integers.  The outline and the cones' sign marks read the
 vertices as numerators over one denominator (Polytope.cleared_vertices),
@@ -19,10 +23,10 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .latticegen import box_points, lattice_points
-from .polarize import PolarizedCone
+from .polarize import polarize_cones
 from .polytope import Polytope, fmt_point
 from .weights import WeightParam
 from .ypoly import YFrac
@@ -99,19 +103,13 @@ def _boundary_order(poly: Polytope) -> list[int]:
     return [i for i, _ in sorted(dirs, key=cmp_to_key(compare))]
 
 
-def render_svg(
-    poly: Polytope,
-    xi: Optional[Sequence] = None,
-    cones: Optional[Sequence[PolarizedCone]] = None,
-    w: Optional[WeightParam] = None,
-    margin: int = 2,
-) -> str:
-    """SVG text for a 2-dimensional polytope.
+def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str:
+    """SVG text for a 2-dimensional polytope polarized by xi.
 
-    With cones given, each polarized cone is drawn as a translucent
-    wedge clipped to the viewport and tagged with its sign.  With w
-    given, every lattice point inside the polytope is labeled with its
-    exact weight at w.y; with w None the label is symbolic in y.
+    Each cone of polarize_cones(poly, xi) is drawn as a translucent
+    wedge clipped to the viewport and tagged with its sign, and every
+    lattice point inside the polytope is labeled with its exact weight
+    at w.y.  The legend names xi and y, and an arrow shows xi.
     """
     if poly.dim != 2:
         raise ValueError(f"figures are 2-dimensional only, got dim {poly.dim}")
@@ -142,21 +140,21 @@ def render_svg(
         (lo[0], lo[1], 1), (hi[0], lo[1], 1), (hi[0], hi[1], 1), (lo[0], hi[1], 1),
     ]
 
-    if cones:
-        for k, cone in enumerate(cones):
-            color = _PALETTE[k % len(_PALETTE)]
-            # the wedge is where both signed active-facet slacks are >= 0;
-            # the apex lies on both facets, so a flipped row is negated whole
-            region = world
-            for (a, b), f in zip(cone.rows, cone.flipped):
-                region = _clip(region, ((-a[0], -a[1]), -b) if f else (a, b))
-            if len(region) >= 3:
-                pts = " ".join(pt_attr(p) for p in region)
-                out.append(
-                    f'<polygon points="{pts}" fill="{color}" '
-                    f'fill-opacity="0.12" stroke="{color}" '
-                    f'stroke-opacity="0.5" stroke-width="1"/>'
-                )
+    cones = polarize_cones(poly, xi)
+    for k, cone in enumerate(cones):
+        color = _PALETTE[k % len(_PALETTE)]
+        # the wedge is where both signed active-facet slacks are >= 0;
+        # the apex lies on both facets, so a flipped row is negated whole
+        region = world
+        for (a, b), f in zip(cone.rows, cone.flipped):
+            region = _clip(region, ((-a[0], -a[1]), -b) if f else (a, b))
+        if len(region) >= 3:
+            pts = " ".join(pt_attr(p) for p in region)
+            out.append(
+                f'<polygon points="{pts}" fill="{color}" '
+                f'fill-opacity="0.12" stroke="{color}" '
+                f'stroke-opacity="0.5" stroke-width="1"/>'
+            )
 
     nums, den = poly.cleared_vertices
     outline = " ".join(pt_attr((*nums[i], den)) for i in _boundary_order(poly))
@@ -181,58 +179,51 @@ def render_svg(
             continue
         label = labels.get(codim)
         if label is None:
-            weight = YFrac(1, codim)
-            label = labels[codim] = str(weight(w.y) if w is not None else weight)
+            label = labels[codim] = str(YFrac(1, codim)(w.y))
         out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#111"/>')
         out.append(
             f'<text x="{x + 6}" y="{y - 6}" '
             f'font-size="10" fill="#333">{label}</text>'
         )
 
-    if cones:
-        for k, cone in enumerate(cones):
-            color = _PALETTE[k % len(_PALETTE)]
-            (g0, g1), (h0, h1) = cone.generators
-            ux, uy = g0 + h0, g1 + h1
-            norm = float(ux * ux + uy * uy) ** 0.5 or 1.0
-            ax, ay = px(*nums[cone.vertex_index], den)
-            dx = ux / norm * 0.55 * _UNIT
-            dy = -uy / norm * 0.55 * _UNIT
-            mark = "+" if cone.sign > 0 else "-"
-            out.append(
-                f'<text x="{ax + dx:.2f}" y="{ay + dy:.2f}" '
-                f'font-size="16" font-weight="bold" fill="{color}" '
-                f'text-anchor="middle">{mark}</text>'
-            )
+    for k, cone in enumerate(cones):
+        color = _PALETTE[k % len(_PALETTE)]
+        (g0, g1), (h0, h1) = cone.generators
+        ux, uy = g0 + h0, g1 + h1
+        norm = float(ux * ux + uy * uy) ** 0.5 or 1.0
+        ax, ay = px(*nums[cone.vertex_index], den)
+        dx = ux / norm * 0.55 * _UNIT
+        dy = -uy / norm * 0.55 * _UNIT
+        mark = "+" if cone.sign > 0 else "-"
+        out.append(
+            f'<text x="{ax + dx:.2f}" y="{ay + dy:.2f}" '
+            f'font-size="16" font-weight="bold" fill="{color}" '
+            f'text-anchor="middle">{mark}</text>'
+        )
 
-    legend = []
-    if xi is not None:
-        legend.append(f"xi = {fmt_point(xi)}")
-    legend.append(f"y = {w.y}" if w is not None else "y symbolic")
     out.append(
         f'<text x="{pad / 2:.2f}" y="{pad / 2:.2f}" font-size="12" '
-        f'fill="#111">{"; ".join(legend)}</text>'
+        f'fill="#111">xi = {fmt_point(xi)}; y = {w.y}</text>'
     )
-    if xi is not None:
-        # arrow showing the polarizing direction, anchored top right
-        norm = float(sum(a * a for a in xi)) ** 0.5 or 1.0
-        x0, y0 = width - pad * 1.8, pad * 0.8
-        dx = float(xi[0]) / norm * _UNIT
-        dy = -float(xi[1]) / norm * _UNIT
-        x1, y1 = x0 + dx, y0 + dy
+    # arrow showing the polarizing direction, anchored top right
+    norm = float(sum(a * a for a in xi)) ** 0.5 or 1.0
+    x0, y0 = width - pad * 1.8, pad * 0.8
+    dx = float(xi[0]) / norm * _UNIT
+    dy = -float(xi[1]) / norm * _UNIT
+    x1, y1 = x0 + dx, y0 + dy
+    out.append(
+        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+        f'stroke="#111" stroke-width="1.5"/>'
+    )
+    # arrowhead: two short strokes angled back from the tip
+    bx, by = -dx / _UNIT, -dy / _UNIT
+    for s in (1.0, -1.0):
+        hx = (bx * 0.82 - by * 0.57 * s) * 0.3 * _UNIT
+        hy = (bx * 0.57 * s + by * 0.82) * 0.3 * _UNIT
         out.append(
-            f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" '
+            f'x2="{x1 + hx:.2f}" y2="{y1 + hy:.2f}" '
             f'stroke="#111" stroke-width="1.5"/>'
         )
-        # arrowhead: two short strokes angled back from the tip
-        bx, by = -dx / _UNIT, -dy / _UNIT
-        for s in (1.0, -1.0):
-            hx = (bx * 0.82 - by * 0.57 * s) * 0.3 * _UNIT
-            hy = (bx * 0.57 * s + by * 0.82) * 0.3 * _UNIT
-            out.append(
-                f'<line x1="{x1:.2f}" y1="{y1:.2f}" '
-                f'x2="{x1 + hx:.2f}" y2="{y1 + hy:.2f}" '
-                f'stroke="#111" stroke-width="1.5"/>'
-            )
     out.append("</svg>")
     return "\n".join(out)

@@ -201,7 +201,10 @@ def _yfrac(u: dict) -> "YFrac":
 
 @cache
 def _binomial_row(r1: int, r2: int) -> tuple:
-    """(k, c) pairs of u**r1 * (1-u)**r2 = sum of c * u**k; r1 may be negative."""
+    """(k, c) pairs of u**r1 * (1-u)**r2 = sum of c * u**k; r1 may be
+    negative, r2 may not: (1-u)**r2 for r2 < 0 is no polynomial in u."""
+    if r2 < 0:
+        raise ValueError(f"(1-u) power must be nonnegative, got {r2}")
     return tuple((r1 + i, (-1) ** i * comb(r2, i)) for i in range(r2 + 1))
 
 

@@ -1244,3 +1244,78 @@ def test_closed_stdout_exits_two_without_traceback(spec):
     assert done.stderr.splitlines()[0] == "error: stdout closed"
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+# -- the command-line surface, frozen ------------------------------------
+
+_INPUT = {
+    "file": (None, False, None, None, "?", "polytope JSON file"),
+    "--builtin": (None, False, "NAME[:ARGS]", None, None,
+                  "builtin polytope: interval:LEN, cube:N[,SIDE], "
+                  "simplex:N[,DILATION], trapezoid[:WIDTH,HEIGHT], "
+                  "prism[:DILATION,HEIGHT]"),
+}
+_SEED = {"--seed": (1, False, None, "int", None, "polarizing vector seed")}
+_DECIMAL = {"--decimal": (None, False, "K", "int", None,
+                          "also print a K-digit decimal approximation")}
+_SYMBOLIC_Y = {"--y": (None, False, None, None, None,
+                       "weight parameter (default: symbolic in y)")}
+
+# subcommand -> (its help, {option or positional:
+#                (default, required, metavar, type, nargs, help)})
+_SURFACE = {
+    "vertices": ("enumerate vertices and edge directions", _INPUT),
+    "decompose": (
+        "check the signed cone decomposition of the weight function",
+        {**_INPUT, **_SEED, **_SYMBOLIC_Y,
+         "--random-points": (20, False, "N", "int", None,
+                             "extra random sample points (default 20)")},
+    ),
+    "count": ("weighted lattice-point count", {**_INPUT, **_SYMBOLIC_Y, **_DECIMAL}),
+    "chi": (
+        "evaluate both sides of the character identity at a point",
+        {**_INPUT, **_DECIMAL,
+         "--y": (None, True, None, None, None, "weight parameter"),
+         "--z": (None, True, None, None, None, "comma-separated rational coordinates")},
+    ),
+    "brion": ("compare the vertex generating-function sum with the lattice sum", _INPUT),
+    "series": (
+        "series family and its identities",
+        {"--order": (8, False, None, "int", None, "truncation order"),
+         "--y": (None, False, None, None, None, "also print the family at this y")},
+    ),
+    "svg": (
+        "draw a 2-d polytope with cones and weights",
+        {**_INPUT, **_SEED,
+         "--y": ("0", False, None, None, None, "weight parameter for labels"),
+         "--margin": (2, False, None, "int", None, "lattice margin"),
+         "--out": ("-", False, None, None, None,
+                   "output file, or - for stdout (default)")},
+    ),
+}
+
+
+def test_cli_surface_is_frozen():
+    import argparse
+
+    parser = polarcount.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {}
+    for name, p in sub.choices.items():
+        surface[name] = (helps[name], {
+            a.option_strings[0] if a.option_strings else a.dest: (
+                a.default, a.required, a.metavar, a.type and a.type.__name__,
+                a.nargs, a.help,
+            )
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        })
+    assert surface == _SURFACE
+
+
+@pytest.mark.parametrize("command", [None, *_SURFACE])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"] if command else ["--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polarcount")

@@ -197,6 +197,28 @@ def test_census_and_format():
     assert pc.format_census({1: 2}) == "2/(1+y)"
 
 
+def test_format_lattice_sum_closed_forms():
+    # interval [0, 2]: the ends weigh u, the midpoint 1 = (1+y) * u
+    lattice = pc.brion_check(pc.interval(2)).lattice_sum
+    assert pc.format_lattice_sum(lattice) == "(1 + (y + 1)*z + z^2) / (1+y)"
+    # the unit square: four corners, each u^2
+    lattice = pc.brion_check(pc.hypercube(2, 1)).lattice_sum
+    assert pc.format_lattice_sum(lattice) == "(1 + z2 + z1 + z1*z2) / (1+y)^2"
+
+
+def test_brion_clears_each_codimension_once(capsys, monkeypatch):
+    # simplex:2,32 has 561 lattice points but only n+1 = 3 codimensions,
+    # each with coefficient 1, so the printed form clears 3 weights
+    calls = []
+    cleared = YFrac.cleared
+    monkeypatch.setattr(
+        YFrac, "cleared", lambda self, power: calls.append(power) or cleared(self, power)
+    )
+    assert main(["brion", "--builtin", "simplex:2,32"]) == 0
+    assert "check: PASS" in capsys.readouterr().out
+    assert 0 < len(calls) <= 3
+
+
 def test_weighted_count_symbolic_frozen():
     total = pc.weighted_count_y(pc.dilated_simplex(2, 4))
     assert total == YFrac(YPoly((15, 15, 3)), 2)

@@ -13,9 +13,13 @@ from polarcount.svgfig import _clip, render_svg
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def render_parsed(**kwargs):
-    P = kwargs.pop("poly", pc.trapezoid())
-    text = render_svg(P, **kwargs)
+def render_parsed(poly=None, xi=None, y=0, margin=2):
+    """The figure of poly (default the trapezoid) polarized by xi (default
+    find_polarizing's at seed 1), labeled at y, and its parsed tree."""
+    P = pc.trapezoid() if poly is None else poly
+    if xi is None:
+        xi = pc.find_polarizing(P, seed=1)
+    text = render_svg(P, xi, pc.WeightParam(y), margin)
     return text, ET.fromstring(text)
 
 
@@ -26,16 +30,17 @@ def test_basic_figure_is_valid_xml():
 
 
 def test_rejects_other_dimensions():
+    w = pc.WeightParam(0)
     with pytest.raises(ValueError):
-        render_svg(pc.interval(1))
+        render_svg(pc.interval(1), (1,), w, 2)
     with pytest.raises(ValueError):
-        render_svg(pc.hypercube(3, 1))
+        render_svg(pc.hypercube(3, 1), (1, 2, 3), w, 2)
 
 
 def test_rejects_a_negative_margin():
     # the box would be drawn inside out
     with pytest.raises(ValueError, match="margin must be nonnegative"):
-        render_svg(pc.trapezoid(), margin=-3)
+        render_svg(pc.trapezoid(), (1, 2), pc.WeightParam(0), -3)
 
 
 def test_lattice_dot_counts():
@@ -61,24 +66,43 @@ def test_outline_and_orientation():
 
 def test_cones_drawn_with_signs():
     P = pc.trapezoid()
-    xi = pc.find_polarizing(P, seed=1)
-    cones = pc.polarize_cones(P, xi)
-    _, root = render_parsed(poly=P, xi=xi, cones=cones)
+    _, root = render_parsed(poly=P, xi=(1, 2))
     polygons = root.findall(f"{SVG_NS}polygon")
-    assert len(polygons) >= 1 + len(cones)  # outline plus one wedge each
+    assert len(polygons) == 1 + len(P.vertices)  # outline plus one wedge each
     texts = [t.text for t in root.findall(f"{SVG_NS}text")]
     assert texts.count("+") == 2
     assert texts.count("-") == 2
-    assert any(t and "xi = (1, 2)" in t for t in texts)
+    assert "xi = (1, 2); y = 0" in texts
 
 
-def test_weight_labels_concrete_and_symbolic():
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "poly",
+    [pc.trapezoid(), pc.trapezoid(Fraction(7, 2), Fraction(3, 2)),
+     pc.hypercube(2, 3), pc.dilated_simplex(2, 3)],
+    ids=["trapezoid", "trapezoid:7/2,3/2", "cube:2,3", "simplex:2,3"],
+)
+def test_one_wedge_and_one_sign_mark_per_vertex(poly, seed):
+    # with a margin, every apex lies inside the viewport, so no wedge
+    # clips away to a point or a segment
+    xi = pc.find_polarizing(poly, seed=seed)
+    _, root = render_parsed(poly=poly, xi=xi, margin=1)
+    wedges = [p for p in root.findall(f"{SVG_NS}polygon") if p.get("fill-opacity")]
+    marks = [t for t in root.findall(f"{SVG_NS}text") if t.get("font-size") == "16"]
+    assert len(wedges) == len(marks) == len(poly.vertices)
+    signs = sorted(cone.sign for cone in pc.polarize_cones(poly, xi))
+    assert sorted(1 if t.text == "+" else -1 for t in marks) == signs
+
+
+def test_weight_labels_at_y():
     P = pc.hypercube(2, 1)
-    text, _ = render_parsed(poly=P, w=pc.WeightParam(1))
-    assert "1/4" in text  # corner weight (1/2)^2 at y = 1
-    text, _ = render_parsed(poly=P)
-    assert "1/(1+y)^2" in text
-    assert "y symbolic" in text
+
+    def labels(root) -> set:
+        return {t.text for t in root.findall(f"{SVG_NS}text") if t.get("font-size") == "10"}
+
+    # the unit square's lattice points are its corners, each weighing u^2
+    assert labels(render_parsed(poly=P, y=1)[1]) == {"1/4"}  # (1/2)^2 at y = 1
+    assert labels(render_parsed(poly=P)[1]) == {"1"}  # every weight is 1 at y = 0
 
 
 def test_no_nan_or_exponent_notation():

@@ -331,6 +331,16 @@ def test_combination_matches_summed_weights(table):
     assert_evaluates_like_oracle(combined)
 
 
+@pytest.mark.parametrize("table", [
+    {(0, -1): 1},
+    {(2, -3): 5, (1, 0): 1},
+])
+def test_combination_rejects_a_negative_one_minus_u_power(table):
+    # (1-u)**r2 with r2 < 0 is no polynomial in u; it must not drop out
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        YFrac.combination(table)
+
+
 # -- YPoly evaluation in ints against the Fraction Horner loop ----------
 
 
