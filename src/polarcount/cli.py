@@ -206,9 +206,10 @@ def _weight_param(ns) -> WeightParam | None:
 
 def _cmd_vertices(ns) -> int:
     poly = _load_and_describe(ns)
-    for i, v in enumerate(poly.vertices):
+    nums, den = poly.cleared_vertices
+    for i, (v, num) in enumerate(zip(poly.vertices, nums)):
         edges = ", ".join(str(e) for e in v.edges)
-        print(f"vertex {i}: {fmt_point(v.point)}  facets {list(v.active)}  "
+        print(f"vertex {i}: {fmt_point(num, den)}  facets {list(v.active)}  "
               f"edges [{edges}]")
     return 0
 

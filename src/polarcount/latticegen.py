@@ -97,7 +97,7 @@ def lattice_rows(poly: Polytope):
     codimension is row_tight plus the number of its entries in tight_at.
 
     A depth-first walk over the coordinates of the integer box, on an
-    explicit stack, with the facets <a, x> >= b of Polytope.integer_facets.
+    explicit stack, with the facets <a, x> >= b of Polytope.facets.
     A node at level k is a prefix x_0..x_(k-1) carrying each facet's
     residual r = b - <a[:k], prefix>; each step along x_k subtracts a_k
     from it.  With R the most that the coordinates after k can add to
@@ -115,7 +115,7 @@ def lattice_rows(poly: Polytope):
     are not yielded.
     """
     lo, hi = poly.integer_box()
-    normals, offsets = zip(*poly.integer_facets)
+    normals, offsets = zip(*poly.facets)
     columns = tuple(zip(*normals))
     leaf = len(columns) - 1
     # ahead[k][f]: the most that coordinates k+1.. add to facet f in the box
@@ -452,8 +452,9 @@ def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
         for a, binom, b in zip(v.edges, binomials, term.canonical_dirs):
             pole = _one_minus(b).at(point)
             if not pole:
+                vertex = fmt_point(poly.cleared_vertices[0][i])  # P is integral
                 raise PoleError(
-                    f"z^{a} = 1 at vertex {fmt_point(v.point)}: the point "
+                    f"z^{a} = 1 at vertex {vertex}: the point "
                     f"lies on a pole; perturb z"
                 )
             num *= binom.at(point)

@@ -31,7 +31,7 @@ class PolarizedCone:
     generators[k] is the vertex's k-th edge direction, negated when the
     original direction paired positive with the polarizing vector; the
     flipped flags record which ones were negated.  The cone is closed:
-    apex plus nonnegative combinations of the generators.  Points with a
+    the vertex plus nonnegative combinations of the generators.  Points with a
     zero coordinate along a flipped generator stay members; they carry
     the y/(1+y) weight factor, which vanishes at y = 0 and recovers the
     classical half-open convention there.
@@ -43,7 +43,6 @@ class PolarizedCone:
     flipped, and x is a member when no signed slack is negative.
     """
 
-    apex: tuple
     generators: tuple[tuple[int, ...], ...]
     flipped: tuple[bool, ...]
     vertex_index: int
@@ -102,6 +101,7 @@ def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
 def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
     """Polarized tangent cone at every vertex, in vertex order."""
     xint = _cleared(poly, xi)
+    nums, den = poly.cleared_vertices
     cones = []
     for idx, v in enumerate(poly.vertices):
         gens = []
@@ -111,7 +111,7 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
             if pairing == 0:
                 raise PolarizationError(
                     f"vector {fmt_point(xi)} pairs to zero with edge {d} "
-                    f"at vertex {fmt_point(v.point)}"
+                    f"at vertex {fmt_point(nums[idx], den)}"
                 )
             if pairing > 0:
                 gens.append(tuple(-a for a in d))
@@ -121,12 +121,11 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
                 flips.append(False)
         cones.append(
             PolarizedCone(
-                apex=v.point,
                 generators=tuple(gens),
                 flipped=tuple(flips),
                 vertex_index=idx,
                 facets=v.active,
-                rows=tuple(poly.integer_facets[i] for i in v.active),
+                rows=tuple(poly.facets[i] for i in v.active),
             )
         )
     return tuple(cones)
@@ -157,7 +156,7 @@ def cone_point_slacks(cones: Sequence[PolarizedCone], x: Sequence) -> tuple[dict
 
 
 def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
-    """Coordinates of x - apex in the generator basis, as Fractions, when x
+    """Coordinates of x - vertex in the generator basis, as Fractions, when x
     lies in the closed cone.
 
     Membership requires every coordinate >= 0; returns None otherwise.

@@ -7,14 +7,14 @@ a bounded simple polytope with irredundant facets.  Simplicity means
 every vertex lies on exactly dim facets; it is what makes tangent cones
 simplicial and the whole decomposition machinery well defined.
 
-Construction runs in integers on the facets scaled once to integer
-normals and offsets (integer_facets).  It keeps the vertices as integer
-numerators over one common denominator (cleared_vertices), which the
-boxes, the figure and the sample points read; the only Fractions it
-makes are the coordinates of each Vertex.point, for printing and for the
-public API.  Vertices are found by walking the vertex graph with integer
-pivots, as reverse-search vertex enumeration does (Avis and Fukuda;
-lrs), simplified for simple polytopes.  Each vertex carries a tableau
+The polytope is kept in one exact form, all in ints: each facet scaled
+once to an integer normal and offset (facets), and the vertices as
+integer numerators over one common denominator (cleared_vertices),
+which the boxes, the figure and the sample points read.  A vertex's
+Fractions are made only where it is printed (fmt_point).  Vertices are
+found by walking the vertex graph with integer pivots, as
+reverse-search vertex enumeration does (Avis and Fukuda; lrs),
+simplified for simple polytopes.  Each vertex carries a tableau
 (_Tableau): the cleared point, its facet slacks, its edges d_i and the
 rate table R[f][i] = <a_f, d_i>.  The ratio test along d_k reads column
 k of R, and the neighbour's tableau is the parent's after one
@@ -38,7 +38,6 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -67,35 +66,22 @@ class PolytopeFormatError(ValueError):
     """A polytope file that cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """{x : <x, normal> >= offset}."""
+class HalfSpace(NamedTuple):
+    """{x : <x, normal> >= offset}, scaled to ints by clear_denominators."""
 
-    normal: tuple
-    offset: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", vec(self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if all(a == 0 for a in self.normal):
-            raise PolytopeError("facet normal must be nonzero")
-
-    def integer(self) -> tuple[tuple[int, ...], int]:
-        """Normal and offset scaled by the lcm of their denominators."""
-        row, _ = clear_denominators((*self.normal, self.offset))
-        return row[:-1], row[-1]
+    normal: tuple[int, ...]
+    offset: int
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex with its active facets and primitive edge directions.
+class Vertex(NamedTuple):
+    """A vertex's active facets and primitive edge directions.
 
     edges[k] points from this vertex along the edge obtained by relaxing
     active facet active[k]; the edge list is ordered by ascending facet
-    index, so it is reproducible.
+    index, so it is reproducible.  The vertex's point is its row of
+    Polytope.cleared_vertices.
     """
 
-    point: tuple
     active: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
 
@@ -105,33 +91,28 @@ class Polytope:
 
     Attributes:
         dim:      ambient dimension n
-        facets:   tuple of HalfSpace
-        integer_facets: (normal, offset) per facet, scaled to integers
+        facets:   tuple of HalfSpace, each input row scaled to integers
         vertices: tuple of Vertex, sorted by point
-        cleared_vertices: (nums, den): vertices[k].point == nums[k] / den,
+        cleared_vertices: (nums, den): vertex k is the point nums[k] / den,
                   den > 0 the lcm of every coordinate's denominator
         regular:  True when every vertex edge matrix has determinant +-1
         integral: True when every vertex has integer coordinates
     """
 
     def __init__(self, facets: Sequence):
-        hs = tuple(
-            f if isinstance(f, HalfSpace) else HalfSpace(tuple(f[0]), f[1])
-            for f in facets
-        )
+        """facets: (normal, offset) pairs of ints, Fractions or 'p/q' strings."""
+        hs = tuple(map(_integer_row, facets))
         if not hs:
             raise PolytopeError("no facets given")
         n = len(hs[0].normal)
-        for f in hs:
-            if len(f.normal) != n:
-                raise PolytopeError("facet normals have mixed dimensions")
+        if any(len(f.normal) != n for f in hs):
+            raise PolytopeError("facet normals have mixed dimensions")
         if len(hs) < n + 1:
             raise PolytopeError(
                 f"{len(hs)} facets cannot bound a {n}-dimensional polytope"
             )
         self.dim = n
         self.facets = hs
-        self.integer_facets = tuple(f.integer() for f in hs)
         self._reject_duplicate_facets()
         self.vertices, self.cleared_vertices, self._edges, self.regular = self._walk()
         self.integral = self.cleared_vertices[1] == 1
@@ -143,7 +124,7 @@ class Polytope:
         # rows are positive multiples, so when the rows reduced by their
         # gcd agree
         seen = {}
-        for i, (normal, offset) in enumerate(self.integer_facets):
+        for i, (normal, offset) in enumerate(self.facets):
             g = gcd(*normal, offset)
             key = (*(a // g for a in normal), offset // g)
             if key in seen:
@@ -168,7 +149,7 @@ class Polytope:
         (cleared_vertices), the edges as sorted index pairs and the
         regular flag.
         """
-        n, facets = self.dim, self.integer_facets
+        n, facets = self.dim, self.facets
         start, tab = _first_vertex(facets)
         pending = {start: tab}
         graph = {}
@@ -198,8 +179,7 @@ class Polytope:
                     # the tie is at point + d * near_s / (near_r * den)
                     den = near_r * tab.den
                     raise _non_simple(
-                        tuple(Fraction(x * near_r + near_s * a, den)
-                              for x, a in zip(tab.num, d)),
+                        [x * near_r + near_s * a for x, a in zip(tab.num, d)], den,
                         tuple(sorted({*active, *blocking} - {relaxed})), n,
                     )
                 # active is sorted: drop slot k and insert the entered facet
@@ -223,7 +203,7 @@ class Polytope:
         for active in order:
             if active in unbounded:
                 raise UnboundedError(
-                    f"edge at vertex {fmt_point(_point(*graph[active][:2]))} "
+                    f"edge at vertex {fmt_point(*graph[active][:2])} "
                     f"along {unbounded[active]} never leaves the feasible region"
                 )
         touched = set().union(*graph)
@@ -233,10 +213,7 @@ class Polytope:
                     f"facet {i} touches no vertex; the inequality is redundant"
                 )
         index = {active: k for k, active in enumerate(order)}
-        vertices = tuple(
-            Vertex(point=_point(*graph[a][:2]), active=a, edges=graph[a][2])
-            for a in order
-        )
+        vertices = tuple(Vertex(a, graph[a][2]) for a in order)
         # each edge is listed at both ends; keep it once, from its lower end
         edges = sorted(
             (index[a], index[b]) for a in order for b in graph[a][3]
@@ -248,7 +225,7 @@ class Polytope:
     # -- queries -----------------------------------------------------
 
     def _slacks(self, x: Sequence) -> list[int]:
-        return facet_slacks(self.integer_facets, *clear_denominators(x))
+        return facet_slacks(self.facets, *clear_denominators(x))
 
     def contains(self, x: Sequence) -> bool:
         return min(self._slacks(x)) >= 0
@@ -370,7 +347,7 @@ def _first_vertex(facets: Sequence) -> tuple[tuple[int, ...], _Tableau]:
             continue
         active = tuple(f for f, s in enumerate(child.slack) if s == 0)
         if len(active) > n:
-            raise _non_simple(_point(child.num, child.den), active, n)
+            raise _non_simple(child.num, child.den, active, n)
         return active, child
     raise UnboundedError(
         "inequality system has no vertices: the region is empty "
@@ -435,7 +412,7 @@ def facet_slacks(rows: Sequence, num: Sequence[int], den: int) -> list[int]:
 
     Each slack has the sign of <a, x> - b at x = num / den: positive
     strictly inside the half-space, zero on its boundary, negative
-    outside.  Rows are Polytope.integer_facets or a subset of them.
+    outside.  Rows are Polytope.facets or a subset of them.
     """
     if rows and len(num) != len(rows[0][0]):
         raise ValueError(f"dimension mismatch: {len(rows[0][0])} vs {len(num)}")
@@ -447,22 +424,24 @@ def slack_codim(slack: Sequence[int]) -> Optional[int]:
     return None if min(slack) < 0 else slack.count(0)
 
 
-def fmt_point(x: Sequence) -> str:
+def fmt_point(x: Sequence, den: int = 1) -> str:
+    """The point x / den in lowest terms, one Fraction per coordinate."""
     return "(" + ", ".join(
-        str(a if type(a) is Fraction else Fraction(a)) for a in x
+        str(Fraction(a) if den == 1 else Fraction(a, den)) for a in x
     ) + ")"
 
 
-def _point(num: Sequence[int], den: int) -> tuple:
-    """The Fraction coordinates of num / den, with gcd(den, *num) == 1."""
-    if den == 1:
-        return tuple(map(Fraction, num))
-    return tuple(Fraction(x, den) for x in num)
+def _integer_row(facet) -> HalfSpace:
+    """A (normal, offset) pair scaled by the lcm of its denominators."""
+    row, _ = clear_denominators(vec((*facet[0], facet[1])))
+    if not any(row[:-1]):
+        raise PolytopeError("facet normal must be nonzero")
+    return HalfSpace(row[:-1], row[-1])
 
 
-def _non_simple(x: Sequence, active: tuple[int, ...], n: int) -> NonSimpleError:
+def _non_simple(num: Sequence[int], den: int, active: tuple, n: int) -> NonSimpleError:
     return NonSimpleError(
-        f"vertex {fmt_point(x)} lies on {len(active)} facets "
+        f"vertex {fmt_point(num, den)} lies on {len(active)} facets "
         f"(indices {list(active)}); a simple {n}-polytope allows exactly {n}"
     )
 

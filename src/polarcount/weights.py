@@ -121,7 +121,7 @@ def check_decomposition_at(
     polarized from poly, are read off that one vector.
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
-    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    slack = facet_slacks(poly.facets, *clear_denominators(xt))
     lhs = _codim_weight(slack_codim(slack))
     rhs = YFrac.combination(_signed_cone_sum(cones, slack))
     if w is not None:
@@ -163,7 +163,7 @@ def sample_points(
             Fraction(sum(col), den) for col in zip(*(nums[k] for k in indices))
         )
 
-    pts: list[tuple] = [v.point for v in poly.vertices]
+    pts: list[tuple] = [mean((k,)) for k in range(len(nums))]
     pts += [mean(edge) for edge in poly.edges()]
     incident: list[list[int]] = [[] for _ in poly.facets]
     for k, v in enumerate(poly.vertices):

@@ -239,9 +239,9 @@ class YFrac:
         from cached binomial rows."""
         u: dict = {}
         for counts, c in table.items():
-            if c:
-                for k, b in _binomial_row(*counts):
-                    u[k] = u.get(k, 0) + c * b
+            # no c = 0 shortcut: a malformed key raises whatever its c
+            for k, b in _binomial_row(*counts):
+                u[k] = u.get(k, 0) + c * b
         return _yfrac({k: c for k, c in u.items() if c})
 
     @classmethod

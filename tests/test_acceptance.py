@@ -18,7 +18,7 @@ from conftest import DATA_DIR
 from polarcount.cli import main as cli_main
 from polarcount.latticegen import box_points
 from polarcount.linalg import canonical_direction, vsub
-from zoo import SEEDS, brion_zoo, regular_zoo, triangle_nonregular
+from zoo import SEEDS, brion_zoo, regular_zoo, triangle_nonregular, vertex_points
 
 ZERO = pc.YFrac(0)
 
@@ -108,7 +108,7 @@ def test_criterion_3_polarization_independence():
                 if xi not in vectors:
                     vectors.append(xi)
         # evaluation grid chosen from the polytope alone, never from xi
-        points = [v.point for v in poly.vertices]
+        points = vertex_points(poly)
         points.append(poly.barycenter())
         lo, hi = poly.integer_box(1)
         points.extend(box_points(lo, hi))
@@ -262,6 +262,7 @@ def test_criterion_7_wall_crossing_cancellation():
     for name, poly in cases:
         _, hi = poly.bounding_box()
         far = tuple(h + 1 for h in hi)
+        pts = vertex_points(poly)
         for wall in pc.wall_directions(poly):
             xi_minus, xi_plus = pc.crossing_pair(poly, wall, seed=3)
             before = pc.polarize_cones(poly, xi_minus)
@@ -270,7 +271,7 @@ def test_criterion_7_wall_crossing_cancellation():
                 (i, j)
                 for i, j in poly.edges()
                 if canonical_direction(
-                    vsub(poly.vertices[j].point, poly.vertices[i].point)
+                    vsub(pts[j], pts[i])
                 )
                 == wall
             ]
@@ -286,8 +287,7 @@ def test_criterion_7_wall_crossing_cancellation():
                 if k not in changed:
                     assert before[k] == after[k]
             for i, j in pairs:
-                a = poly.vertices[i].point
-                b = poly.vertices[j].point
+                a, b = pts[i], pts[j]
                 mid = tuple((p + q) / 2 for p, q in zip(a, b))
                 on_edge = [a, b, mid]
                 off_edge = [poly.barycenter(), far]

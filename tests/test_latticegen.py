@@ -31,6 +31,7 @@ from zoo import (
     square_half,
     triangle_nonregular,
     unimodular,
+    vertex_points,
     zoo_images,
 )
 
@@ -375,13 +376,13 @@ def vertex_sum_oracle(poly, w, z):
     """The vertex sum at z, each vertex factor written in its y form."""
     zt = tuple(Fraction(a) for a in z)
     total = Fraction(0)
-    for v in poly.vertices:
-        term = _monomial_value(zt, tuple(int(a) for a in v.point))
+    for x, v in zip(vertex_points(poly), poly.vertices):
+        term = _monomial_value(zt, tuple(int(a) for a in x))
         for a in v.edges:
             za = _monomial_value(zt, a)
             if za == 1:
                 raise pc.PoleError(
-                    f"z^{a} = 1 at vertex {fmt_point(v.point)}: the point "
+                    f"z^{a} = 1 at vertex {fmt_point(x)}: the point "
                     f"lies on a pole; perturb z"
                 )
             term *= (1 + w.y * za) / ((1 + w.y) * (1 - za))

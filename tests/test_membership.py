@@ -3,7 +3,7 @@
 cone_membership, cone_face_counts and Polytope.face_codim clear the point
 to one denominator and work in integers.  The oracles here are the
 direct Fraction computations: the inverse of the generator matrix times
-x - apex, and one dot product per facet.
+x - apex, the cone's vertex, and one dot product per facet.
 """
 
 import random
@@ -20,6 +20,7 @@ from zoo import (
     facet_systems,
     square_half,
     triangle_nonregular,
+    vertex_points,
     zoo_images,
 )
 
@@ -30,9 +31,9 @@ def generator_inverse(cone):
     return inverse([[g[i] for g in cone.generators] for i in range(n)])
 
 
-def membership_oracle(cone, inv, x):
+def membership_oracle(apex, inv, x):
     """x's cone coordinates, inv times x - apex, or None if one is negative."""
-    coords = tuple(dot(row, vsub(x, cone.apex)) for row in inv)
+    coords = tuple(dot(row, vsub(x, apex)) for row in inv)
     return None if any(c < 0 for c in coords) else coords
 
 
@@ -51,7 +52,7 @@ def _ratio(rng, lo, hi):
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def probe_points(poly, cones, rng, per_cone=6):
+def probe_points(poly, apexes, cones, rng, per_cone=6):
     """Points inside, outside and on faces of the polytope and its cones.
 
     sample_points gives the vertices, edge midpoints, facet barycenters,
@@ -64,12 +65,12 @@ def probe_points(poly, cones, rng, per_cone=6):
     xi = pc.find_polarizing(poly, seed=1)
     pts = list(pc.sample_points(poly, xi, rng=rng, random_count=20))
     for i, j in poly.edges():
-        a, b = poly.vertices[i].point, poly.vertices[j].point
+        a, b = apexes[i], apexes[j]
         for t in (Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(3, 2)):
             pts.append(vadd(a, tuple(t * d for d in vsub(b, a))))
     for cone in cones:
         for _ in range(per_cone):
-            x = cone.apex
+            x = apexes[cone.vertex_index]
             for g in cone.generators:
                 m = rng.choice((0, _ratio(rng, 0, 3), _ratio(rng, -2, 3)))
                 x = vadd(x, tuple(m * c for c in g))
@@ -79,14 +80,15 @@ def probe_points(poly, cones, rng, per_cone=6):
 
 def assert_matches_oracles(poly, rng):
     cones = pc.polarize_cones(poly, pc.find_polarizing(poly, seed=1))
+    apexes = vertex_points(poly)
     # one inverse per cone serves every probe point
     inverses = [generator_inverse(cone) for cone in cones]
-    for x in probe_points(poly, cones, rng):
+    for x in probe_points(poly, apexes, cones, rng):
         assert poly.face_codim(x) == codim_oracle(poly, x), x
-        for cone, inv in zip(cones, inverses):
-            expect = membership_oracle(cone, inv, x)
+        for cone, apex, inv in zip(cones, apexes, inverses):
+            expect = membership_oracle(apex, inv, x)
             got = pc.cone_membership(cone, x)
-            assert got == expect, (cone.apex, x)
+            assert got == expect, (apex, x)
             if got is not None:
                 assert all(type(c) is Fraction for c in got)
                 counts = (
@@ -95,7 +97,7 @@ def assert_matches_oracles(poly, rng):
                 )
             else:
                 counts = None
-            assert pc.cone_face_counts(cone, x) == counts, (cone.apex, x)
+            assert pc.cone_face_counts(cone, x) == counts, (apex, x)
 
 
 @pytest.mark.parametrize("name, poly", decomposition_zoo(), ids=lambda v: str(v))
@@ -108,18 +110,21 @@ def test_integer_membership_with_fractional_apex_and_inverse():
     # of determinant 2, so its inverse has denominator 2
     halfsquare, triangle = square_half(), triangle_nonregular()
     cones = pc.polarize_cones(halfsquare, pc.find_polarizing(halfsquare))
-    assert sorted(clear_denominators(cone.apex)[1] for cone in cones) == [1, 2, 2, 2]
+    apexes = vertex_points(halfsquare)
+    assert len(cones) == len(apexes)
+    assert sorted(clear_denominators(x)[1] for x in apexes) == [1, 2, 2, 2]
     cones = pc.polarize_cones(triangle, pc.find_polarizing(triangle))
     assert sorted(abs(det(cone.generators)) for cone in cones) == [1, 1, 2]
     for poly in (halfsquare, triangle):
         assert_matches_oracles(poly, random.Random(7))
     cones = pc.polarize_cones(square_half(), (1, 1))
     sink = next(c for c in cones if c.flip_count == 0)
-    assert sink.apex == (Fraction(3, 2), Fraction(3, 2))
+    assert apexes[sink.vertex_index] == (Fraction(3, 2), Fraction(3, 2))
     assert pc.cone_membership(sink, (Fraction(3, 2), Fraction(1, 2))) == (0, 1)
     assert pc.cone_membership(sink, (Fraction(7, 4), 0)) is None
-    cones = pc.polarize_cones(triangle_nonregular(), (1, 1))
-    cone = next(c for c in cones if c.apex == (0, 1))
+    cones = pc.polarize_cones(triangle, (1, 1))
+    apexes = vertex_points(triangle)
+    cone = next(c for c in cones if apexes[c.vertex_index] == (0, 1))
     assert abs(det(cone.generators)) == 2
     x = (-1, Fraction(5, 4))  # apex + 1/2 (-2, 1) + 1/4 (0, -1)
     assert pc.cone_membership(cone, x) == (Fraction(1, 2), Fraction(1, 4))

@@ -6,7 +6,7 @@ import pytest
 
 import polarcount as pc
 from polarcount.linalg import canonical_direction, dot, vadd
-from zoo import SEEDS, decomposition_zoo, triangle_nonregular
+from zoo import SEEDS, decomposition_zoo, triangle_nonregular, vertex_points
 
 
 def test_is_polarizing_on_trapezoid():
@@ -48,7 +48,7 @@ def test_find_polarizing_deterministic():
 def test_polarize_cones_trapezoid_structure():
     P = pc.trapezoid()
     cones = pc.polarize_cones(P, (1, 2))
-    by_apex = {c.apex: c for c in cones}
+    by_apex = dict(zip(vertex_points(P), cones))
     assert by_apex[(0, 0)].flip_count == 2
     assert by_apex[(0, 1)].flip_count == 1
     assert by_apex[(1, 1)].flip_count == 0
@@ -85,15 +85,16 @@ def test_exactly_one_sink_and_one_source():
             assert flips.count(P.dim) == 1, (name, seed)
             # the unflipped cone sits at the xi-maximal vertex, the
             # fully flipped one at the xi-minimal vertex
-            values = [dot(c.apex, xi) for c in cones]
-            assert dot(cones[flips.index(0)].apex, xi) == max(values)
-            assert dot(cones[flips.index(P.dim)].apex, xi) == min(values)
+            # (cones are in vertex order)
+            values = [dot(x, xi) for x in vertex_points(P)]
+            assert values[flips.index(0)] == max(values)
+            assert values[flips.index(P.dim)] == min(values)
 
 
 def test_membership_is_closed_at_the_apex():
     P = pc.trapezoid()
-    for cone in pc.polarize_cones(P, (1, 2)):
-        coords = pc.cone_membership(cone, cone.apex)
+    for apex, cone in zip(vertex_points(P), pc.polarize_cones(P, (1, 2))):
+        coords = pc.cone_membership(cone, apex)
         assert coords == (0,) * P.dim
 
 
@@ -101,16 +102,16 @@ def test_membership_roundtrip():
     rng = random.Random(5)
     for name, P in decomposition_zoo():
         xi = pc.find_polarizing(P, seed=1)
-        for cone in pc.polarize_cones(P, xi):
+        for apex, cone in zip(vertex_points(P), pc.polarize_cones(P, xi)):
             for _ in range(5):
                 m = tuple(
                     Fraction(rng.randint(0, 12), rng.randint(1, 4))
                     for _ in range(P.dim)
                 )
-                x = cone.apex
+                x = apex
                 for mi, g in zip(m, cone.generators):
                     x = vadd(x, tuple(mi * a for a in g))
-                assert pc.cone_membership(cone, x) == m, (name, cone.apex)
+                assert pc.cone_membership(cone, x) == m, (name, apex)
 
 
 def test_membership_rejects_outside_points():

@@ -28,24 +28,22 @@ from zoo import (
     sheared_zoo,
     square_half,
     triangle_nonregular,
+    vertex_points,
+    zoo_image_rows,
     zoo_images,
 )
 
 
-def points(poly):
-    return [v.point for v in poly.vertices]
-
-
 def test_square_vertices_and_flags():
     P = pc.hypercube(2, 1)
-    assert points(P) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert vertex_points(P) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert P.regular and P.integral
     assert P.dim == 2
 
 
 def test_trapezoid_structure():
     P = pc.trapezoid()
-    assert points(P) == [(0, 0), (0, 1), (1, 1), (2, 0)]
+    assert vertex_points(P) == [(0, 0), (0, 1), (1, 1), (2, 0)]
     v = P.vertices[2]
     # active facets sorted: y <= 1 is facet 2, x + y <= 2 is facet 3;
     # edges ordered by the relaxed facet index
@@ -63,11 +61,9 @@ def test_simplex_and_cube_counts():
 
 def test_edge_directions_point_inward():
     for P in (pc.trapezoid(), pc.hypercube(3, 1), pc.dilated_simplex(2, 3)):
-        for v in P.vertices:
+        for x, v in zip(vertex_points(P), P.vertices):
             for d in v.edges:
-                probe = tuple(
-                    a + Fraction(1, 1000) * b for a, b in zip(v.point, d)
-                )
+                probe = tuple(a + Fraction(1, 1000) * b for a, b in zip(x, d))
                 assert P.contains(probe)
 
 
@@ -79,10 +75,10 @@ def test_half_square_is_regular_not_integral():
 
 def test_nonregular_triangle_flags_and_failing_vertex():
     P = triangle_nonregular()
-    assert points(P) == [(0, 0), (0, 1), (2, 0)]
+    assert vertex_points(P) == [(0, 0), (0, 1), (2, 0)]
     assert P.integral
     assert not P.regular
-    dets = {v.point: abs(det(v.edges)) for v in P.vertices}
+    dets = {x: abs(det(v.edges)) for x, v in zip(vertex_points(P), P.vertices)}
     # the unimodularity failure sits at (0, 1), not at (2, 0)
     assert dets[(0, 1)] == 2
     assert dets[(2, 0)] == 1
@@ -251,17 +247,17 @@ def test_contains_and_boxes():
 def test_edges_pair_vertices():
     P = pc.hypercube(2, 1)
     edges = P.edges()
+    pts = vertex_points(P)
     assert len(edges) == 4
     for i, j in edges:
-        diff = [a - b for a, b in zip(P.vertices[i].point, P.vertices[j].point)]
+        diff = [a - b for a, b in zip(pts[i], pts[j])]
         assert sum(abs(d) for d in diff) == 1
 
 
 def test_tangent_cone_and_barycenter():
     P = pc.hypercube(2, 1)
-    apex = P.vertices[0]
-    assert apex.point == (0, 0)
-    assert apex.edges == ((1, 0), (0, 1))
+    assert vertex_points(P)[0] == (0, 0)
+    assert P.vertices[0].edges == ((1, 0), (0, 1))
     assert P.barycenter() == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -283,7 +279,7 @@ def test_builder_validation():
 
 def test_from_file_square():
     P = pc.from_file(DATA_DIR / "square.json")
-    assert points(P) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert vertex_points(P) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_from_file_fractions():
@@ -296,7 +292,7 @@ def test_from_dict_accepts_fraction_strings():
     P = pc.from_dict(
         {"dim": 1, "facets": [["1", 0], [-2, "-3/1"]]}
     )
-    assert points(P) == [(0,), (Fraction(3, 2),)]
+    assert vertex_points(P) == [(0,), (Fraction(3, 2),)]
 
 
 def test_file_errors(tmp_path):
@@ -345,7 +341,8 @@ def test_data_files_all_load_or_fail_as_documented():
 def subset_scan(facets):
     """Vertices, flags and edges by brute force over facet subsets.
 
-    Solves every n-subset of the facets, keeps the feasible solutions,
+    Solves every n-subset of the facets, keeps the feasible solutions
+    as (point, active, edges) triples of Fractions and ints,
     and finds the edge obtained by relaxing each active facet by solving
     <d, u_k> = 0 for the kept facets and <d, u_relaxed> = 1.  Two
     vertices are adjacent when they share n-1 facets.  Raises the class
@@ -371,29 +368,34 @@ def subset_scan(facets):
             rows = [facets[i].normal for i in active if i != relaxed]
             rows.append(facets[relaxed].normal)
             edges.append(primitive(solve_linear(rows, [0] * (n - 1) + [1])))
-        vertices.append(pc.Vertex(point=x, active=active, edges=tuple(edges)))
+        vertices.append((x, active, tuple(edges)))
     if any(
-        all(dot(d, f.normal) >= 0 for f in facets) for v in vertices for d in v.edges
+        all(dot(d, f.normal) >= 0 for f in facets)
+        for _, _, edges in vertices for d in edges
     ):
         raise pc.UnboundedError
-    if len({i for v in vertices for i in v.active}) < len(facets):
+    if len({i for _, active, _ in vertices for i in active}) < len(facets):
         raise pc.RedundantFacetError
     pairs = tuple(
         (i, j)
         for i, j in combinations(range(len(vertices)), 2)
-        if len(set(vertices[i].active) & set(vertices[j].active)) == n - 1
+        if len(set(vertices[i][1]) & set(vertices[j][1])) == n - 1
     )
     return {
         "vertices": tuple(vertices),
-        "regular": all(abs(det(v.edges)) == 1 for v in vertices),
-        "integral": all(a.denominator == 1 for v in vertices for a in v.point),
+        "regular": all(abs(det(edges)) == 1 for _, _, edges in vertices),
+        "integral": all(a.denominator == 1 for x, _, _ in vertices for a in x),
         "edges": pairs,
     }
 
 
 def walked(P):
+    """P's vertices as subset_scan's triples: the point from
+    cleared_vertices, then the Vertex's active facets and edges."""
     return {
-        "vertices": P.vertices,
+        "vertices": tuple(
+            (x, v.active, v.edges) for x, v in zip(vertex_points(P), P.vertices)
+        ),
         "regular": P.regular,
         "integral": P.integral,
         "edges": P.edges(),
@@ -468,7 +470,7 @@ def assert_walked_tableaux(P):
     fraction_tableau at their active facets, one per vertex, so each
     vertex's |det| is the Fraction determinant of its edges and
     P.regular is the conjunction of |det| == 1."""
-    facets = P.integer_facets
+    facets = P.facets
     made = [polytope._first_vertex(facets)]
     pivot = polytope._pivot
 
@@ -603,7 +605,7 @@ def echelon_first_vertex(facets):
     num, den, slack = found
     active = tuple(i for i, s in enumerate(slack) if s == 0)
     if len(active) > n:
-        raise polytope._non_simple(tuple(Fraction(a, den) for a in num), active, n)
+        raise polytope._non_simple(num, den, active, n)
     return active
 
 
@@ -626,19 +628,19 @@ def assert_start_like_echelon(facets):
     pytest.param(P, id=name) for name, P in decomposition_zoo() + sheared_zoo()
 ])
 def test_start_search_matches_echelon_search(P):
-    assert_start_like_echelon(P.integer_facets)
+    assert_start_like_echelon(P.facets)
 
 
 @settings(max_examples=25, deadline=None)
 @given(image=high_dim_images())
 def test_start_search_matches_echelon_search_above_dimension_three(image):
-    assert_start_like_echelon(image.integer_facets)
+    assert_start_like_echelon(image.facets)
 
 
 @settings(max_examples=300, deadline=None)
 @given(facets=facet_systems())
 def test_start_search_matches_echelon_search_on_generated(facets):
-    assert_start_like_echelon([f.integer() for f in facets])
+    assert_start_like_echelon(facets)
 
 
 def test_start_search_does_not_recurse():
@@ -657,18 +659,19 @@ def test_start_search_does_not_recurse():
 
 
 # the bodies of barycenter, bounding_box and integer_box before they read
-# Polytope.cleared_vertices: Fraction sums, min and max over Vertex.point
+# Polytope.cleared_vertices: Fraction sums, min and max over the points
 def barycenter_oracle(P):
-    n = len(P.vertices)
+    pts = vertex_points(P)
     acc = (Fraction(0),) * P.dim
-    for v in P.vertices:
-        acc = tuple(a + b for a, b in zip(acc, v.point))
-    return tuple(a / n for a in acc)
+    for x in pts:
+        acc = tuple(a + b for a, b in zip(acc, x))
+    return tuple(a / len(pts) for a in acc)
 
 
 def bounding_box_oracle(P):
-    lo = tuple(min(v.point[i] for v in P.vertices) for i in range(P.dim))
-    hi = tuple(max(v.point[i] for v in P.vertices) for i in range(P.dim))
+    pts = vertex_points(P)
+    lo = tuple(min(x[i] for x in pts) for i in range(P.dim))
+    hi = tuple(max(x[i] for x in pts) for i in range(P.dim))
     return lo, hi
 
 
@@ -682,12 +685,11 @@ def integer_box_oracle(P, margin):
 
 def assert_cleared_vertices(P):
     nums, den = P.cleared_vertices
-    assert den == lcm(*(a.denominator for v in P.vertices for a in v.point))
+    # den is the least common denominator: the points in lowest terms need it
+    assert den == lcm(*(a.denominator for x in vertex_points(P) for a in x))
     assert len(nums) == len(P.vertices)
-    for num, v in zip(nums, P.vertices):
+    for num in nums:
         assert all(type(x) is int for x in num)
-        assert tuple(Fraction(x, den) for x in num) == v.point
-        assert all(type(a) is Fraction for a in v.point)
     assert P.integral == (den == 1)
     assert P.barycenter() == barycenter_oracle(P)
     assert all(type(a) is Fraction for a in P.barycenter())
@@ -712,3 +714,47 @@ def test_cleared_vertices_and_boxes_match_the_points(P):
 @given(image=zoo_images())
 def test_cleared_vertices_and_boxes_match_the_points_on_images(image):
     assert_cleared_vertices(image)
+
+
+# -- the polytope's own data is all ints -----------------------------------
+
+
+def assert_only_ints(P):
+    """Every number in P.facets, P.vertices and P.cleared_vertices is an int."""
+    nums, den = P.cleared_vertices
+    numbers = [den, *(x for num in nums for x in num)]
+    for normal, offset in P.facets:
+        numbers += [*normal, offset]
+    for v in P.vertices:
+        numbers += [*v.active, *(a for d in v.edges for a in d)]
+    assert all(type(x) is int for x in numbers)
+
+
+@pytest.mark.parametrize("P", construction_cases())
+def test_polytope_data_holds_only_ints(P):
+    assert_only_ints(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=zoo_image_rows())
+def test_facets_are_the_input_rows_cleared(rows):
+    P = pc.Polytope(rows)
+    assert_only_ints(P)
+    assert [(*f.normal, f.offset) for f in P.facets] == [
+        clear_denominators((*a, b))[0] for a, b in rows
+    ]
+    # 'p/q' strings clear to the same rows
+    text = [(tuple(map(str, a)), str(b)) for a, b in rows]
+    assert pc.Polytope(text).facets == P.facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(facets=facet_systems())
+def test_polytope_data_holds_only_ints_on_generated(facets):
+    try:
+        P = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_only_ints(P)
+    # integer rows clear to themselves
+    assert P.facets == tuple(facets)

@@ -11,7 +11,7 @@ from polarcount.polarize import slack_face_counts
 from polarcount.polytope import facet_slacks, slack_codim
 from polarcount.weights import CheckResult
 from polarcount.ypoly import Y, YFrac
-from zoo import SEEDS, decomposition_zoo, facet_systems, zoo_images
+from zoo import SEEDS, decomposition_zoo, facet_systems, vertex_points, zoo_images
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
 
@@ -36,7 +36,7 @@ def test_polytope_weight_tracks_codimension():
 def test_cone_weights_at_square_corner():
     """The four signed cone weights at the origin corner of [0,1]^2."""
     P = pc.hypercube(2, 1)
-    cones = {c.apex: c for c in pc.polarize_cones(P, (1, 2))}
+    cones = dict(zip(vertex_points(P), pc.polarize_cones(P, (1, 2))))
     x = (0, 0)
     assert pc.cone_weight_y(cones[(0, 0)], x) == YFrac(Y**2, 2)
     assert pc.cone_weight_y(cones[(1, 0)], x) == YFrac(Y, 1)
@@ -48,7 +48,7 @@ def test_cone_weights_at_square_corner():
 
 def test_cone_face_counts_split_by_flip():
     P = pc.hypercube(2, 1)
-    cones = {c.apex: c for c in pc.polarize_cones(P, (1, 2))}
+    cones = dict(zip(vertex_points(P), pc.polarize_cones(P, (1, 2))))
     # at (0,0) the fully flipped cone sees two flipped zeros
     assert pc.cone_face_counts(cones[(0, 0)], (0, 0)) == (0, 2)
     # the opposite cone reaches (0,0) in its interior
@@ -103,8 +103,8 @@ def test_sample_points_cover_faces_and_exterior():
     P = pc.trapezoid()
     xi = (1, 2)
     pts = pc.sample_points(P, xi, random_count=0)
-    for v in P.vertices:
-        assert v.point in pts
+    for x in vertex_points(P):
+        assert x in pts
     assert len(pts) == len(set(pts))
     exterior = [x for x in pts if not P.contains(x)]
     assert len(exterior) >= 2 * len(P.vertices) - 1
@@ -139,7 +139,7 @@ ORACLE_YS = (None, Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
 
 def check_oracle(poly, cones, x, w=None):
     xt = tuple(Fraction(a) for a in x)
-    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    slack = facet_slacks(poly.facets, *clear_denominators(xt))
     c = slack_codim(slack)
     lhs = YFrac(0) if c is None else YFrac(1, c)
     rhs = YFrac(0)
@@ -154,12 +154,13 @@ def check_oracle(poly, cones, x, w=None):
 
 
 def sample_points_oracle(poly, xi, rng=None, random_count=20):
-    pts = [v.point for v in poly.vertices]
+    verts = vertex_points(poly)
+    pts = list(verts)
     for i, j in poly.edges():
-        a, b = poly.vertices[i].point, poly.vertices[j].point
+        a, b = verts[i], verts[j]
         pts.append(tuple(x / 2 for x in vadd(a, b)))
     for i in range(len(poly.facets)):
-        incident = [v.point for v in poly.vertices if i in v.active]
+        incident = [x for x, v in zip(verts, poly.vertices) if i in v.active]
         acc = incident[0]
         for p in incident[1:]:
             acc = vadd(acc, p)
@@ -169,10 +170,10 @@ def sample_points_oracle(poly, xi, rng=None, random_count=20):
     span = max(b - a for a, b in zip(lo, hi))
     step = int(span) + 1
     xiv = tuple(Fraction(a) for a in xi)
-    for v in poly.vertices:
+    for x in verts:
         big = tuple(step * a for a in xiv)
-        pts.append(vadd(v.point, big))
-        pts.append(vsub(v.point, big))
+        pts.append(vadd(x, big))
+        pts.append(vsub(x, big))
     if random_count and rng is None:
         rng = random.Random(20)
     for _ in range(random_count):
@@ -274,7 +275,7 @@ INT_ORACLE_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
 
 def concrete_check_oracle(poly, cones, x, w):
     xt = tuple(Fraction(a) for a in x)
-    slack = facet_slacks(poly.integer_facets, *clear_denominators(xt))
+    slack = facet_slacks(poly.facets, *clear_denominators(xt))
     codim = slack_codim(slack)
     table = {}
     for cone in cones:

@@ -334,6 +334,7 @@ def test_combination_matches_summed_weights(table):
 @pytest.mark.parametrize("table", [
     {(0, -1): 1},
     {(2, -3): 5, (1, 0): 1},
+    {(1, 0): 1, (0, -2): 0},  # a zero coefficient does not hide its key
 ])
 def test_combination_rejects_a_negative_one_minus_u_power(table):
     # (1-u)**r2 with r2 < 0 is no polynomial in u; it must not drop out

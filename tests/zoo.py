@@ -16,6 +16,12 @@ from polarcount.linalg import primitive
 SEEDS = (1, 2, 3, -2, -3)
 
 
+def vertex_points(poly) -> list[tuple]:
+    """Each vertex's point as Fractions, read off Polytope.cleared_vertices."""
+    nums, den = poly.cleared_vertices
+    return [tuple(Fraction(x, den) for x in num) for num in nums]
+
+
 def triangle_nonregular() -> pc.Polytope:
     """(0,0), (2,0), (0,1): simple and integral but not regular."""
     return pc.Polytope([((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)])
@@ -72,8 +78,9 @@ def brion_zoo() -> list[tuple[str, pc.Polytope]]:
 # -- affine images ----------------------------------------------------
 
 
-def affine_image(P, M, shift=None, scales=None):
-    """S P + shift, where S is unimodular and M = S^-T maps each facet normal.
+def affine_rows(P, M, shift=None, scales=None):
+    """The facet rows of S P + shift, where S is unimodular and M = S^-T
+    maps each facet normal.
 
     Facet <a, x> >= b becomes <Ma, x> >= b + <Ma, shift>, multiplied by a
     positive scale, which leaves the half-space unchanged.
@@ -86,7 +93,12 @@ def affine_image(P, M, shift=None, scales=None):
         a = tuple(sum(M[i][j] * f.normal[j] for j in range(n)) for i in range(n))
         b = f.offset + sum(ai * ti for ai, ti in zip(a, shift))
         facets.append((tuple(q * ai for ai in a), q * b))
-    return pc.Polytope(facets)
+    return facets
+
+
+def affine_image(P, M, shift=None, scales=None):
+    """S P + shift, as affine_rows describes it."""
+    return pc.Polytope(affine_rows(P, M, shift, scales))
 
 
 SHEARS = {
@@ -126,20 +138,31 @@ def sheared_zoo() -> list[tuple[str, pc.Polytope]]:
     ]
 
 
-def rational_image(draw, P):
-    """P under a random unimodular map, a rational translation and a
-    positive rational scale per facet."""
+def rational_rows(draw, P):
+    """The facet rows of P under a random unimodular map, a rational
+    translation and a positive rational scale per facet."""
     M = draw(unimodular(P.dim))
     shift = draw(st.tuples(*[small_fractions] * P.dim))
     scales = draw(st.tuples(*[positive_fractions] * len(P.facets)))
-    return affine_image(P, M, shift, scales)
+    return affine_rows(P, M, shift, scales)
+
+
+def rational_image(draw, P):
+    """The polytope of rational_rows."""
+    return pc.Polytope(rational_rows(draw, P))
+
+
+@st.composite
+def zoo_image_rows(draw):
+    """The rational_rows of a decomposition_zoo member: Fraction rows."""
+    zoo = dict(decomposition_zoo())
+    return rational_rows(draw, zoo[draw(st.sampled_from(sorted(zoo)))])
 
 
 @st.composite
 def zoo_images(draw):
     """A rational_image of a decomposition_zoo member."""
-    zoo = dict(decomposition_zoo())
-    return rational_image(draw, zoo[draw(st.sampled_from(sorted(zoo)))])
+    return pc.Polytope(draw(zoo_image_rows()))
 
 
 @st.composite
