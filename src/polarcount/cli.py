@@ -220,7 +220,9 @@ def _cmd_decompose(ns) -> int:
     w = _weight_param(ns)
     poly = _load_and_describe(ns)
     xi = find_polarizing(poly, seed=ns.seed)
-    print(f"xi: {fmt_point(xi)}")
+    # a huge --seed gives a xi past the digit limit
+    with _digit_limit():
+        print(f"xi: {fmt_point(xi)}")
     cones = polarize_cones(poly, xi)
     for cone in cones:
         gens = ", ".join(str(g) for g in cone.generators)
@@ -315,11 +317,11 @@ def _cmd_series(ns) -> int:
     todd = series.todd_series(k)
     lhat = series.lhat_series(k)
     print(f"order: {k}")
-    print(f"todd:        {todd}")
-    print("todd coefficients: " + ", ".join(str(c) for c in todd.coeffs))
-    print(f"half-angle:  {lhat}")
-    print("half-angle coefficients: " + ", ".join(str(c) for c in lhat.coeffs))
-    print(f"family*(1+y): {series.family_cleared(todd)}")
+    for name, s in (("todd", todd), ("half-angle", lhat)):
+        coeffs = s.coeffs
+        print(f"{name + ':':13}{series.format_series(coeffs)}")
+        print(f"{name} coefficients: " + ", ".join(map(str, coeffs)))
+    print(f"family*(1+y): {series.format_series(series.family_cleared(todd))}")
     if y is not None:
         print(f"family at y = {y}: {series.family_at(todd, y)}")
     checks = series.check_identities(todd, lhat)

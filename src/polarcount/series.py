@@ -1,30 +1,23 @@
 """Exact truncated power series: Todd, half-angle cotangent, and the
 one-parameter family interpolating between them.
 
-The ring operations are rational-only: coefficients are int or
-Fraction, and products and inverses return Fraction coefficients.  Both
-run on one integer kernel: a factor is cleared to integer numerators
-over the lcm of its denominators, the numerators are combined as Python
-ints, and each output coefficient becomes one reduced Fraction.
+A TruncatedSeries is one row of integer numerators over one positive
+denominator, reduced by their common gcd, so equal series have equal
+rows.  Every operation works on the row: a product is an integer
+convolution, an inverse runs its recurrence over a running lcm, and
+sums, rational multiples, x -> c*x and e**(c*x) are rows too.  A
+Fraction is made only where a coefficient is read or printed.
 
-The family needs no product at all.  Since Todd(x) * e**(-x) =
-Todd(-x) = Todd(x) - x, the normalized family is Todd with y/(1+y)
-taken off its x coefficient, and (1+y) times it has the YPoly
-coefficient todd_k + y*(todd_k - [k == 1]).  YPoly appears only as the
-coefficient container of that cleared family, which is evaluated,
-compared and printed but never multiplied.
+The family needs no product.  Since Todd(x) * e**(-x) = Todd(x) - x,
+the normalized family is Todd with y/(1+y) taken off its x coefficient,
+and (1+y) times it is the tuple of YPoly coefficients
+todd_k + y*(todd_k - [k == 1]), which format_series prints as a series.
 
-family_at, family_cleared and check_identities work on a Todd series
-the caller has built, so one Todd serves a whole command; the public
-functions taking an order build todd_series(order) at most once per
-call.  The product e**(-x) * Todd stays in check_identities as the
-independent route the line is checked against.
-
-check_identities runs all nine checks on cleared integer rows: each
-series is cleared once to integer numerators over one lcm, products
-are integer convolutions, and rows are compared by cross-multiplying
-their denominators, so no Fraction is built per coefficient.
-hirzebruch_series shares the classical family's convolution with it.
+family_at, family_cleared and check_identities take a Todd series the
+caller has built, so one Todd serves a whole command; each public
+function taking an order builds todd_series(order) at most once.
+check_identities writes its nine identities in series algebra, each
+along its own route.
 """
 
 from __future__ import annotations
@@ -37,179 +30,179 @@ from typing import Sequence
 from .ypoly import YPoly
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of rational coefficients over their denominators' lcm."""
-    for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(
-                f"series arithmetic is rational-only, got a {type(c).__name__}"
-            )
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+def format_series(coeffs: Sequence) -> str:
+    """coeffs[k] * x**k summed, for int, Fraction or YPoly coefficients.
 
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two integer rows of one length, truncated to it."""
-    n = len(a)
-    rb = b[::-1]
-    return [sum(map(mul, a[: k + 1], rb[n - 1 - k:])) for k in range(n)]
-
-
-def _same(a: list[int], da: int, b: list[int], db: int) -> bool:
-    """Whether the rows a/da and b/db are equal, by cross-multiplication."""
-    return [x * db for x in a] == [x * da for x in b]
-
-
-def _exp_row(c: Fraction, order: int) -> tuple[list[int], int]:
-    """e**(c*x) to x**order as integer numerators over q**order * order!,
-    for c = p/q: the k-th numerator is p**k * q**(order-k) * order!/k!."""
-    p, q = c.numerator, c.denominator
-    falling = [1] * (order + 1)  # order!/k!
-    for k in range(order, 0, -1):
-        falling[k - 1] = falling[k] * k
-    row = [p**k * q ** (order - k) * f for k, f in enumerate(falling)]
-    return row, q**order * falling[0]
+    Zero terms are left out, a negative rational coefficient is printed
+    as a subtraction, and a YPoly of positive degree is parenthesized.
+    """
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        negative = isinstance(c, (int, Fraction)) and c < 0
+        cs = str(-c if negative else c)
+        if isinstance(c, YPoly) and c.degree > 0:
+            cs = f"({cs})"
+        xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
+        body = cs if not xs else (xs if cs == "1" else f"{cs}*{xs}")
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) if parts else "0"
 
 
 class TruncatedSeries:
-    """Power series in x modulo x**(order+1).
+    """Power series in x over Q, modulo x**(order+1).
 
-    coeffs[k] multiplies x**k.  Series arithmetic is over Q: a product
-    of two series or an inverse needs int or Fraction coefficients and
-    raises TypeError on anything else.  The one non-rational series is
-    the cleared family (family_cleared, qy_series_cleared), whose YPoly
-    coefficients are only evaluated, compared and printed.
+    Held as integer numerators nums over one denominator den > 0 with
+    gcd(den, *nums) == 1: coefficient k is nums[k]/den and multiplies
+    x**k.  Built from int or Fraction coefficients; anything else raises
+    TypeError.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        self.coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"series arithmetic is rational-only, got a {type(c).__name__}"
+                )
+        # over the lcm of reduced denominators, the row is already reduced
+        den = self.den = lcm(*[c.denominator for c in coeffs])
+        self.nums = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def _row(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series nums/den for den != 0, reduced so that den > 0."""
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        s = object.__new__(cls)
+        s.nums = tuple([a // g for a in nums] if g != 1 else nums)
+        s.den = den // g
+        return s
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncatedSeries":
-        return cls((c,) + (Fraction(0),) * order)
+        return cls((c,) + (0,) * order)
 
     @classmethod
     def exponential(cls, c, order: int) -> "TruncatedSeries":
-        """e**(c*x) truncated: coefficients c**k / k!."""
+        """e**(c*x) truncated: for c = p/q, the k-th numerator is
+        p**k * q**(order-k) * order!/k! over q**order * order!."""
         c = Fraction(c)
-        return cls(tuple(c**k / factorial(k) for k in range(order + 1)))
+        p, q = c.numerator, c.denominator
+        falling = [1] * (order + 1)  # order!/k!
+        for k in range(order, 0, -1):
+            falling[k - 1] = falling[k] * k
+        nums = [p**k * q ** (order - k) * f for k, f in enumerate(falling)]
+        return cls._row(nums, q**order * falling[0])
 
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return TruncatedSeries((self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, TruncatedSeries):
+            other = TruncatedSeries.constant(other, self.order)
+        self._check(other)
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        return TruncatedSeries._row(
+            [a * ma + b * mb for a, b in zip(self.nums, other.nums)], den
+        )
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            a, da = _cleared(self.coeffs)
-            b, db = _cleared(other.coeffs)
-            den = da * db
-            return TruncatedSeries(tuple(Fraction(c, den) for c in _convolve(a, b)))
-        return TruncatedSeries(tuple(other * a for a in self.coeffs))
+            a, rb, n = self.nums, other.nums[::-1], len(self.nums)
+            prod = [sum(map(mul, a[: k + 1], rb[n - 1 - k:])) for k in range(n)]
+            return TruncatedSeries._row(prod, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return TruncatedSeries._row(
+            [other.numerator * a for a in self.nums], self.den * other.denominator
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, with Fraction coefficients.
+        """Multiplicative inverse; the constant term must be nonzero.
 
-        The constant term must be nonzero and every coefficient rational.
-        With self = p/D (integer numerators p over one denominator D),
-        the k-th inverse coefficient is -(sum_{i=1..k} p_i out_{k-i})/p_0;
-        the earlier outputs are held as integer numerators over the
-        running lcm of their denominators, rescaled whenever a new output
-        widens it.
+        With self = p/D, the k-th inverse coefficient is D/p_0 at k = 0
+        and -(sum_{i=1..k} p_i out_{k-i})/p_0 after it.  Each is reduced
+        by one gcd, and the outputs are held as integer numerators over
+        the running lcm of their denominators, rescaled whenever a new
+        output widens it.
         """
-        p, den = _cleared(self.coeffs)
-        p0 = p[0]
+        p, p0 = self.nums, self.nums[0]
         if p0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        out = [Fraction(den, p0)]
-        nums, common = [out[0].numerator], out[0].denominator
-        for k in range(1, len(p)):
-            c = Fraction(-sum(map(mul, p[1 : k + 1], reversed(nums))), common * p0)
-            widen = c.denominator // gcd(common, c.denominator)
+        nums, common = [], 1
+        for k in range(len(p)):
+            top = self.den if k == 0 else -sum(map(mul, p[1 : k + 1], reversed(nums)))
+            if p0 < 0:
+                top = -top
+            bottom = common * abs(p0)
+            g = gcd(top, bottom)
+            top, bottom = top // g, bottom // g
+            widen = bottom // gcd(common, bottom)
             if widen != 1:
                 nums = [q * widen for q in nums]
                 common *= widen
-            nums.append(c.numerator * (common // c.denominator))
-            out.append(c)
-        return TruncatedSeries(out)
+            nums.append(top * (common // bottom))
+        return TruncatedSeries._row(nums, common)
 
     def scale_argument(self, c) -> "TruncatedSeries":
         """Substitute x -> c*x."""
         c = Fraction(c)
-        return TruncatedSeries(tuple(a * c**k for k, a in enumerate(self.coeffs)))
+        p, q, n = c.numerator, c.denominator, self.order
+        return TruncatedSeries._row(
+            [a * p**k * q ** (n - k) for k, a in enumerate(self.nums)],
+            self.den * q**n,
+        )
 
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
+    def __getitem__(self, k: int) -> Fraction:
+        return Fraction(self.nums[k], self.den)
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            negative = isinstance(c, (int, Fraction)) and c < 0
-            cs = str(-c if negative else c)
-            if isinstance(c, YPoly) and c.degree > 0:
-                cs = f"({cs})"
-            xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            body = cs if not xs else (xs if cs == "1" else f"{cs}*{xs}")
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts) if parts else "0"
+        return format_series(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs!r})"
 
 
-def todd_series(order: int) -> TruncatedSeries:
-    """x / (1 - e**(-x)) truncated at x**order.
+def _one_minus_exp_over_x(order: int) -> TruncatedSeries:
+    """(1 - e**(-x)) / x: coefficient k is minus e**(-x)'s coefficient k+1."""
+    e = TruncatedSeries.exponential(-1, order + 1)
+    return TruncatedSeries._row([-a for a in e.nums[1:]], e.den)
 
-    Built by inverting (1 - e**(-x)) / x, whose k-th coefficient is
-    (-1)**k / (k+1)!.
-    """
-    base = TruncatedSeries(
-        tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1))
-    )
-    return base.inverse()
+
+def todd_series(order: int) -> TruncatedSeries:
+    """x / (1 - e**(-x)) truncated at x**order, the inverse of
+    (1 - e**(-x)) / x: Todd's integer numerators nums over one den."""
+    return _one_minus_exp_over_x(order).inverse()
 
 
 def lhat_series(order: int) -> TruncatedSeries:
@@ -218,17 +211,11 @@ def lhat_series(order: int) -> TruncatedSeries:
     Assembled from cosh(x/2) and sinh(x/2)/(x/2) directly, so it is an
     oracle independent of todd_series.
     """
-    cosh = TruncatedSeries(
-        tuple(
-            Fraction(1, factorial(k) * 2**k) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
-    sinh_over = TruncatedSeries(
-        tuple(
-            Fraction(1, factorial(k + 1) * 2**k) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
+    # j = 0 gives cosh(x/2), j = 1 sinh(x/2)/(x/2); odd terms vanish
+    cosh, sinh_over = (
+        TruncatedSeries([Fraction(1, factorial(k + j) * 2**k) if k % 2 == 0 else 0
+                         for k in range(order + 1)])
+        for j in (0, 1)
     )
     return cosh * sinh_over.inverse()
 
@@ -240,20 +227,12 @@ def _admissible(y) -> Fraction:
     return y
 
 
-def _hirzebruch(t: list[int], dt: int, y: Fraction) -> tuple[list[int], int]:
-    """The classical family at y as integer numerators over one
-    denominator, from Todd's row t/dt: (1/s) * Todd(s*x) * (1 + y*e**(-s*x))
-    with s = 1+y, multiplied out as one convolution."""
-    # x/(1 - e**(-x(1+y))) is Todd(x(1+y)) with its numerator scaled back
-    p, q = y.numerator, y.denominator
-    s, order = p + q, len(t) - 1
-    scaled = [a * s**k * q ** (order - k) for k, a in enumerate(t)]
-    e, de = _exp_row(Fraction(-s, q), order)
-    factor = [p * a for a in e]
-    factor[0] += q * de
-    # the product is over dt*q**order * q*de; dividing by 1+y = s/q
-    # trades that q for s
-    return _convolve(scaled, factor), dt * q**order * de * s
+def _classical(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
+    """hirzebruch_series(y, todd.order) from a prebuilt todd_series:
+    x/(1 - e**(-s*x)) is Todd(s*x)/s with s = 1+y."""
+    s = 1 + y
+    factor = 1 + y * TruncatedSeries.exponential(-s, todd.order)
+    return todd.scale_argument(s) * factor * (1 / s)
 
 
 def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
@@ -263,21 +242,23 @@ def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
     because Todd(x) * e**(-x) = Todd(x) - x.
     """
     y = _admissible(y)
-    coeffs = list(todd.coeffs)
-    if len(coeffs) > 1:
-        coeffs[1] -= y / (1 + y)
-    return TruncatedSeries(coeffs)
+    # y/(1+y) = p/(p+q) at y = p/q, taken off Todd's row over den*(p+q)
+    p, s = y.numerator, y.numerator + y.denominator
+    nums = [a * s for a in todd.nums]
+    if todd.order:
+        nums[1] -= todd.den * p
+    return TruncatedSeries._row(nums, todd.den * s)
 
 
-def family_cleared(todd: TruncatedSeries) -> TruncatedSeries:
+def family_cleared(todd: TruncatedSeries) -> tuple[YPoly, ...]:
     """qy_series_cleared(todd.order) from a prebuilt todd_series.
 
     Coefficient k is the YPoly todd_k + y*(todd*e**(-x))_k, and
     (todd*e**(-x))_k is todd_k, less 1 at k = 1.
     """
-    return TruncatedSeries(tuple(
+    return tuple(
         YPoly((t, t - 1 if k == 1 else t)) for k, t in enumerate(todd.coeffs)
-    ))
+    )
 
 
 def hirzebruch_series(y, order: int) -> TruncatedSeries:
@@ -286,9 +267,7 @@ def hirzebruch_series(y, order: int) -> TruncatedSeries:
     The classical three-point family: y = 0 gives the Todd series, and
     substituting x -> x/2 at y = 1 gives the half-angle cotangent.
     """
-    y = _admissible(y)
-    h, den = _hirzebruch(*_cleared(todd_series(order).coeffs), y)
-    return TruncatedSeries(tuple(Fraction(c, den) for c in h))
+    return _classical(todd_series(order), _admissible(y))
 
 
 def qy_series(y, order: int) -> TruncatedSeries:
@@ -301,12 +280,12 @@ def qy_series(y, order: int) -> TruncatedSeries:
     return family_at(todd_series(order), y)
 
 
-def qy_series_cleared(order: int) -> TruncatedSeries:
-    """(1+y) * qy_series as a series with YPoly coefficients.
+def qy_series_cleared(order: int) -> tuple[YPoly, ...]:
+    """The coefficients of (1+y) * qy_series, x**0 first.
 
     Exactly Todd(x) * (1 + y*e**(-x)), assembled coefficient by
     coefficient as the YPoly todd_k + y*(todd_k - [k == 1]); symbolic
-    in y, so one object covers every admissible weight.
+    in y, so one tuple covers every admissible weight.
     """
     return family_cleared(todd_series(order))
 
@@ -323,61 +302,39 @@ def verify_identities(order: int) -> dict[str, bool]:
 def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries) -> dict[str, bool]:
     """verify_identities on a prebuilt todd_series and lhat_series.
 
-    Every series is cleared once to an integer row over one denominator;
-    products are integer convolutions, and two rows are compared by
-    cross-multiplying their denominators, so no Fraction is built per
-    coefficient.  The family comes from family_at, Todd minus a line;
-    two checks keep an independent route through the product
-    e**(-x) * Todd, convolved once: todd_reflection, and
-    weighted_average_form, which rebuilds the family from it.
+    Each identity is series algebra along its own route.  The family
+    comes from family_at, Todd minus a line; the product e**(-x) * Todd
+    is the independent route of todd_reflection and of
+    weighted_average_form, which rebuilds the family from it, and
     classical_family_halved runs the classical family at y = 1 through
-    its own convolution, then substitutes x -> x/2.
+    its own product before x -> x/2.
     """
     order = todd.order
-    t, dt = _cleared(todd.coeffs)
-    lh, dl = _cleared(lhat.coeffs)
-    t_neg = [-a if k % 2 else a for k, a in enumerate(t)]
-    e, de = _exp_row(Fraction(-1), order)
-    shifted, ds = _convolve(e, t), de * dt
-    # (1 - e**(-x))/x: coefficient k is -(coefficient k+1 of e**(-x))
-    e1, de1 = _exp_row(Fraction(-1), order + 1)
-    h, dh = _hirzebruch(t, dt, Fraction(1))
-    halved = [a * 2 ** (order - k) for k, a in enumerate(h)]
-    cleared = family_cleared(todd)
+    todd_neg = todd.scale_argument(-1)
+    shifted = TruncatedSeries.exponential(-1, order) * todd
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
-    family = {y: _cleared(family_at(todd, y).coeffs) for y in sample_ys}
-    checks = {
-        "todd_defining_product": _same(
-            _convolve(t, [-a for a in e1[1:]]), dt * de1, [1] + [0] * order, 1
-        ),
-        "todd_reflection": _same(t_neg, dt, shifted, ds),
-        "average_is_half_angle": _same(
-            [a + b for a, b in zip(t, t_neg)], 2 * dt, lh, dl
-        ),
-        "half_angle_is_even": all(
-            lhat[k] == 0 for k in range(1, order + 1, 2)
-        ),
-        "family_at_zero_is_todd": family_at(todd, Fraction(0)) == todd,
-        "family_at_one_is_half_angle": family_at(todd, Fraction(1)) == lhat,
-        "classical_family_halved": _same(halved, dh * 2**order, lh, dl),
-        # (1+y) * family, with 1+y = (p+q)/q at y = p/q
+    # (1+y) * family: what the cleared family is at y
+    cleared_at = {y: family_at(todd, y) * (1 + y) for y in sample_ys}
+    # the cleared family is the sum of y**j * rows[j], read off its YPolys
+    cleared = family_cleared(todd)
+    rows = [TruncatedSeries([c.coefficient(j) for c in cleared])
+            for j in range(1 + max(c.degree for c in cleared))]
+    return {
+        "todd_defining_product": todd * _one_minus_exp_over_x(order)
+        == TruncatedSeries.constant(1, order),
+        "todd_reflection": todd_neg == shifted,
+        "average_is_half_angle": (todd + todd_neg) * Fraction(1, 2) == lhat,
+        "half_angle_is_even": lhat.scale_argument(-1) == lhat,
+        "family_at_zero_is_todd": family_at(todd, 0) == todd,
+        "family_at_one_is_half_angle": family_at(todd, 1) == lhat,
+        "classical_family_halved": _classical(todd, Fraction(1))
+        .scale_argument(Fraction(1, 2)) == lhat,
         "cleared_family_matches": all(
-            _same(
-                *_cleared([c(y) for c in cleared.coeffs]),
-                [(y.numerator + y.denominator) * a for a in family[y][0]],
-                y.denominator * family[y][1],
-            )
+            sum((r * y**j for j, r in enumerate(rows[1:], 1)), rows[0])
+            == cleared_at[y]
             for y in sample_ys
         ),
-        # (q * todd + p * shifted) / (p+q) at y = p/q
         "weighted_average_form": all(
-            _same(
-                *family[y],
-                [y.denominator * de * a + y.numerator * b
-                 for a, b in zip(t, shifted)],
-                (y.numerator + y.denominator) * ds,
-            )
-            for y in sample_ys
+            cleared_at[y] == todd + shifted * y for y in sample_ys
         ),
     }
-    return checks

@@ -205,11 +205,13 @@ def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str
         f'<text x="{pad / 2:.2f}" y="{pad / 2:.2f}" font-size="12" '
         f'fill="#111">xi = {fmt_point(xi)}; y = {w.y}</text>'
     )
-    # arrow showing the polarizing direction, anchored top right
-    norm = float(sum(a * a for a in xi)) ** 0.5 or 1.0
+    # arrow showing the polarizing direction, anchored top right; xi is
+    # scaled by a power of two, exact in floats, so its square sum fits one
+    scale = 2 ** max(int(abs(a)) for a in xi).bit_length()
+    norm = float(sum(a * a for a in xi) / scale**2) ** 0.5 or 1.0
     x0, y0 = width - pad * 1.8, pad * 0.8
-    dx = float(xi[0]) / norm * _UNIT
-    dy = -float(xi[1]) / norm * _UNIT
+    dx = float(xi[0] / scale) / norm * _UNIT
+    dy = -float(xi[1] / scale) / norm * _UNIT
     x1, y1 = x0 + dx, y0 + dy
     out.append(
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '

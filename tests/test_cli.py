@@ -1012,6 +1012,29 @@ def test_mismatch_past_the_digit_limit_exits_two(capsys, monkeypatch):
     )
 
 
+def test_polarizing_vector_past_the_digit_limit_exits_two(capsys):
+    # xi = (1, t, t**2) at t = --seed, and t**2 has 8001 digits
+    code, out, err = run(capsys, "decompose", "--builtin", "cube:3",
+                         "--seed", str(10**4000))
+    assert code == 2
+    assert "xi:" not in out
+    assert err.splitlines()[0] == (
+        f"error: an integer has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def test_svg_arrow_at_a_polarizing_vector_past_float_range(capsys):
+    # xi = (1, 10**200), whose square sum overflows a float
+    code, out, _ = run(capsys, "svg", "--builtin", "cube:2", "--seed", str(10**200))
+    assert code == 0
+    ET.fromstring(out)
+    # the arrow points straight up; svg's y axis points down
+    assert out.splitlines()[-4] == (
+        '<line x1="208.00" y1="32.00" x2="208.00" y2="-8.00" '
+        'stroke="#111" stroke-width="1.5"/>'
+    )
+
+
 def test_svg_rejects_3d(capsys):
     code, _, err = run(capsys, "svg", "--builtin", "cube:3")
     assert code == 2

@@ -114,7 +114,8 @@ def test_rescaling_links_the_two_families():
 
 def test_cleared_family_has_polynomial_coefficients():
     cleared = qy_series_cleared(6)
-    assert all(isinstance(c, YPoly) for c in cleared.coeffs)
+    assert type(cleared) is tuple and len(cleared) == 7
+    assert all(isinstance(c, YPoly) for c in cleared)
     assert cleared[0] == YPoly((1, 1))
     # cleared / (1+y) at y = 3 must equal the concrete family
     concrete = qy_series(3, 6)
@@ -149,12 +150,13 @@ def test_series_plumbing():
 
 
 def schoolbook_mul(a, b):
-    """Reference product: one Fraction accumulation per coefficient pair."""
+    """Reference product of two coefficient lists of one length: one
+    Fraction accumulation per coefficient pair."""
     out = []
-    for k in range(len(a.coeffs)):
+    for k in range(len(a)):
         acc = Fraction(0)
         for i in range(k + 1):
-            x, y = a.coeffs[i], b.coeffs[k - i]
+            x, y = a[i], b[k - i]
             if x != 0 and y != 0:
                 acc = acc + x * y
         out.append(acc)
@@ -162,13 +164,13 @@ def schoolbook_mul(a, b):
 
 
 def schoolbook_inverse(s):
-    """Reference inverse: the Fraction recurrence on the coefficients."""
-    inv0 = 1 / Fraction(s.coeffs[0])
+    """Reference inverse of a coefficient list: the Fraction recurrence."""
+    inv0 = 1 / Fraction(s[0])
     out = [inv0]
-    for k in range(1, len(s.coeffs)):
+    for k in range(1, len(s)):
         acc = Fraction(0)
         for i in range(1, k + 1):
-            acc = acc + s.coeffs[i] * out[k - i]
+            acc = acc + s[i] * out[k - i]
         out.append(-inv0 * acc)
     return out
 
@@ -199,7 +201,7 @@ def assert_matches(result, reference):
 @given(series_lists(2))
 def test_kernel_product_matches_schoolbook(pair):
     a, b = pair
-    assert_matches(a * b, schoolbook_mul(a, b))
+    assert_matches(a * b, schoolbook_mul(a.coeffs, b.coeffs))
 
 
 @given(series_lists(1))
@@ -207,7 +209,7 @@ def test_kernel_inverse_matches_schoolbook(single):
     (s,) = single
     assume(s[0] != 0)
     inv = s.inverse()
-    assert_matches(inv, schoolbook_inverse(s))
+    assert_matches(inv, schoolbook_inverse(s.coeffs))
     assert s * inv == TruncatedSeries.constant(Fraction(1), s.order)
 
 
@@ -216,16 +218,42 @@ def test_kernel_rejects_what_has_no_rational_inverse_or_product():
         TruncatedSeries((Fraction(0), Fraction(1, 2), 3)).inverse()
     with pytest.raises(ValueError):
         TruncatedSeries((1, 2)) * TruncatedSeries((1, 2, 3))
-    symbolic = TruncatedSeries((YPoly((1, 1)), YPoly((0, 1))))
     rational = TruncatedSeries((Fraction(1), Fraction(1, 2)))
     for bad in (
-        lambda: symbolic * rational,
-        lambda: rational * symbolic,
-        symbolic.inverse,
-        TruncatedSeries((1.5, 0)).inverse,
+        lambda: TruncatedSeries((YPoly((1, 1)), YPoly((0, 1)))),
+        lambda: TruncatedSeries((1, YPoly((0, 1)))),
+        lambda: TruncatedSeries((1.5, 0)),
+        lambda: rational * YPoly((1, 1)),
+        lambda: rational * 1.5,
+        lambda: rational + YPoly((1, 1)),
     ):
         with pytest.raises(TypeError):
             bad()
+
+
+@st.composite
+def equal_forms(draw):
+    """One coefficient list, its values again with every integral one as
+    an int and every other as a Fraction, and a common factor."""
+    order = draw(st.integers(0, 12))
+    values = draw(st.lists(_coefficients, min_size=order + 1, max_size=order + 1))
+    other = [int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in values]
+    other = [draw(st.sampled_from((c, Fraction(c)))) for c in other]
+    factor = draw(st.integers(-10**6, 10**6).filter(bool))
+    return values, other, factor
+
+
+@given(equal_forms())
+def test_equal_values_make_one_series(forms):
+    values, other, factor = forms
+    s = TruncatedSeries(values)
+    again = TruncatedSeries(other)
+    nums, den = [a * factor for a in s.nums], s.den * factor
+    scaled = TruncatedSeries._row(nums, den)
+    for t in (again, scaled):
+        assert t == s and hash(t) == hash(s) and str(t) == str(s)
+        assert (t.nums, t.den) == (s.nums, s.den) and t.den > 0
+    assert s.coeffs == tuple(Fraction(c) for c in values)
 
 
 # -- Todd is built at most once per public call ---------------------------
@@ -283,10 +311,15 @@ def test_series_command_builds_todd_and_lhat_once(
 # -- the family is Todd minus a line, against the product it replaced -----
 
 
+def exp_coeffs(c, order):
+    """Coefficients of e**(c*x) to x**order, as Fractions."""
+    return [Fraction(c) ** k / factorial(k) for k in range(order + 1)]
+
+
 def family_by_product(todd, y):
-    """(1/(1+y)) * Todd * (1 + y*e**(-x)), multiplied out as series."""
-    exp_neg = TruncatedSeries.exponential(-1, todd.order)
-    return Fraction(1, 1 + y) * (todd * (1 + y * exp_neg))
+    """(1/(1+y)) * Todd * (1 + y*e**(-x)), multiplied out by schoolbook_mul."""
+    factor = [y * e + (k == 0) for k, e in enumerate(exp_coeffs(-1, todd.order))]
+    return [c / (1 + y) for c in schoolbook_mul(todd.coeffs, factor)]
 
 
 FAMILY_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction(5, 3))
@@ -297,49 +330,53 @@ def test_family_is_todd_minus_a_line(order):
     todd = todd_series(order)
     for y in FAMILY_YS:
         line = qy_series(y, order)
-        assert line == family_by_product(todd, y), y
+        assert list(line.coeffs) == family_by_product(todd, y), y
         # same values as Fractions, so the same printed text
         assert all(type(c) is Fraction for c in line.coeffs)
-    shifted = TruncatedSeries.exponential(-1, order) * todd
-    assert qy_series_cleared(order) == TruncatedSeries(
-        tuple(YPoly((t, s)) for t, s in zip(todd.coeffs, shifted.coeffs))
+    shifted = schoolbook_mul(exp_coeffs(-1, order), todd.coeffs)
+    assert qy_series_cleared(order) == tuple(
+        YPoly((t, s)) for t, s in zip(todd.coeffs, shifted)
     )
 
 
-# -- the integer-row checks against the Fraction checks they replaced -----
+# -- the series-algebra checks against Fraction lists --------------------
+
+
+def scaled(coeffs, c):
+    """The coefficients of s(c*x) for the coefficients of s(x)."""
+    return [a * Fraction(c) ** k for k, a in enumerate(coeffs)]
 
 
 def fraction_check_identities(todd, lhat):
-    """Reference checks: every series product, scaling and comparison in
-    Fraction coefficients, and the classical family through the series
-    operations."""
+    """Reference checks on Fraction coefficient lists: products by
+    schoolbook_mul, sums and substitutions coefficient by coefficient,
+    the cleared family evaluated by YPoly.__call__; no series operation
+    runs here."""
     order = todd.order
-    todd_neg = todd.scale_argument(-1)
-    shifted = TruncatedSeries.exponential(-1, order) * todd
+    t, l = list(todd.coeffs), list(lhat.coeffs)
+    t_neg = scaled(t, -1)
+    shifted = schoolbook_mul(exp_coeffs(-1, order), t)
+    base = [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
+    factor = [e + (k == 0) for k, e in enumerate(exp_coeffs(-2, order))]
+    classical = schoolbook_mul([a / 2 for a in scaled(t, 2)], factor)
     cleared = series.family_cleared(todd)
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
-    scaled_todd = Fraction(1, 2) * todd.scale_argument(2)
-    classical = scaled_todd * (1 + TruncatedSeries.exponential(-2, order))
+    family = {y: list(series.family_at(todd, y).coeffs) for y in (0, 1, *sample_ys)}
     return {
-        "todd_defining_product": todd
-        * TruncatedSeries(
-            tuple(Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1))
-        )
-        == TruncatedSeries.constant(Fraction(1), order),
-        "todd_reflection": todd_neg == shifted,
-        "average_is_half_angle": Fraction(1, 2) * (todd + todd_neg) == lhat,
-        "half_angle_is_even": all(lhat[k] == 0 for k in range(1, order + 1, 2)),
-        "family_at_zero_is_todd": series.family_at(todd, Fraction(0)) == todd,
-        "family_at_one_is_half_angle": series.family_at(todd, Fraction(1)) == lhat,
-        "classical_family_halved": classical.scale_argument(Fraction(1, 2)) == lhat,
+        "todd_defining_product": schoolbook_mul(t, base)
+        == [1] + [0] * order,
+        "todd_reflection": t_neg == shifted,
+        "average_is_half_angle": [(a + b) / 2 for a, b in zip(t, t_neg)] == l,
+        "half_angle_is_even": all(l[k] == 0 for k in range(1, order + 1, 2)),
+        "family_at_zero_is_todd": family[0] == t,
+        "family_at_one_is_half_angle": family[1] == l,
+        "classical_family_halved": scaled(classical, Fraction(1, 2)) == l,
         "cleared_family_matches": all(
-            TruncatedSeries(tuple(c(y) for c in cleared.coeffs))
-            == (1 + y) * series.family_at(todd, y)
+            [c(y) for c in cleared] == [(1 + y) * a for a in family[y]]
             for y in sample_ys
         ),
         "weighted_average_form": all(
-            series.family_at(todd, y)
-            == Fraction(1, 1 + y) * todd + Fraction(y, 1 + y) * shifted
+            family[y] == [(a + y * b) / (1 + y) for a, b in zip(t, shifted)]
             for y in sample_ys
         ),
     }
