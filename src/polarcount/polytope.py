@@ -433,7 +433,10 @@ def fmt_point(x: Sequence, den: int = 1) -> str:
 
 def _integer_row(facet) -> HalfSpace:
     """A (normal, offset) pair scaled by the lcm of its denominators."""
-    row, _ = clear_denominators(vec((*facet[0], facet[1])))
+    row = (*facet[0], facet[1])
+    if not all(type(a) is int or type(a) is Fraction for a in row):
+        row = vec(row)  # strings, floats and subclasses, as Fractions
+    row, _ = clear_denominators(row)
     if not any(row[:-1]):
         raise PolytopeError("facet normal must be nonzero")
     return HalfSpace(row[:-1], row[-1])

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .ypoly import YPoly
 
@@ -299,8 +299,10 @@ def verify_identities(order: int) -> dict[str, bool]:
     return check_identities(todd_series(order), lhat_series(order))
 
 
-def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries) -> dict[str, bool]:
-    """verify_identities on a prebuilt todd_series and lhat_series.
+def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries,
+                     cleared: Optional[tuple] = None) -> dict[str, bool]:
+    """verify_identities on a prebuilt todd_series and lhat_series, and
+    family_cleared(todd) when the caller has built it.
 
     Each identity is series algebra along its own route.  The family
     comes from family_at, Todd minus a line; the product e**(-x) * Todd
@@ -316,7 +318,7 @@ def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries) -> dict[str, 
     # (1+y) * family: what the cleared family is at y
     cleared_at = {y: family_at(todd, y) * (1 + y) for y in sample_ys}
     # the cleared family is the sum of y**j * rows[j], read off its YPolys
-    cleared = family_cleared(todd)
+    cleared = family_cleared(todd) if cleared is None else cleared
     rows = [TruncatedSeries([c.coefficient(j) for c in cleared])
             for j in range(1 + max(c.degree for c in cleared))]
     return {

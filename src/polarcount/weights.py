@@ -8,16 +8,12 @@ unflipped and flipped generators separately: (1/(1+y))**r1 times
 the polytope weight equals the sign-weighted sum of cone weights at
 every point of space, for every admissible y at once.
 
-Both sides read one vector, the point's integer slacks over the facets
-(polytope.facet_slacks): the codimension counts its zeros, and each cone
-reads its vertex's active facets, negated for flipped generators, so
-membership and the zero counts need no inverse.
-
-The signed cone sum at a point is kept as a table: the net sign of the
-cones reaching it with each pair (r1, r2) of zero counts, in ints.  The
-check builds both sides as YFracs, the table through YFrac.combination
-and the polytope side as u**codim, and compares them as u-polynomials,
-or, at a concrete y, compares their values there.
+The check runs on integer rows (num, den) from sample_rows; both sides
+read the row's slacks over the facets (polytope.facet_slacks).  Each cone,
+flattened once to bit masks of its unflipped and flipped facets, reads
+membership and its zero counts (r1, r2) off the masks of the negative and
+zero slacks.  The cones' net signs by (r1, r2), read as a u-polynomial, are
+compared with u**codim; only where the two differ are both evaluated at y.
 """
 
 from __future__ import annotations
@@ -25,7 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain
+from math import gcd
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators
 from .polarize import (
@@ -92,41 +90,64 @@ class CheckResult(NamedTuple):
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     """Sign-weighted sum of the cone weights of x."""
     slack = cone_point_slacks(cones, x)[0]
-    return YFrac.combination(_signed_cone_sum(cones, slack))
+    return YFrac.combination(_signed_cone_sum(_flat(cones), slack.items()))
 
 
-def _signed_cone_sum(cones: Sequence[PolarizedCone], slack) -> dict:
-    """{(r1, r2): net sign} over the cones containing the point."""
+def _flat(cones: Sequence[PolarizedCone]) -> list[tuple[int, int, int]]:
+    """Each cone as bit masks of its unflipped and flipped facets, and its sign."""
+    return [(sum(1 << i for i, f in zip(c.facets, c.flipped) if not f),
+             sum(1 << i for i, f in zip(c.facets, c.flipped) if f), c.sign)
+            for c in cones]
+
+
+def _signed_cone_sum(flat: list, slack) -> dict:
+    """{(r1, r2): net sign} over the cones containing a point, from its
+    (facet, slack) pairs over all their facets, read as slack_face_counts."""
+    neg = zero = 0
+    for i, s in slack:
+        if s < 0:
+            neg |= 1 << i
+        elif s == 0:
+            zero |= 1 << i
+    pos = ~(neg | zero)
     table: dict = {}
-    for cone in cones:
-        counts = slack_face_counts(cone, slack)
-        if counts is not None:
-            table[counts] = table.get(counts, 0) + cone.sign
+    for unflipped, flipped, sign in flat:
+        if not (neg & unflipped or pos & flipped):
+            counts = (zero & unflipped).bit_count(), (zero & flipped).bit_count()
+            table[counts] = table.get(counts, 0) + sign
     return table
 
 
-def check_decomposition_at(
-    poly: Polytope,
-    cones: Sequence[PolarizedCone],
-    x: Sequence,
-    w: Optional[WeightParam] = None,
-) -> CheckResult:
+def _check(facets, flat: list, num: Sequence[int], den: int, w) -> tuple:
+    """(codim, signed cone sum, verdict) at num / den, off one slack vector:
+    u**codim against the sum as u-polynomials and, where they differ, at w.y."""
+    slack = facet_slacks(facets, num, den)
+    codim = slack_codim(slack)
+    rhs = YFrac.combination(_signed_cone_sum(flat, enumerate(slack)))
+    return codim, rhs, rhs.u == ({} if codim is None else {codim: 1}) or (
+        w is not None and _codim_weight(codim)(w.y) == rhs(w.y))
+
+
+def decomposition_agrees(poly: Polytope, cones: Sequence[PolarizedCone],
+                         w: Optional[WeightParam] = None):
+    """check_decomposition_at's verdict as a predicate on rows (num, den)."""
+    facets, flat = poly.facets, _flat(cones)
+    return lambda num, den: _check(facets, flat, num, den, w)[2]
+
+
+def check_decomposition_at(poly: Polytope, cones: Sequence[PolarizedCone], x: Sequence,
+                           w: Optional[WeightParam] = None) -> CheckResult:
     """Compare polytope weight with the signed cone sum at one point.
 
-    Both sides are YFracs.  With w = None they are compared as
-    u-polynomials, covering every admissible y at once; otherwise both
-    are evaluated at w.y and compared, and returned, as Fractions.  The
-    point's integer slacks over poly's facets are computed once; the
-    face codimension and the membership and zero counts of each cone,
-    polarized from poly, are read off that one vector.
+    Both sides are YFracs, compared as decomposition_agrees compares
+    them; with w given they are returned evaluated at w.y, as Fractions.
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
-    slack = facet_slacks(poly.facets, *clear_denominators(xt))
-    lhs = _codim_weight(slack_codim(slack))
-    rhs = YFrac.combination(_signed_cone_sum(cones, slack))
+    codim, rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
+    lhs = _codim_weight(codim)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
-    return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=equal)
 
 
 def check_decomposition(
@@ -140,62 +161,65 @@ def check_decomposition(
     return [check_decomposition_at(poly, cones, x, w) for x in points]
 
 
-def sample_points(
-    poly: Polytope,
-    xi: Sequence,
-    rng: Optional[random.Random] = None,
-    random_count: int = 20,
-) -> list[tuple]:
-    """Deterministic face representatives plus probes and random points.
+def sample_rows(poly: Polytope, xi: Sequence, rng: Optional[random.Random] = None,
+                random_count: int = 20) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each point once, as its canonical row (num, den): x = num / den, den > 0
+    and gcd(den, *num) = 1, in ints from the vertices' numerators over one D.
 
     One point per vertex, edge midpoints, facet barycenters, the
     barycenter, exterior probes past each vertex along +-xi (stepped far
     enough to leave the bounding box), and random rational points from a
-    box inflated to twice the size.  The vertices are read as integer
-    numerators over one denominator D (Polytope.cleared_vertices), and
-    every derived point is built from integer sums over a multiple of D.
+    box inflated to twice the size, drawn as they are yielded.
     """
     nums, D = poly.cleared_vertices
 
-    def mean(indices) -> tuple:
-        den = len(indices) * D
-        return tuple(
-            Fraction(sum(col), den) for col in zip(*(nums[k] for k in indices))
-        )
+    def mean(ks) -> tuple:
+        return [sum(col) for col in zip(*(nums[k] for k in ks))], len(ks) * D
 
-    pts: list[tuple] = [mean((k,)) for k in range(len(nums))]
-    pts += [mean(edge) for edge in poly.edges()]
+    rows = [mean((k,)) for k in range(len(nums))]
+    rows += [mean(edge) for edge in poly.edges()]
     incident: list[list[int]] = [[] for _ in poly.facets]
     for k, v in enumerate(poly.vertices):
         for i in v.active:
             incident[i].append(k)
-    pts += [mean(ks) for ks in incident]
-    pts.append(mean(range(len(nums))))
+    rows += [mean(ks) for ks in incident]
+    rows.append(mean(range(len(nums))))
     lo = [min(col) for col in zip(*nums)]
     hi = [max(col) for col in zip(*nums)]
     step = max(b - a for a, b in zip(lo, hi)) // D + 1
     xnum, xden = clear_denominators(tuple(Fraction(a) for a in xi))
     for p in nums:
         for sign in (1, -1):
-            pts.append(tuple(
-                Fraction(c * xden + sign * step * x * D, D * xden)
-                for c, x in zip(p, xnum)
-            ))
+            rows.append(([c * xden + sign * step * x * D for c, x in zip(p, xnum)],
+                         D * xden))
     if random_count and rng is None:
         rng = random.Random(20)
-    # the box inflated to twice the size, [(3lo - hi)/2, (3hi - lo)/2],
-    # as numerators over 2D
+    # the box inflated to twice the size, [(3lo - hi)/2, (3hi - lo)/2], as
+    # numerators over 2D; a coordinate drawn over den in 1..4 is kept over 12
     inflated = [(3 * a - b, 3 * b - a) for a, b in zip(lo, hi)]
-    for _ in range(random_count):
-        point = []
-        for lo2, hi2 in inflated:
-            den = rng.randint(1, 4)
-            num = rng.randint(
-                _trunc(lo2 * den, 2 * D) - 1, _trunc(hi2 * den, 2 * D) + 1
-            )
-            point.append(Fraction(num, den))
-        pts.append(tuple(point))
-    return list(dict.fromkeys(pts))
+
+    def randoms():
+        for _ in range(random_count):
+            num = []
+            for lo2, hi2 in inflated:
+                den = rng.randint(1, 4)
+                lo, hi = _trunc(lo2 * den, 2 * D) - 1, _trunc(hi2 * den, 2 * D) + 1
+                num.append(rng.randint(lo, hi) * (12 // den))
+            yield num, 12
+
+    seen = set()
+    for num, den in chain(rows, randoms()):
+        g = gcd(den, *num)
+        row = tuple(a // g for a in num), den // g
+        if row not in seen:
+            seen.add(row)
+            yield row
+
+
+def sample_points(poly: Polytope, xi: Sequence, rng=None, random_count=20) -> list:
+    """sample_rows' points as Fraction tuples."""
+    rows = sample_rows(poly, xi, rng, random_count)
+    return [tuple(Fraction(a, den) for a in num) for num, den in rows]
 
 
 def _trunc(p: int, q: int) -> int:

@@ -758,3 +758,25 @@ def test_polytope_data_holds_only_ints_on_generated(facets):
     assert_only_ints(P)
     # integer rows clear to themselves
     assert P.facets == tuple(facets)
+
+
+def test_facet_rows_clear_alike_from_every_entry_type():
+    """ints and Fractions are cleared as they are, other entries through
+    Fraction first; every form of one row gives the same integer row."""
+    rows = [((1, 0), 0), ((0, 1), 0), ((Fraction(-1, 2), Fraction(-1, 3)), -1)]
+    want = pc.Polytope(rows).facets
+    assert [(*f.normal, f.offset) for f in want] == [(1, 0, 0), (0, 1, 0), (-3, -2, -6)]
+    as_text = [(tuple(map(str, a)), str(b)) for a, b in rows]
+    as_fractions = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in rows]
+    as_floats = [(tuple(map(float, a[:1])) + a[1:], b) for a, b in rows[:2]]
+    as_floats.append(((-0.5, Fraction(-1, 3)), -1.0))
+    mixed = [((1, "0"), 0), ((Fraction(0), 1), "0"), ((-0.5, "-1/3"), Fraction(-1))]
+    for form in (as_text, as_fractions, as_floats, mixed):
+        got = pc.Polytope(form).facets
+        assert got == want
+        assert all(type(a) is int for f in got for a in (*f.normal, f.offset))
+    # entries no Fraction reads fail as Fraction fails on them
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'a'"):
+        pc.Polytope([(("a", 0), 0), *rows[1:]])
+    with pytest.raises(TypeError, match="string or a Rational instance"):
+        pc.Polytope([((1, None), 0), *rows[1:]])

@@ -456,3 +456,22 @@ def test_series_command_reports_a_wrong_todd(capsys, monkeypatch):
     assert f"check: FAIL ({len(failed)}/9 identities)\n" == out.splitlines(True)[-1]
     for name, ok in expected.items():
         assert f"  {name}: {'ok' if ok else 'FAIL'}\n" in out
+
+
+@pytest.mark.parametrize("argv", (("--order", "0"), ("--order", "12", "--y=-5/7")))
+def test_series_command_builds_the_cleared_family_once(capsys, monkeypatch, argv):
+    build = series.family_cleared
+    built = []
+
+    def counted(todd):
+        built.append(todd.order)
+        return build(todd)
+
+    monkeypatch.setattr(series, "family_cleared", counted)
+    assert main(["series", *argv]) == 0
+    assert built == [int(argv[1])]
+    # the shared tuple and a fresh build give the same verdicts, wrong
+    # inputs included
+    for _, todd, lhat in [("right", todd_series(6), lhat_series(6)), *mutants(6)]:
+        assert (series.check_identities(todd, lhat, build(todd))
+                == series.check_identities(todd, lhat))

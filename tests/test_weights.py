@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarcount as pc
+import polarcount.cli as cli
 from polarcount.linalg import clear_denominators, vadd, vsub
 from polarcount.polarize import slack_face_counts
-from polarcount.polytope import facet_slacks, slack_codim
-from polarcount.weights import CheckResult
+from polarcount.polytope import facet_slacks, fmt_point, slack_codim
+from polarcount.weights import CheckResult, decomposition_agrees, sample_rows
 from polarcount.ypoly import Y, YFrac
+from conftest import DATA_DIR
 from zoo import SEEDS, decomposition_zoo, facet_systems, vertex_points, zoo_images
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
@@ -326,3 +329,104 @@ def test_concrete_check_matches_int_oracle_on_generated_polytopes(facets, seed):
     except pc.PolytopeError:
         return
     assert_concrete_check_matches_int_oracle(poly, seed)
+
+
+# -- the integer-row route of decompose, against the per-point route ------
+#
+# decompose samples canonical rows (num, den) and asks decomposition_agrees
+# for each verdict; check_decomposition_at is the per-point route, which
+# decompose calls only for the points that fail.  With a cone dropped, at
+# y = 0 the u-polynomials differ at some points whose values still agree,
+# so the verdict there is read off the evaluated sides.
+
+def assert_row_route_matches_point_route(poly, seed):
+    xi = pc.find_polarizing(poly, seed=seed)
+    cones = pc.polarize_cones(poly, xi)
+    rows = list(sample_rows(poly, xi, random.Random(seed), 8))
+    assert all(den > 0 and gcd(den, *num) == 1 for num, den in rows)
+    assert len(set(rows)) == len(rows)
+    points = [tuple(Fraction(a, den) for a in num) for num, den in rows]
+    assert points == sample_points_oracle(poly, xi, rng=random.Random(seed),
+                                          random_count=8)
+    for y in (*ORACLE_YS, Fraction(0)):
+        w = None if y is None else pc.WeightParam(y)
+        for cone_set in (cones, cones[:-1]):
+            agrees = decomposition_agrees(poly, cone_set, w)
+            verdicts = [agrees(num, den) for num, den in rows]
+            want = [pc.check_decomposition_at(poly, cone_set, x, w).equal
+                    for x in points]
+            assert verdicts == want, (y, cone_set is cones)
+            assert verdicts == [check_oracle(poly, cone_set, x, w).equal
+                                for x in points]
+
+
+@pytest.mark.parametrize(
+    "poly", [pytest.param(P, id=name) for name, P in decomposition_zoo()]
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_route_matches_point_route_on_zoo(poly, seed):
+    assert_row_route_matches_point_route(poly, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(image=zoo_images(), seed=st.sampled_from(SEEDS))
+def test_row_route_matches_point_route_on_images(image, seed):
+    assert_row_route_matches_point_route(image, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(facets=facet_systems(), seed=st.sampled_from(SEEDS))
+def test_row_route_matches_point_route_on_generated_polytopes(facets, seed):
+    try:
+        poly = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_row_route_matches_point_route(poly, seed)
+
+
+def test_dropped_flipped_cone_is_caught_only_symbolically_at_y_zero():
+    """Some u-polynomials differ where the values at y = 0 agree."""
+    P = pc.trapezoid()
+    xi = pc.find_polarizing(P, seed=1)
+    cones = pc.polarize_cones(P, xi)
+    assert cones[-1].flip_count
+    broken = cones[:-1]
+    symbolic = decomposition_agrees(P, broken)
+    at_zero = decomposition_agrees(P, broken, pc.WeightParam(0))
+    rows = list(sample_rows(P, xi, random.Random(1), 20))
+    assert any(at_zero(*row) and not symbolic(*row) for row in rows)
+    assert not all(at_zero(*row) for row in rows)
+
+
+@pytest.mark.parametrize("y", (None, "0", "2/3", "-5/3"))
+@pytest.mark.parametrize("source, build", [
+    (("--builtin", "trapezoid"), pc.trapezoid),
+    (("--builtin", "cube:3,1"), lambda: pc.hypercube(3, 1)),
+    (("--builtin", "prism:1,1"), lambda: pc.prism(1, 1)),
+    ((str(DATA_DIR / "halfsquare.json"),),
+     lambda: pc.polytope.from_file(DATA_DIR / "halfsquare.json")),
+    ((str(DATA_DIR / "triangle-nonregular.json"),),
+     lambda: pc.polytope.from_file(DATA_DIR / "triangle-nonregular.json")),
+], ids=("trapezoid", "cube3", "prism", "halfsquare", "triangle"))
+def test_cli_mismatch_lines_are_the_point_route_lines(capsys, monkeypatch, source,
+                                                      build, y):
+    polarize = cli.polarize_cones
+    monkeypatch.setattr(cli, "polarize_cones", lambda poly, xi: polarize(poly, xi)[:-1])
+    extra = () if y is None else (f"--y={y}",)
+    code = cli.main(["decompose", *source, "--seed", "2", "--random-points", "30",
+                     *extra])
+    out = capsys.readouterr().out
+    assert code == 1
+    got = [ln for ln in out.splitlines() if ln.startswith("MISMATCH")]
+    poly = build()
+    xi = pc.find_polarizing(poly, seed=2)
+    broken = pc.polarize_cones(poly, xi)[:-1]
+    w = None if y is None else pc.WeightParam(Fraction(y))
+    want = []
+    for x in pc.sample_points(poly, xi, rng=random.Random(2), random_count=30):
+        res = pc.check_decomposition_at(poly, broken, x, w)
+        if not res.equal:
+            want.append(f"MISMATCH at {fmt_point(res.point)}: polytope {res.lhs}, "
+                        f"cones {res.rhs}")
+    assert want and got == want
+    assert f"check: FAIL ({len(want)}/" in out
