@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import latticegen, polytope, series, svgfig, weights
 from .polarize import PolarizationError, find_polarizing, polarize_cones
 from .polytope import Polytope, PolytopeError, PolytopeFormatError, fmt_point
-from .weights import WeightParam, check_decomposition_at
+from .weights import WeightParam
 
 _BUILTIN_HELP = (
     "builtin polytope: interval:LEN, cube:N[,SIDE], simplex:N[,DILATION], "
@@ -228,13 +228,8 @@ def _cmd_decompose(ns) -> int:
         gens = ", ".join(str(g) for g in cone.generators)
         print(f"vertex {cone.vertex_index}: flips {cone.flip_count}, "
               f"sign {'+' if cone.sign > 0 else '-'}, generators [{gens}]")
-    rows = list(weights.sample_rows(poly, xi, random.Random(ns.seed), ns.random_points))
-    agrees = weights.decomposition_agrees(poly, cones, w)
-    # only the failing points are re-checked, for their MISMATCH lines
-    failures = [
-        check_decomposition_at(poly, cones, tuple(Fraction(a, den) for a in num), w)
-        for num, den in rows if not agrees(num, den)
-    ]
+    rows = weights.sample_points(poly, xi, random.Random(ns.seed), ns.random_points)
+    failures = weights.check_decomposition(poly, cones, rows, w)
     mode = "symbolically in y" if w is None else f"at y = {w.y}"
     if failures:
         # every line is formatted before any is printed
@@ -321,11 +316,11 @@ def _cmd_series(ns) -> int:
         coeffs = s.coeffs
         print(f"{name + ':':13}{series.format_series(coeffs)}")
         print(f"{name} coefficients: " + ", ".join(map(str, coeffs)))
-    cleared = series.family_cleared(todd)
+    cleared = series.qy_series_cleared(todd)
     print(f"family*(1+y): {series.format_series(cleared)}")
     if y is not None:
-        print(f"family at y = {y}: {series.family_at(todd, y)}")
-    checks = series.check_identities(todd, lhat, cleared)
+        print(f"family at y = {y}: {series.qy_series(y, todd)}")
+    checks = series.verify_identities(todd, lhat, cleared)
     failed = [name for name, ok in checks.items() if not ok]
     for name, ok in checks.items():
         print(f"  {name}: {'ok' if ok else 'FAIL'}")

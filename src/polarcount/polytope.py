@@ -425,10 +425,13 @@ def slack_codim(slack: Sequence[int]) -> Optional[int]:
 
 
 def fmt_point(x: Sequence, den: int = 1) -> str:
-    """The point x / den in lowest terms, one Fraction per coordinate."""
-    return "(" + ", ".join(
-        str(Fraction(a) if den == 1 else Fraction(a, den)) for a in x
-    ) + ")"
+    """The point x / den in lowest terms, one Fraction per coordinate
+    that is not already an int over 1."""
+    if den == 1:
+        parts = [str(a if type(a) is int else Fraction(a)) for a in x]
+    else:
+        parts = [str(Fraction(a, den)) for a in x]
+    return "(" + ", ".join(parts) + ")"
 
 
 def _integer_row(facet) -> HalfSpace:

@@ -13,10 +13,10 @@ the normalized family is Todd with y/(1+y) taken off its x coefficient,
 and (1+y) times it is the tuple of YPoly coefficients
 todd_k + y*(todd_k - [k == 1]), which format_series prints as a series.
 
-family_at, family_cleared and check_identities take a Todd series the
-caller has built, so one Todd serves a whole command; each public
-function taking an order builds todd_series(order) at most once.
-check_identities writes its nine identities in series algebra, each
+Only todd_series and lhat_series take an order.  qy_series,
+qy_series_cleared, hirzebruch_series and verify_identities take the
+Todd series the caller has built, so one Todd serves a whole command.
+verify_identities writes its nine identities in series algebra, each
 along its own route.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ypoly import YPoly
 
@@ -227,18 +227,26 @@ def _admissible(y) -> Fraction:
     return y
 
 
-def _classical(todd: TruncatedSeries, y: Fraction) -> TruncatedSeries:
-    """hirzebruch_series(y, todd.order) from a prebuilt todd_series:
-    x/(1 - e**(-s*x)) is Todd(s*x)/s with s = 1+y."""
+def hirzebruch_series(y, todd: TruncatedSeries) -> TruncatedSeries:
+    """x(1 + y*e**(-x(1+y))) / (1 - e**(-x(1+y))) at a concrete y != -1,
+    to todd's order.
+
+    The classical three-point family: y = 0 gives the Todd series, and
+    substituting x -> x/2 at y = 1 gives the half-angle cotangent.
+    x/(1 - e**(-s*x)) is Todd(s*x)/s with s = 1+y.
+    """
+    y = _admissible(y)
     s = 1 + y
     factor = 1 + y * TruncatedSeries.exponential(-s, todd.order)
     return todd.scale_argument(s) * factor * (1 / s)
 
 
-def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
-    """qy_series(y, todd.order) from a prebuilt todd_series.
+def qy_series(y, todd: TruncatedSeries) -> TruncatedSeries:
+    """(1/(1+y)) * Todd(x) * (1 + y*e**(-x)) at a concrete y != -1.
 
-    (1/(1+y)) * Todd * (1 + y*e**(-x)) is Todd(x) - (y/(1+y)) * x,
+    The normalized family: equals hirzebruch_series(y, todd) with
+    x -> x/(1+y), hits Todd at y = 0 and the half-angle cotangent at
+    y = 1 with no further substitution.  It is Todd(x) - (y/(1+y)) * x,
     because Todd(x) * e**(-x) = Todd(x) - x.
     """
     y = _admissible(y)
@@ -250,64 +258,29 @@ def family_at(todd: TruncatedSeries, y) -> TruncatedSeries:
     return TruncatedSeries._row(nums, todd.den * s)
 
 
-def family_cleared(todd: TruncatedSeries) -> tuple[YPoly, ...]:
-    """qy_series_cleared(todd.order) from a prebuilt todd_series.
+def qy_series_cleared(todd: TruncatedSeries) -> tuple[YPoly, ...]:
+    """The coefficients of (1+y) * qy_series, x**0 first.
 
-    Coefficient k is the YPoly todd_k + y*(todd*e**(-x))_k, and
-    (todd*e**(-x))_k is todd_k, less 1 at k = 1.
+    Exactly Todd(x) * (1 + y*e**(-x)), assembled coefficient by
+    coefficient as the YPoly todd_k + y*(todd_k - [k == 1]), since
+    (todd*e**(-x))_k is todd_k, less 1 at k = 1; symbolic in y, so one
+    tuple covers every admissible weight.
     """
     return tuple(
         YPoly((t, t - 1 if k == 1 else t)) for k, t in enumerate(todd.coeffs)
     )
 
 
-def hirzebruch_series(y, order: int) -> TruncatedSeries:
-    """x(1 + y*e**(-x(1+y))) / (1 - e**(-x(1+y))) at a concrete y != -1.
-
-    The classical three-point family: y = 0 gives the Todd series, and
-    substituting x -> x/2 at y = 1 gives the half-angle cotangent.
-    """
-    return _classical(todd_series(order), _admissible(y))
-
-
-def qy_series(y, order: int) -> TruncatedSeries:
-    """(1/(1+y)) * Todd(x) * (1 + y*e**(-x)) at a concrete y != -1.
-
-    The normalized family: equals hirzebruch_series(y, order) with
-    x -> x/(1+y), hits Todd at y = 0 and the half-angle cotangent at
-    y = 1 with no further substitution.
-    """
-    return family_at(todd_series(order), y)
-
-
-def qy_series_cleared(order: int) -> tuple[YPoly, ...]:
-    """The coefficients of (1+y) * qy_series, x**0 first.
-
-    Exactly Todd(x) * (1 + y*e**(-x)), assembled coefficient by
-    coefficient as the YPoly todd_k + y*(todd_k - [k == 1]); symbolic
-    in y, so one tuple covers every admissible weight.
-    """
-    return family_cleared(todd_series(order))
-
-
-def verify_identities(order: int) -> dict[str, bool]:
+def verify_identities(todd: TruncatedSeries, lhat: TruncatedSeries,
+                      cleared: tuple[YPoly, ...]) -> dict[str, bool]:
     """Exact cross-checks tying the family together; all should be True.
 
-    One Todd series is built and shared by every check; lhat_series is
-    built from cosh and sinh, independently of it.
-    """
-    return check_identities(todd_series(order), lhat_series(order))
-
-
-def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries,
-                     cleared: Optional[tuple] = None) -> dict[str, bool]:
-    """verify_identities on a prebuilt todd_series and lhat_series, and
-    family_cleared(todd) when the caller has built it.
-
-    Each identity is series algebra along its own route.  The family
-    comes from family_at, Todd minus a line; the product e**(-x) * Todd
-    is the independent route of todd_reflection and of
-    weighted_average_form, which rebuilds the family from it, and
+    todd and lhat are todd_series and lhat_series at one order, lhat
+    built from cosh and sinh independently of todd, and cleared is
+    qy_series_cleared(todd).  Each identity is series algebra along its
+    own route.  The family comes from qy_series, Todd minus a line; the
+    product e**(-x) * Todd is the independent route of todd_reflection
+    and of weighted_average_form, which rebuilds the family from it, and
     classical_family_halved runs the classical family at y = 1 through
     its own product before x -> x/2.
     """
@@ -316,9 +289,8 @@ def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries,
     shifted = TruncatedSeries.exponential(-1, order) * todd
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
     # (1+y) * family: what the cleared family is at y
-    cleared_at = {y: family_at(todd, y) * (1 + y) for y in sample_ys}
+    cleared_at = {y: qy_series(y, todd) * (1 + y) for y in sample_ys}
     # the cleared family is the sum of y**j * rows[j], read off its YPolys
-    cleared = family_cleared(todd) if cleared is None else cleared
     rows = [TruncatedSeries([c.coefficient(j) for c in cleared])
             for j in range(1 + max(c.degree for c in cleared))]
     return {
@@ -327,9 +299,9 @@ def check_identities(todd: TruncatedSeries, lhat: TruncatedSeries,
         "todd_reflection": todd_neg == shifted,
         "average_is_half_angle": (todd + todd_neg) * Fraction(1, 2) == lhat,
         "half_angle_is_even": lhat.scale_argument(-1) == lhat,
-        "family_at_zero_is_todd": family_at(todd, 0) == todd,
-        "family_at_one_is_half_angle": family_at(todd, 1) == lhat,
-        "classical_family_halved": _classical(todd, Fraction(1))
+        "family_at_zero_is_todd": qy_series(0, todd) == todd,
+        "family_at_one_is_half_angle": qy_series(1, todd) == lhat,
+        "classical_family_halved": hirzebruch_series(1, todd)
         .scale_argument(Fraction(1, 2)) == lhat,
         "cleared_family_matches": all(
             sum((r * y**j for j, r in enumerate(rows[1:], 1)), rows[0])

@@ -8,12 +8,14 @@ unflipped and flipped generators separately: (1/(1+y))**r1 times
 the polytope weight equals the sign-weighted sum of cone weights at
 every point of space, for every admissible y at once.
 
-The check runs on integer rows (num, den) from sample_rows; both sides
+The check runs on integer rows (num, den) from sample_points; both sides
 read the row's slacks over the facets (polytope.facet_slacks).  Each cone,
 flattened once to bit masks of its unflipped and flipped facets, reads
 membership and its zero counts (r1, r2) off the masks of the negative and
 zero slacks.  The cones' net signs by (r1, r2), read as a u-polynomial, are
 compared with u**codim; only where the two differ are both evaluated at y.
+check_decomposition runs that test on every row and makes Fractions
+only for a row where the two sides disagree, to report it.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators
-from .polarize import (
-    PolarizedCone, cone_point_slacks, polarize_cones, slack_face_counts,
-)
+from .polarize import PolarizedCone, cone_point_slacks, slack_face_counts
 from .polytope import Polytope, facet_slacks, slack_codim
 from .ypoly import YFrac
 
@@ -73,11 +73,8 @@ def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
 
 def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
     """Symbolic weight of x against the polytope: (1/(1+y))**codim, 0 outside."""
-    return _codim_weight(poly.face_codim(x))
-
-
-def _codim_weight(c: Optional[int]) -> YFrac:
-    return YFrac.combination({} if c is None else {(c, 0): 1})
+    codim = poly.face_codim(x)
+    return YFrac(0) if codim is None else YFrac.weight(codim, 0)
 
 
 class CheckResult(NamedTuple):
@@ -119,57 +116,51 @@ def _signed_cone_sum(flat: list, slack) -> dict:
 
 
 def _check(facets, flat: list, num: Sequence[int], den: int, w) -> tuple:
-    """(codim, signed cone sum, verdict) at num / den, off one slack vector:
+    """(signed cone sum, verdict) at num / den, off one slack vector:
     u**codim against the sum as u-polynomials and, where they differ, at w.y."""
     slack = facet_slacks(facets, num, den)
     codim = slack_codim(slack)
     rhs = YFrac.combination(_signed_cone_sum(flat, enumerate(slack)))
-    return codim, rhs, rhs.u == ({} if codim is None else {codim: 1}) or (
-        w is not None and _codim_weight(codim)(w.y) == rhs(w.y))
-
-
-def decomposition_agrees(poly: Polytope, cones: Sequence[PolarizedCone],
-                         w: Optional[WeightParam] = None):
-    """check_decomposition_at's verdict as a predicate on rows (num, den)."""
-    facets, flat = poly.facets, _flat(cones)
-    return lambda num, den: _check(facets, flat, num, den, w)[2]
+    return rhs, rhs.u == ({} if codim is None else {codim: 1}) or (
+        w is not None and (0 if codim is None else w.on_face**codim) == rhs(w.y))
 
 
 def check_decomposition_at(poly: Polytope, cones: Sequence[PolarizedCone], x: Sequence,
                            w: Optional[WeightParam] = None) -> CheckResult:
     """Compare polytope weight with the signed cone sum at one point.
 
-    Both sides are YFracs, compared as decomposition_agrees compares
+    Both sides are YFracs, compared as check_decomposition compares
     them; with w given they are returned evaluated at w.y, as Fractions.
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
-    codim, rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
-    lhs = _codim_weight(codim)
+    rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
+    lhs = polytope_weight_y(poly, xt)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=equal)
 
 
-def check_decomposition(
-    poly: Polytope,
-    xi: Sequence,
-    points: Sequence[Sequence],
-    w: Optional[WeightParam] = None,
-) -> list[CheckResult]:
-    """Decomposition check at many points, polarizing with xi."""
-    cones = polarize_cones(poly, xi)
-    return [check_decomposition_at(poly, cones, x, w) for x in points]
+def check_decomposition(poly: Polytope, cones: Sequence[PolarizedCone],
+                        rows: Sequence[tuple[Sequence[int], int]],
+                        w: Optional[WeightParam] = None) -> list[CheckResult]:
+    """check_decomposition_at's result at each row (num, den) of
+    sample_points where the two sides disagree, in row order; [] when
+    the decomposition holds at every row.  Only a failing row is made
+    into Fractions."""
+    facets, flat = poly.facets, _flat(cones)
+    return [check_decomposition_at(poly, cones, tuple(Fraction(a, den) for a in num), w)
+            for num, den in rows if not _check(facets, flat, num, den, w)[1]]
 
 
-def sample_rows(poly: Polytope, xi: Sequence, rng: Optional[random.Random] = None,
-                random_count: int = 20) -> Iterator[tuple[tuple[int, ...], int]]:
+def sample_points(poly: Polytope, xi: Sequence, rng: Optional[random.Random] = None,
+                  random_count: int = 20) -> list[tuple[tuple[int, ...], int]]:
     """Each point once, as its canonical row (num, den): x = num / den, den > 0
     and gcd(den, *num) = 1, in ints from the vertices' numerators over one D.
 
     One point per vertex, edge midpoints, facet barycenters, the
     barycenter, exterior probes past each vertex along +-xi (stepped far
     enough to leave the bounding box), and random rational points from a
-    box inflated to twice the size, drawn as they are yielded.
+    box inflated to twice the size, in that order.
     """
     nums, D = poly.cleared_vertices
 
@@ -207,19 +198,11 @@ def sample_rows(poly: Polytope, xi: Sequence, rng: Optional[random.Random] = Non
                 num.append(rng.randint(lo, hi) * (12 // den))
             yield num, 12
 
-    seen = set()
+    canonical = {}
     for num, den in chain(rows, randoms()):
         g = gcd(den, *num)
-        row = tuple(a // g for a in num), den // g
-        if row not in seen:
-            seen.add(row)
-            yield row
-
-
-def sample_points(poly: Polytope, xi: Sequence, rng=None, random_count=20) -> list:
-    """sample_rows' points as Fraction tuples."""
-    rows = sample_rows(poly, xi, rng, random_count)
-    return [tuple(Fraction(a, den) for a in num) for num, den in rows]
+        canonical.setdefault((tuple(a // g for a in num), den // g))
+    return list(canonical)
 
 
 def _trunc(p: int, q: int) -> int:

@@ -28,3 +28,7 @@ def test_traced_benchmark_run_is_correct(workload):
     assert last["correct"] is True
     assert last["failed"] == 0
     assert {"laurent.max_terms", "latticegen.keep_ratio"} <= set(last["metrics"])
+    if workload == "geometry":
+        # decompose samples and checks through the wrapped public functions
+        for name in ("weights.sample_ms", "weights.check_ms"):
+            assert last["metrics"][name]["value"] > 0, name

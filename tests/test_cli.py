@@ -719,6 +719,23 @@ def test_construction_rejections_frozen(capsys, tmp_path, facets, reason):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b'{"dim": 1, "facets": ' + b"[" * 200000 + b"]" * 200000 + b"}",
+     "nests too deeply to parse"),
+    (b'{"dim": 1, "facets": [[[1], ' + b"1" * 5000 + b'], [[-1], 0]]}',
+     "an integer has more than 4300 digits"),
+    (b"\xff\xfe", "is not UTF-8 text"),
+], ids=("deep-nesting", "5000-digit-offset", "not-utf8"))
+def test_file_rejections_name_the_reason(capsys, tmp_path, data, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "vertices", str(path))
+    assert code == 2
+    assert out == "command: vertices\n"
+    assert err.startswith("error: ") and reason in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 def test_series_concrete_y(capsys):
     code, out, _ = run(capsys, "series", "--order", "4", "--y", "1")
     assert code == 0

@@ -18,6 +18,7 @@ from polarcount.linalg import clear_denominators, det, dot, inverse, vadd, vsub
 from zoo import (
     decomposition_zoo,
     facet_systems,
+    row_points,
     square_half,
     triangle_nonregular,
     vertex_points,
@@ -63,7 +64,7 @@ def probe_points(poly, apexes, cones, rng, per_cone=6):
     face of the cone, inside it or outside.
     """
     xi = pc.find_polarizing(poly, seed=1)
-    pts = list(pc.sample_points(poly, xi, rng=rng, random_count=20))
+    pts = row_points(pc.sample_points(poly, xi, rng=rng, random_count=20))
     for i, j in poly.edges():
         a, b = apexes[i], apexes[j]
         for t in (Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(3, 2)):
@@ -158,7 +159,8 @@ def test_membership_and_decomposition_on_generated_polytopes(facets, rng):
         return
     assert_matches_oracles(poly, rng)
     xi = pc.find_polarizing(poly, seed=1)
-    points = pc.sample_points(poly, xi, rng=rng)
-    assert all(res.equal for res in pc.check_decomposition(poly, xi, points))
+    rows = pc.sample_points(poly, xi, rng=rng)
+    cones = pc.polarize_cones(poly, xi)
+    assert pc.check_decomposition(poly, cones, rows) == []
     w = pc.WeightParam(Fraction(2, 3))
-    assert all(res.equal for res in pc.check_decomposition(poly, xi, points, w))
+    assert pc.check_decomposition(poly, cones, rows, w) == []

@@ -780,3 +780,20 @@ def test_facet_rows_clear_alike_from_every_entry_type():
         pc.Polytope([(("a", 0), 0), *rows[1:]])
     with pytest.raises(TypeError, match="string or a Rational instance"):
         pc.Polytope([((1, None), 0), *rows[1:]])
+
+
+@pytest.mark.parametrize("x, den", [
+    ((0, 1, -2, 10**40), 1),
+    ((True, False, 3), 1),
+    ((Fraction(3, 2), Fraction(-4, 2), Fraction(0)), 1),
+    (("2/4", "-3", " 7/1 "), 1),
+    ((1, 2, Fraction(3, 2), "5/3"), 1),
+    ((2, -3, 0, 6), 4),
+    ((Fraction(1, 2), 3), 6),
+], ids=("ints", "bools", "fractions", "strings", "mixed", "den4", "fraction-den6"))
+def test_fmt_point_matches_the_fraction_route(x, den):
+    """An int over 1 prints as str does; everything else through Fraction."""
+    want = "(" + ", ".join(
+        str(Fraction(a) if den == 1 else Fraction(a, den)) for a in x
+    ) + ")"
+    assert polytope.fmt_point(x, den) == want

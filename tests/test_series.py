@@ -82,7 +82,7 @@ def test_family_at_concrete_y_against_sympy():
     y = sp.Rational(2)
     expr = (x / (1 - sp.exp(-x))) * (1 + y * sp.exp(-x)) / (1 + y)
     expansion = sp.series(expr, x, 0, 9).removeO()
-    ours = qy_series(Fraction(2), 8)
+    ours = qy_series(Fraction(2), todd_series(8))
     for k in range(9):
         assert sp.nsimplify(expansion.coeff(x, k)) == sp.Rational(
             ours[k].numerator, ours[k].denominator
@@ -90,43 +90,45 @@ def test_family_at_concrete_y_against_sympy():
 
 
 def test_identities_to_order_twelve():
-    checks = verify_identities(12)
+    todd = todd_series(12)
+    checks = verify_identities(todd, lhat_series(12), qy_series_cleared(todd))
     assert checks and all(checks.values()), checks
 
 
 def test_family_endpoints():
-    assert qy_series(0, 10) == todd_series(10)
-    assert qy_series(1, 10) == lhat_series(10)
+    assert qy_series(0, todd_series(10)) == todd_series(10)
+    assert qy_series(1, todd_series(10)) == lhat_series(10)
 
 
 def test_classical_family_needs_the_substitution():
     lhat = lhat_series(10)
-    assert hirzebruch_series(1, 10).scale_argument(Fraction(1, 2)) == lhat
-    assert hirzebruch_series(1, 10) != lhat
-    assert hirzebruch_series(0, 10) == todd_series(10)
+    todd = todd_series(10)
+    assert hirzebruch_series(1, todd).scale_argument(Fraction(1, 2)) == lhat
+    assert hirzebruch_series(1, todd) != lhat
+    assert hirzebruch_series(0, todd) == todd_series(10)
 
 
 def test_rescaling_links_the_two_families():
     for y in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
-        scaled = hirzebruch_series(y, 8).scale_argument(Fraction(1, 1 + y))
-        assert qy_series(y, 8) == scaled
+        scaled = hirzebruch_series(y, todd_series(8)).scale_argument(Fraction(1, 1 + y))
+        assert qy_series(y, todd_series(8)) == scaled
 
 
 def test_cleared_family_has_polynomial_coefficients():
-    cleared = qy_series_cleared(6)
+    cleared = qy_series_cleared(todd_series(6))
     assert type(cleared) is tuple and len(cleared) == 7
     assert all(isinstance(c, YPoly) for c in cleared)
     assert cleared[0] == YPoly((1, 1))
     # cleared / (1+y) at y = 3 must equal the concrete family
-    concrete = qy_series(3, 6)
+    concrete = qy_series(3, todd_series(6))
     assert all(cleared[k](3) / 4 == concrete[k] for k in range(7))
 
 
 def test_y_minus_one_rejected():
     with pytest.raises(ValueError):
-        qy_series(-1, 4)
+        qy_series(-1, todd_series(4))
     with pytest.raises(ValueError):
-        hirzebruch_series(-1, 4)
+        hirzebruch_series(-1, todd_series(4))
 
 
 def test_series_plumbing():
@@ -285,16 +287,21 @@ def lhat_builds(monkeypatch):
 @pytest.mark.parametrize(
     "name, args, builds",
     [
-        ("verify_identities", (12,), 1),
-        ("qy_series", (Fraction(1, 2), 12), 1),
-        ("qy_series_cleared", (12,), 1),
-        ("hirzebruch_series", (2, 12), 1),
+        ("verify_identities", ("todd", "lhat", "cleared"), 1),
+        ("qy_series", (Fraction(1, 2), "todd"), 1),
+        ("qy_series_cleared", ("todd",), 1),
+        ("hirzebruch_series", (2, "todd"), 1),
         # the half-angle series is an oracle built without Todd
         ("lhat_series", (12,), 0),
     ],
 )
 def test_todd_built_once_per_call(todd_builds, name, args, builds):
-    getattr(series, name)(*args)
+    # the caller builds the one Todd that a function taking it reads
+    prebuilt = {}
+    if "todd" in args:
+        todd = prebuilt["todd"] = series.todd_series(12)
+        prebuilt.update(lhat=lhat_series(12), cleared=series.qy_series_cleared(todd))
+    getattr(series, name)(*(prebuilt.get(a, a) for a in args))
     assert len(todd_builds) == builds
 
 
@@ -329,12 +336,12 @@ FAMILY_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction
 def test_family_is_todd_minus_a_line(order):
     todd = todd_series(order)
     for y in FAMILY_YS:
-        line = qy_series(y, order)
+        line = qy_series(y, todd)
         assert list(line.coeffs) == family_by_product(todd, y), y
         # same values as Fractions, so the same printed text
         assert all(type(c) is Fraction for c in line.coeffs)
     shifted = schoolbook_mul(exp_coeffs(-1, order), todd.coeffs)
-    assert qy_series_cleared(order) == tuple(
+    assert qy_series_cleared(todd) == tuple(
         YPoly((t, s)) for t, s in zip(todd.coeffs, shifted)
     )
 
@@ -359,9 +366,9 @@ def fraction_check_identities(todd, lhat):
     base = [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
     factor = [e + (k == 0) for k, e in enumerate(exp_coeffs(-2, order))]
     classical = schoolbook_mul([a / 2 for a in scaled(t, 2)], factor)
-    cleared = series.family_cleared(todd)
+    cleared = series.qy_series_cleared(todd)
     sample_ys = (Fraction(2), Fraction(-1, 2), Fraction(5, 3))
-    family = {y: list(series.family_at(todd, y).coeffs) for y in (0, 1, *sample_ys)}
+    family = {y: list(series.qy_series(y, todd).coeffs) for y in (0, 1, *sample_ys)}
     return {
         "todd_defining_product": schoolbook_mul(t, base)
         == [1] + [0] * order,
@@ -406,8 +413,13 @@ def mutants(order):
     return out
 
 
-def family_with_u_for_1_minus_u(todd, y):
-    """A broken family_at: takes 1/(1+y) off the x coefficient, not y/(1+y)."""
+def verify(todd, lhat):
+    """verify_identities with the cleared family built from todd."""
+    return series.verify_identities(todd, lhat, series.qy_series_cleared(todd))
+
+
+def family_with_u_for_1_minus_u(y, todd):
+    """A broken qy_series: takes 1/(1+y) off the x coefficient, not y/(1+y)."""
     coeffs = list(todd.coeffs)
     if len(coeffs) > 1:
         coeffs[1] -= 1 / (1 + Fraction(y))
@@ -418,23 +430,23 @@ def family_with_u_for_1_minus_u(todd, y):
 def test_integer_checks_match_fraction_checks(order):
     cases = [("right", todd_series(order), lhat_series(order)), *mutants(order)]
     for name, todd, lhat in cases:
-        got = series.check_identities(todd, lhat)
+        got = verify(todd, lhat)
         want = fraction_check_identities(todd, lhat)
         assert list(got.items()) == list(want.items()), name
-    assert all(series.check_identities(todd_series(order), lhat_series(order)).values())
+    assert all(verify(todd_series(order), lhat_series(order)).values())
 
 
 def test_every_identity_fails_on_some_mutant(monkeypatch):
     failed = set()
     for order in (0, 1, 6, 13):
         for _, todd, lhat in mutants(order):
-            checks = series.check_identities(todd, lhat)
+            checks = verify(todd, lhat)
             failed |= {name for name, ok in checks.items() if not ok}
     # family_at_zero_is_todd and cleared_family_matches hold for every
-    # input series; a broken family_at is what they catch
-    monkeypatch.setattr(series, "family_at", family_with_u_for_1_minus_u)
+    # input series; a broken qy_series is what they catch
+    monkeypatch.setattr(series, "qy_series", family_with_u_for_1_minus_u)
     todd = todd_series(6)
-    checks = series.check_identities(todd, lhat_series(6))
+    checks = verify(todd, lhat_series(6))
     assert checks == fraction_check_identities(todd, lhat_series(6))
     failed |= {name for name, ok in checks.items() if not ok}
     assert failed == set(checks)
@@ -460,18 +472,18 @@ def test_series_command_reports_a_wrong_todd(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", (("--order", "0"), ("--order", "12", "--y=-5/7")))
 def test_series_command_builds_the_cleared_family_once(capsys, monkeypatch, argv):
-    build = series.family_cleared
+    build = series.qy_series_cleared
     built = []
 
     def counted(todd):
         built.append(todd.order)
         return build(todd)
 
-    monkeypatch.setattr(series, "family_cleared", counted)
+    monkeypatch.setattr(series, "qy_series_cleared", counted)
     assert main(["series", *argv]) == 0
     assert built == [int(argv[1])]
-    # the shared tuple and a fresh build give the same verdicts, wrong
-    # inputs included
+    # the shared tuple gives the Fraction oracle's verdicts, wrong inputs
+    # included
     for _, todd, lhat in [("right", todd_series(6), lhat_series(6)), *mutants(6)]:
-        assert (series.check_identities(todd, lhat, build(todd))
-                == series.check_identities(todd, lhat))
+        assert (series.verify_identities(todd, lhat, build(todd))
+                == fraction_check_identities(todd, lhat))

@@ -11,10 +11,12 @@ import polarcount.cli as cli
 from polarcount.linalg import clear_denominators, vadd, vsub
 from polarcount.polarize import slack_face_counts
 from polarcount.polytope import facet_slacks, fmt_point, slack_codim
-from polarcount.weights import CheckResult, decomposition_agrees, sample_rows
+from polarcount.weights import CheckResult
 from polarcount.ypoly import Y, YFrac
 from conftest import DATA_DIR
-from zoo import SEEDS, decomposition_zoo, facet_systems, vertex_points, zoo_images
+from zoo import (
+    SEEDS, decomposition_zoo, facet_systems, row_points, vertex_points, zoo_images,
+)
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
 
@@ -65,16 +67,17 @@ def test_cone_face_counts_split_by_flip():
 def test_decomposition_symbolic_across_zoo():
     for name, P in decomposition_zoo():
         xi = pc.find_polarizing(P, seed=1)
-        pts = pc.sample_points(P, xi, rng=random.Random(11), random_count=10)
-        for res in pc.check_decomposition(P, xi, pts):
-            assert res.equal, (name, res.point, str(res.lhs), str(res.rhs))
+        rows = pc.sample_points(P, xi, rng=random.Random(11), random_count=10)
+        failures = pc.check_decomposition(P, pc.polarize_cones(P, xi), rows)
+        assert failures == [], (name, [(r.point, str(r.lhs), str(r.rhs))
+                                       for r in failures])
 
 
 def test_decomposition_concrete_matches_symbolic():
     P = pc.trapezoid()
     xi = pc.find_polarizing(P, seed=1)
     cones = pc.polarize_cones(P, xi)
-    pts = pc.sample_points(P, xi, random_count=5)
+    pts = row_points(pc.sample_points(P, xi, random_count=5))
     for x in pts:
         symbolic = pc.check_decomposition_at(P, cones, x)
         for y in SPOT_YS:
@@ -90,7 +93,7 @@ def test_y_zero_reduces_to_half_open_cover():
     P = pc.trapezoid()
     xi = (1, 2)
     cones = pc.polarize_cones(P, xi)
-    for x in pc.sample_points(P, xi, random_count=10):
+    for x in row_points(pc.sample_points(P, xi, random_count=10)):
         covering = []
         for cone in cones:
             counts = pc.cone_face_counts(cone, x)
@@ -105,7 +108,7 @@ def test_y_zero_reduces_to_half_open_cover():
 def test_sample_points_cover_faces_and_exterior():
     P = pc.trapezoid()
     xi = (1, 2)
-    pts = pc.sample_points(P, xi, random_count=0)
+    pts = row_points(pc.sample_points(P, xi, random_count=0))
     for x in vertex_points(P):
         assert x in pts
     assert len(pts) == len(set(pts))
@@ -120,7 +123,7 @@ def test_check_many_seeds_and_chambers():
     P = pc.dilated_simplex(2, 2)
     xis = [pc.find_polarizing(P, seed=s) for s in SEEDS]
     assert len({xi for xi in xis}) >= 2
-    pts = pc.sample_points(P, xis[0], rng=random.Random(3), random_count=10)
+    pts = row_points(pc.sample_points(P, xis[0], rng=random.Random(3), random_count=10))
     all_cones = [pc.polarize_cones(P, xi) for xi in xis]
     for x in pts:
         sums = {
@@ -132,7 +135,7 @@ def test_check_many_seeds_and_chambers():
 # -- the Fraction and YFrac routes, as oracles --------------------------
 #
 # check_decomposition_at tallies the cones by (r1, r2) and compares ints;
-# sample_points builds its points over one integer denominator.  The
+# sample_points builds its rows over one integer denominator.  The
 # oracles below are the direct routes: one YFrac sum over the cones,
 # evaluated at y as Fractions, and one Fraction operation per coordinate.
 
@@ -201,7 +204,7 @@ def assert_check_matches_oracle(poly, seed):
     xi = pc.find_polarizing(poly, seed=seed)
     cones = pc.polarize_cones(poly, xi)
     points = sample_points_oracle(poly, xi, rng=random.Random(seed), random_count=8)
-    got = pc.sample_points(poly, xi, rng=random.Random(seed), random_count=8)
+    got = row_points(pc.sample_points(poly, xi, rng=random.Random(seed), random_count=8))
     assert got == points
     assert all(type(a) is Fraction for p in got for a in p)
     # the full cone set, and one with its last cone dropped, which fails
@@ -252,17 +255,17 @@ def test_sample_points_match_oracle(random_count):
     for name, poly in decomposition_zoo():
         for seed in SEEDS:
             xi = pc.find_polarizing(poly, seed=seed)
-            got = pc.sample_points(poly, xi, rng=random.Random(seed),
-                                   random_count=random_count)
+            got = row_points(pc.sample_points(poly, xi, rng=random.Random(seed),
+                                              random_count=random_count))
             want = sample_points_oracle(poly, xi, rng=random.Random(seed),
                                         random_count=random_count)
             assert got == want, name
     # no rng given: both draw from the same default seed
     P = pc.hypercube(2, Fraction(3, 2))
-    assert pc.sample_points(P, (1, 3)) == sample_points_oracle(P, (1, 3))
+    assert row_points(pc.sample_points(P, (1, 3))) == sample_points_oracle(P, (1, 3))
     # a rational polarizing vector steps the probes by rational amounts
     xi = (Fraction(1, 3), Fraction(-5, 2))
-    assert pc.sample_points(P, xi) == sample_points_oracle(P, xi)
+    assert row_points(pc.sample_points(P, xi)) == sample_points_oracle(P, xi)
 
 
 # -- the concrete-y integer formula, as an oracle ------------------------
@@ -299,7 +302,8 @@ def concrete_check_oracle(poly, cones, x, w):
 def assert_concrete_check_matches_int_oracle(poly, seed):
     xi = pc.find_polarizing(poly, seed=seed)
     cones = pc.polarize_cones(poly, xi)
-    points = pc.sample_points(poly, xi, rng=random.Random(seed), random_count=8)
+    points = row_points(pc.sample_points(poly, xi, rng=random.Random(seed),
+                                         random_count=8))
     for y in INT_ORACLE_YS:
         w = pc.WeightParam(y)
         for cone_set in (cones, cones[:-1]):
@@ -333,16 +337,16 @@ def test_concrete_check_matches_int_oracle_on_generated_polytopes(facets, seed):
 
 # -- the integer-row route of decompose, against the per-point route ------
 #
-# decompose samples canonical rows (num, den) and asks decomposition_agrees
-# for each verdict; check_decomposition_at is the per-point route, which
-# decompose calls only for the points that fail.  With a cone dropped, at
-# y = 0 the u-polynomials differ at some points whose values still agree,
-# so the verdict there is read off the evaluated sides.
+# decompose samples canonical rows (num, den) and asks check_decomposition
+# for the rows that fail; check_decomposition_at is the per-point route,
+# which check_decomposition calls only for those rows.  With a cone
+# dropped, at y = 0 the u-polynomials differ at some points whose values
+# still agree, so the verdict there is read off the evaluated sides.
 
 def assert_row_route_matches_point_route(poly, seed):
     xi = pc.find_polarizing(poly, seed=seed)
     cones = pc.polarize_cones(poly, xi)
-    rows = list(sample_rows(poly, xi, random.Random(seed), 8))
+    rows = pc.sample_points(poly, xi, random.Random(seed), 8)
     assert all(den > 0 and gcd(den, *num) == 1 for num, den in rows)
     assert len(set(rows)) == len(rows)
     points = [tuple(Fraction(a, den) for a in num) for num, den in rows]
@@ -351,13 +355,11 @@ def assert_row_route_matches_point_route(poly, seed):
     for y in (*ORACLE_YS, Fraction(0)):
         w = None if y is None else pc.WeightParam(y)
         for cone_set in (cones, cones[:-1]):
-            agrees = decomposition_agrees(poly, cone_set, w)
-            verdicts = [agrees(num, den) for num, den in rows]
-            want = [pc.check_decomposition_at(poly, cone_set, x, w).equal
-                    for x in points]
-            assert verdicts == want, (y, cone_set is cones)
-            assert verdicts == [check_oracle(poly, cone_set, x, w).equal
-                                for x in points]
+            failures = pc.check_decomposition(poly, cone_set, rows, w)
+            want = [pc.check_decomposition_at(poly, cone_set, x, w) for x in points]
+            assert failures == [r for r in want if not r.equal], (y, cone_set is cones)
+            assert [r.point for r in failures] == [
+                x for x in points if not check_oracle(poly, cone_set, x, w).equal]
 
 
 @pytest.mark.parametrize(
@@ -391,11 +393,12 @@ def test_dropped_flipped_cone_is_caught_only_symbolically_at_y_zero():
     cones = pc.polarize_cones(P, xi)
     assert cones[-1].flip_count
     broken = cones[:-1]
-    symbolic = decomposition_agrees(P, broken)
-    at_zero = decomposition_agrees(P, broken, pc.WeightParam(0))
-    rows = list(sample_rows(P, xi, random.Random(1), 20))
-    assert any(at_zero(*row) and not symbolic(*row) for row in rows)
-    assert not all(at_zero(*row) for row in rows)
+    rows = pc.sample_points(P, xi, random.Random(1), 20)
+    symbolic = {r.point for r in pc.check_decomposition(P, broken, rows)}
+    at_zero = {r.point for r in pc.check_decomposition(P, broken, rows,
+                                                       pc.WeightParam(0))}
+    assert symbolic - at_zero
+    assert at_zero
 
 
 @pytest.mark.parametrize("y", (None, "0", "2/3", "-5/3"))
@@ -423,7 +426,8 @@ def test_cli_mismatch_lines_are_the_point_route_lines(capsys, monkeypatch, sourc
     broken = pc.polarize_cones(poly, xi)[:-1]
     w = None if y is None else pc.WeightParam(Fraction(y))
     want = []
-    for x in pc.sample_points(poly, xi, rng=random.Random(2), random_count=30):
+    for x in row_points(pc.sample_points(poly, xi, rng=random.Random(2),
+                                         random_count=30)):
         res = pc.check_decomposition_at(poly, broken, x, w)
         if not res.equal:
             want.append(f"MISMATCH at {fmt_point(res.point)}: polytope {res.lhs}, "

@@ -22,6 +22,11 @@ def vertex_points(poly) -> list[tuple]:
     return [tuple(Fraction(x, den) for x in num) for num in nums]
 
 
+def row_points(rows) -> list[tuple]:
+    """Each canonical row (num, den) of pc.sample_points as a Fraction point."""
+    return [tuple(Fraction(a, den) for a in num) for num, den in rows]
+
+
 def triangle_nonregular() -> pc.Polytope:
     """(0,0), (2,0), (0,1): simple and integral but not regular."""
     return pc.Polytope([((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)])
