@@ -9,15 +9,16 @@ Each subparser names its handler with set_defaults(run=...), and the
 options that several subcommands share are declared once, as parent
 parsers.  A handler takes the parsed namespace, prints to stdout and
 returns the exit code: 0 success, 1 a mathematical check failed, 2 bad
-input or usage, or stdout closed before the output was written.  All
-output is exact and deterministic; timing goes to stderr so stdout can
-be diffed.
+input or usage, or stdout closed before the output was written.  main
+also gives exit 2, with the reason, for an exact value whose text would
+pass the interpreter's int-to-str digit limit, wherever it is printed,
+so a handler needs no guard of its own.  All output is exact and
+deterministic; timing goes to stderr so stdout can be diffed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import os
@@ -155,27 +156,16 @@ def _load_and_describe(ns) -> Polytope:
     return poly
 
 
-@contextlib.contextmanager
-def _digit_limit():
-    """Turn int-to-str conversion past the digit limit, a ValueError,
-    into an InputError."""
-    try:
-        yield
-    except ValueError:
-        raise InputError(polytope._too_many_digits()) from None
-
-
 def _maybe_decimal(value: Fraction, places) -> str:
     """The exact value, then, with places given, its decimal to that many
     places, rounded from the exact value half to even."""
-    with _digit_limit():
-        exact = str(value)
-        if places is None:
-            return exact
-        whole, part = divmod(abs(round(value * 10**places)), 10**places)
-        decimal = str(whole)
-        if places:
-            decimal += "." + str(part).rjust(places, "0")
+    exact = str(value)
+    if places is None:
+        return exact
+    whole, part = divmod(abs(round(value * 10**places)), 10**places)
+    decimal = str(whole)
+    if places:
+        decimal += "." + str(part).rjust(places, "0")
     sign = "-" if value < 0 else ""
     return f"{exact} (~{sign}{decimal})"
 
@@ -220,9 +210,7 @@ def _cmd_decompose(ns) -> int:
     w = _weight_param(ns)
     poly = _load_and_describe(ns)
     xi = find_polarizing(poly, seed=ns.seed)
-    # a huge --seed gives a xi past the digit limit
-    with _digit_limit():
-        print(f"xi: {fmt_point(xi)}")
+    print(f"xi: {fmt_point(xi)}")
     cones = polarize_cones(poly, xi)
     for cone in cones:
         gens = ", ".join(str(g) for g in cone.generators)
@@ -233,12 +221,11 @@ def _cmd_decompose(ns) -> int:
     mode = "symbolically in y" if w is None else f"at y = {w.y}"
     if failures:
         # every line is formatted before any is printed
-        with _digit_limit():
-            lines = [
-                f"MISMATCH at {fmt_point(res.point)}: polytope {res.lhs}, "
-                f"cones {res.rhs}"
-                for res in failures
-            ]
+        lines = [
+            f"MISMATCH at {fmt_point(res.point)}: polytope {res.lhs}, "
+            f"cones {res.rhs}"
+            for res in failures
+        ]
         for line in lines:
             print(line)
         print(f"check: FAIL ({len(failures)}/{len(rows)} points disagree {mode})")
@@ -339,9 +326,7 @@ def _cmd_svg(ns) -> int:
     if poly.dim != 2:
         raise InputError(f"svg needs a 2-dimensional polytope, got dim {poly.dim}")
     xi = find_polarizing(poly, seed=ns.seed)
-    # the weight labels at a long --y can pass the digit limit
-    with _digit_limit():
-        text = svgfig.render_svg(poly, xi, w, ns.margin)
+    text = svgfig.render_svg(poly, xi, w, ns.margin)
     if ns.out == "-":
         print(text)
     else:
@@ -457,6 +442,12 @@ def main(argv=None) -> int:
         latticegen.PoleError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        # an exact value past the int-to-str digit limit; others are bugs
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"error: {polytope._too_many_digits()}", file=sys.stderr)
         return 2
     finally:
         elapsed = time.monotonic() - start

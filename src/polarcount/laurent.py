@@ -14,15 +14,14 @@ latticegen.brion_check builds none: it multiplies the lattice sum by the
 vertex sum's binomials (1 - z^b) one shift at a time.
 
 LaurentPoly.at evaluates the chi command's vertex sum at a concrete
-(z, u), in ints over one common denominator; the lattice sum is read
-off the enumeration's rows in the same split of each coordinate
+(z, u), its int terms over one common denominator; the lattice sum is
+read off the enumeration's rows in the same split of each coordinate
 (latticegen.codim_sums).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -40,8 +39,11 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent {expo} has length {len(expo)}, expected {nvars}"
                 )
+            key = tuple(map(int, expo))
+            if key != tuple(expo):
+                raise ValueError(f"exponent {expo} is not integral")
             if c:
-                self.terms[tuple(int(e) for e in expo)] = c
+                self.terms[key] = c
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "LaurentPoly":
@@ -141,10 +143,10 @@ class LaurentPoly:
         Needs int or Fraction coefficients.  A coordinate a/b whose
         exponents span [lo, hi] contributes the int a**(e-lo) * b**(hi-e)
         to a term with exponent e, and a**lo / b**hi once to the whole
-        sum; variables whose exponent is always 0 are skipped.  The terms
-        are summed as ints, and one Fraction is built at the end, so a
-        zero coordinate under a negative exponent raises
-        ZeroDivisionError.
+        sum; variables whose exponent is always 0 are skipped.  Each
+        coefficient is multiplied as given, so int coefficients sum as
+        ints, and one Fraction is built at the end, so a zero coordinate
+        under a negative exponent raises ZeroDivisionError.
         """
         if len(point) != self.nvars:
             raise ValueError(
@@ -170,17 +172,13 @@ class LaurentPoly:
                 if e not in powers:
                     powers[e] = a ** (e - lo) * b ** (hi - e)
             tables.append((i, powers))
-        scale = 1  # clears Fraction coefficients
-        for c in self.terms.values():
-            if c.denominator != 1:
-                scale = lcm(scale, c.denominator)
         total = 0
         for expo, c in self.terms.items():
-            t = c.numerator * (scale // c.denominator)
+            t = c
             for i, powers in tables:
                 t *= powers[expo[i]]
             total += t
-        return Fraction(num * total, den * scale)
+        return Fraction(num * total, den)
 
     def __str__(self) -> str:
         if not self.terms:

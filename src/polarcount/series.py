@@ -33,17 +33,18 @@ from .ypoly import YPoly
 def format_series(coeffs: Sequence) -> str:
     """coeffs[k] * x**k summed, for int, Fraction or YPoly coefficients.
 
-    Zero terms are left out, a negative rational coefficient is printed
-    as a subtraction, and a YPoly of positive degree is parenthesized.
+    A constant YPoly is read as its scalar.  Zero terms are left out, a
+    negative rational is printed as a subtraction, and a YPoly is
+    parenthesized.
     """
     parts = []
     for k, c in enumerate(coeffs):
+        if isinstance(c, YPoly) and c.degree < 1:
+            c = c.coefficient(0)
         if c == 0:
             continue
-        negative = isinstance(c, (int, Fraction)) and c < 0
-        cs = str(-c if negative else c)
-        if isinstance(c, YPoly) and c.degree > 0:
-            cs = f"({cs})"
+        negative = not isinstance(c, YPoly) and c < 0
+        cs = f"({c})" if isinstance(c, YPoly) else str(abs(c))
         xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
         body = cs if not xs else (xs if cs == "1" else f"{cs}*{xs}")
         if not parts:

@@ -12,8 +12,9 @@ rows, its corners kept as homogeneous integer triples (X, Y, W).  The
 lattice points of the box are integers, so their pixel coordinates are
 too, and each one's weight is read off latticegen.lattice_points.  A
 rational pixel coordinate p / q becomes a float only when it is
-printed, as the correctly rounded int division p / q; label placement
-is display-only and uses floats.
+printed, as the correctly rounded int division p / q.  Label placement
+and the directions of the xi arrow and the sign marks (from _unit) are
+display-only floats.
 Conventions: one lattice unit is `_UNIT` = 40 pixels, the origin sits at the
 lower left, and the mathematical y axis points up (flipped at emission,
 since SVG y points down).
@@ -47,6 +48,15 @@ _UNIT = 40
 
 def _fmt(v) -> str:
     return f"{float(v):.2f}".rstrip("0").rstrip(".")
+
+
+def _unit(x, y) -> tuple[float, float]:
+    """The exact direction (x, y) as a float unit vector, (0, 0) at zero;
+    x and y are first divided by a power of two past their size, which
+    is exact, so the square sum fits a float however long they are."""
+    scale = 2 ** max(int(abs(x)), int(abs(y))).bit_length()
+    norm = float((x * x + y * y) / scale**2) ** 0.5 or 1.0
+    return float(x / scale) / norm, float(y / scale) / norm
 
 
 def _clip(points: list, row) -> list:
@@ -189,11 +199,9 @@ def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str
     for k, cone in enumerate(cones):
         color = _PALETTE[k % len(_PALETTE)]
         (g0, g1), (h0, h1) = cone.generators
-        ux, uy = g0 + h0, g1 + h1
-        norm = float(ux * ux + uy * uy) ** 0.5 or 1.0
+        ux, uy = _unit(g0 + h0, g1 + h1)
         ax, ay = px(*nums[cone.vertex_index], den)
-        dx = ux / norm * 0.55 * _UNIT
-        dy = -uy / norm * 0.55 * _UNIT
+        dx, dy = ux * 0.55 * _UNIT, -uy * 0.55 * _UNIT
         mark = "+" if cone.sign > 0 else "-"
         out.append(
             f'<text x="{ax + dx:.2f}" y="{ay + dy:.2f}" '
@@ -205,13 +213,10 @@ def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str
         f'<text x="{pad / 2:.2f}" y="{pad / 2:.2f}" font-size="12" '
         f'fill="#111">xi = {fmt_point(xi)}; y = {w.y}</text>'
     )
-    # arrow showing the polarizing direction, anchored top right; xi is
-    # scaled by a power of two, exact in floats, so its square sum fits one
-    scale = 2 ** max(int(abs(a)) for a in xi).bit_length()
-    norm = float(sum(a * a for a in xi) / scale**2) ** 0.5 or 1.0
+    # arrow showing the polarizing direction, anchored top right
+    ux, uy = _unit(*xi)
     x0, y0 = width - pad * 1.8, pad * 0.8
-    dx = float(xi[0] / scale) / norm * _UNIT
-    dy = -float(xi[1] / scale) / norm * _UNIT
+    dx, dy = ux * _UNIT, -uy * _UNIT
     x1, y1 = x0 + dx, y0 + dy
     out.append(
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '

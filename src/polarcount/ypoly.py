@@ -11,9 +11,8 @@ num / (1+y)**power in lowest terms, read off the u form.
 
 YPoly is a dense polynomial in y over Q: the y form's numerator, and the
 coefficient ring of the series family and of the printed lattice sum.
-YPoly.__call__ evaluates in ints too: the coefficients are cleared to
-one denominator, Horner's rule runs on y's numerator and denominator,
-and one Fraction is built at the end.
+YPoly.__call__ runs Horner's rule on y's numerator and denominator,
+each coefficient as given, and builds one Fraction at the end.
 Coefficients are stored as int whenever they are integral and as
 Fraction otherwise; since hash(2) == hash(Fraction(2)), equality,
 hashing and printing do not depend on the stored type.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -130,22 +129,18 @@ class YPoly:
         return out
 
     def __call__(self, yval) -> Fraction:
-        """The value at y = a/b, b > 0: N / (D * b**degree) for the lcm D
-        of the coefficients' denominators and N = sum of D*c_k * a**k *
-        b**(degree-k), taken by Horner's rule in ints."""
+        """The value at y = a/b, b > 0: N / b**degree for N = sum of
+        c_k * a**k * b**(degree-k), taken by Horner's rule; N is an int
+        when every coefficient is."""
         y = yval if type(yval) is Fraction else Fraction(yval)
         if not self.coeffs:
             return Fraction(0)
         a, b = y.numerator, y.denominator
-        den = 1
-        for c in self.coeffs:
-            if type(c) is Fraction:
-                den = lcm(den, c.denominator)
         acc, bk = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * a + c.numerator * (den // c.denominator) * bk
+            acc = acc * a + c * bk
             bk *= b
-        return Fraction(acc, den * b**self.degree)
+        return Fraction(acc, b**self.degree)
 
     def coefficient(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0

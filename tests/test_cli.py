@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -1050,6 +1052,88 @@ def test_svg_arrow_at_a_polarizing_vector_past_float_range(capsys):
         '<line x1="208.00" y1="32.00" x2="208.00" y2="-8.00" '
         'stroke="#111" stroke-width="1.5"/>'
     )
+
+
+def _huge_triangle() -> dict:
+    """A bounded triangle with facet coefficients of about 2200 digits:
+    its vertices' cleared numerators pass the digit limit, but their
+    quotients, and so its figure, are of ordinary size."""
+    r = random.Random(3)
+    B = 10**2200
+
+    def f():
+        return r.randrange(1, 10**2199)
+
+    facets = [[B + f(), f(), 0], [f(), B + f(), 0],
+              [-(B + f()), -(B + f()), -(10 * B + f())]]
+    return {"dim": 2, "facets": facets}
+
+
+def _huge_ray() -> dict:
+    """An unbounded region whose UnboundedError message names a point
+    past the digit limit."""
+    b, c, o = 10**2200 + 7, 10**2200 - 3, 10**2200 + 1
+    return {"dim": 2, "facets": [[b, -c, o], [-(b + 1), c + 1, o], [1, 1, 0]]}
+
+
+def _write(tmp_path, name: str, data: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+_DIGIT_LIMIT_LINE = (
+    f"error: an integer has more than {sys.get_int_max_str_digits()} digits"
+)
+
+
+def test_vertices_past_the_digit_limit_exits_two(capsys, tmp_path):
+    path = _write(tmp_path, "huge.json", _huge_triangle())
+    code, out, err = run(capsys, "vertices", path)
+    assert code == 2
+    assert "polytope: dim 2, 3 facets, 3 vertices" in out
+    assert "vertex 0" not in out
+    assert err.splitlines()[0] == _DIGIT_LIMIT_LINE
+
+
+def test_svg_sign_marks_of_a_triangle_with_huge_facets(capsys, tmp_path):
+    # the cone generators pass float range; only their directions are drawn
+    path = _write(tmp_path, "huge.json", _huge_triangle())
+    code, out, _ = run(capsys, "svg", path)
+    assert code == 0
+    marks = [t for t in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}text")
+             if t.get("font-size") == "16"]
+    assert len(marks) == 3
+    for mark in marks:
+        assert math.isfinite(float(mark.get("x")))
+        assert math.isfinite(float(mark.get("y")))
+
+
+def test_decompose_of_a_triangle_with_huge_facets_passes(capsys, tmp_path):
+    path = _write(tmp_path, "huge.json", _huge_triangle())
+    code, out, _ = run(capsys, "decompose", path)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("check: PASS")
+
+
+@pytest.mark.parametrize("command", [
+    ("vertices",), ("decompose",), ("count",), ("brion",), ("svg",),
+    ("chi", "--y", "1", "--z", "2,3"),
+])
+def test_error_message_past_the_digit_limit_exits_two(capsys, tmp_path, command):
+    path = _write(tmp_path, "ray.json", _huge_ray())
+    code, _, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert err.splitlines()[0] == _DIGIT_LIMIT_LINE
+
+
+def test_other_value_errors_escape_main(capsys, monkeypatch):
+    def boom(ns):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(polarcount.cli, "_load_and_describe", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["vertices", "--builtin", "cube:2"])
 
 
 def test_svg_rejects_3d(capsys):

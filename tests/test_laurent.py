@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,19 @@ def test_zero_coefficients_dropped():
 def test_exponent_length_checked():
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1,): 1})
+
+
+@pytest.mark.parametrize("e", [1.5, Fraction(3, 2), Fraction(-1, 3)])
+def test_non_integer_exponent_rejected(e):
+    message = re.escape(f"exponent ({e!r},) is not integral")
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly(1, {(e,): 1})
+
+
+def test_integral_exponents_of_other_types_accepted():
+    p = LaurentPoly(2, {(True, Fraction(-2)): 3, (2.0, 0): 1})
+    assert p.terms == {(1, -2): 3, (2, 0): 1}
+    assert all(type(e) is int for expo in p.terms for e in expo)
 
 
 def test_constructors():

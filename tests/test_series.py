@@ -9,6 +9,7 @@ from polarcount import series
 from polarcount.cli import main
 from polarcount.series import (
     TruncatedSeries,
+    format_series,
     hirzebruch_series,
     lhat_series,
     qy_series,
@@ -487,3 +488,13 @@ def test_series_command_builds_the_cleared_family_once(capsys, monkeypatch, argv
     for _, todd, lhat in [("right", todd_series(6), lhat_series(6)), *mutants(6)]:
         assert (series.verify_identities(todd, lhat, build(todd))
                 == fraction_check_identities(todd, lhat))
+
+
+def test_format_series_reads_a_constant_ypoly_as_its_scalar():
+    constants = (YPoly((1,)), YPoly((-1,)), YPoly((Fraction(-1, 2),)))
+    rationals = (1, -1, Fraction(-1, 2))
+    assert format_series(constants) == "1 - x - 1/2*x^2"
+    assert format_series(rationals) == "1 - x - 1/2*x^2"
+    assert format_series((YPoly((-2,)), YPoly(()), YPoly((1, -1)))) == (
+        "-2 + (-y + 1)*x^2"
+    )

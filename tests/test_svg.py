@@ -1,6 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from math import gcd
+from math import gcd, hypot, isfinite
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import polarcount as pc
 from polarcount.linalg import clear_denominators, dot, vadd, vsub
-from polarcount.svgfig import _clip, render_svg
+from polarcount.svgfig import _clip, _unit, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -111,6 +111,20 @@ def test_no_nan_or_exponent_notation():
     text, _ = render_parsed(margin=3)
     assert "nan" not in text.lower()
     assert re.search(r"\d[eE][+-]?\d", text) is None
+
+
+def test_unit_direction_past_float_range():
+    # neither coordinate, nor the square sum, fits a float
+    ux, uy = _unit(10**2500 + 1, -3 * 10**2499)
+    assert isfinite(ux) and isfinite(uy)
+    assert ux == pytest.approx(10 / hypot(10, 3))
+    assert uy == pytest.approx(-3 / hypot(10, 3))
+
+
+def test_unit_direction_of_small_and_rational_vectors():
+    assert _unit(3, -4) == (0.6, -0.8)
+    assert _unit(Fraction(3, 7), Fraction(4, 7)) == pytest.approx((0.6, 0.8))
+    assert _unit(0, 0) == (0.0, 0.0)
 
 
 def fraction_clip(points: list, normal, anchor) -> list:
