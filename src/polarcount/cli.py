@@ -449,6 +449,10 @@ def main(argv=None) -> int:
             raise
         print(f"error: {polytope._too_many_digits()}", file=sys.stderr)
         return 2
+    except OverflowError as e:
+        # an exact value past a float or a machine-sized index
+        print(f"error: a value is too large: {e}", file=sys.stderr)
+        return 2
     finally:
         elapsed = time.monotonic() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -10,11 +10,22 @@ and the sum over vertices collapses to the polynomial
 
     sum over lattice points p of u^(codim of p) * z^p.
 
-Both sides are LaurentPolys in n+1 variables, z_1..z_n and then u, with
-int coefficients; the denominators are products of (1 - z^b) alone.
-brion_check multiplies the lattice sum by them one at a time, and only
-brion_sum and vertex_genfun build the quotient as a RationalFunction.
-format_lattice_sum prints the lattice sum in y, over (1+y)^n.
+Both sides have int coefficients in n+1 variables, z_1..z_n and then
+u; the denominators are products of (1 - z^b) alone.  The vertex sum
+runs on packed exponents: each monomial z^e u^k is one int key,
+sum of (e_i - off_i) * stride_i + k, in a dict of int coefficients, so
+multiplying by a monomial is one int addition.  The offsets and digit
+widths are the integer box's, widened by the vertex sum's directions
+(_packing says why no two exponents share a key).  _vertex_sum packs
+each vertex's numerator, the LaurentPoly product of its factors, and
+lifts it over the directions the vertex lacks by shift-and-subtract
+(_lift); brion_check packs the lattice sum, lifts it over every
+direction the same way and compares the two dicts.  brion_sum and
+_denominator read the same kernel and unpack its keys by divmod to
+LaurentPolys; only they and vertex_genfun build a RationalFunction.
+format_lattice_sum
+prints the lattice sum in y, over (1+y)^n, each distinct coefficient
+and codimension's text made once.
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
@@ -43,10 +54,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, coefficient_text, format_terms
 from .polarize import polarize_cones
 from .polytope import Polytope, fmt_point
 from .weights import (
@@ -261,17 +272,21 @@ def format_lattice_sum(lattice_sum: LaurentPoly) -> str:
     (1+y)^n, each c * u^k * z^p cleared to the power n.
 
     Only n+1 codimensions k occur, so each distinct (c, k) is cleared
-    once and its points share the one YPoly, printed once.
+    and its text made once, and its points share that text.
     """
     n = lattice_sum.nvars - 1
-    shared: dict = {}
-    terms = {}
-    for e, c in lattice_sum.terms.items():
-        key = (c, e[-1])
-        if key not in shared:
-            shared[key] = YFrac(*key).cleared(n)
-        terms[e[:-1]] = shared[key]
-    return f"({LaurentPoly._of(n, terms)}) / {den_text(n)}"
+    texts: dict[tuple[int, int], str] = {}
+
+    def terms():
+        for e in sorted(lattice_sum.terms):
+            key = (lattice_sum.terms[e], e[-1])
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = coefficient_text(YFrac(*key).cleared(n))
+            yield e, text
+
+    # u's exponent, the last, is in the text and does not print
+    return f"({format_terms(n, terms())}) / {den_text(n)}"
 
 
 # -- weighted counts ----------------------------------------------------
@@ -353,47 +368,116 @@ def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
     )
 
 
-def _times_one_minus(terms: dict, b: tuple[int, ...]) -> dict:
-    """The terms of p * (1 - z^b), u's exponent unchanged, from those of
-    p: each term is shifted by b and subtracted; zeros dropped."""
-    out = dict(terms)
-    for e, c in terms.items():
-        key = (*map(add, e, b), e[-1])
-        out[key] = out.get(key, 0) - c
-    return {e: c for e, c in out.items() if c}
+class _Packing(NamedTuple):
+    """Exponents (e_1..e_n, k) of z^e u^k packed into one int, the key
+    sum of (e_i - offsets[i]) * strides[i] over all n+1 variables; the
+    strides decrease, and u's offset is 0 and its stride 1.
+
+    _packing sizes the digits so that each key is one exponent's.  Then
+    a product is a sum of keys: z^b u^j moves a key by shift((*b, j)).
+    """
+
+    offsets: tuple[int, ...]
+    strides: tuple[int, ...]
+
+    @property
+    def origin(self) -> int:
+        """The key of z^0 u^0."""
+        return -sum(map(mul, self.offsets, self.strides))
+
+    def shift(self, expo: Sequence[int]) -> int:
+        """How far multiplying by z^e u^k moves a key; an exponent
+        without its last entry, u's, has k = 0."""
+        return sum(map(mul, expo, self.strides))
+
+    def packed(self, terms: dict) -> dict[int, int]:
+        """Terms keyed by exponent tuples, rekeyed by their packed keys."""
+        origin, strides = self.origin, self.strides
+        return {origin + sum(map(mul, e, strides)): c for e, c in terms.items()}
+
+    def unpacked(self, terms: dict[int, int]) -> LaurentPoly:
+        """The LaurentPoly of packed terms, each key split by divmod."""
+        out = {}
+        for key, c in terms.items():
+            expo = []
+            for off, stride in zip(self.offsets, self.strides):
+                d, key = divmod(key, stride)
+                expo.append(d + off)
+            out[tuple(expo)] = c
+        return LaurentPoly._of(len(self.strides), out)
+
+
+def _packing(lo: Sequence[int], hi: Sequence[int], dirs) -> _Packing:
+    """The packing of the exponents p + sum of the b in S, u^k, for p in
+    the box [lo, hi], S any subset of dirs, and 0 <= k <= n.
+
+    Coordinate i of such an exponent lies in [off_i, off_i + width_i),
+    with off_i = lo_i + sum over dirs of min(0, b_i) and width_i =
+    hi_i - lo_i + sum over dirs of |b_i| + 1, and k in [0, n + 1).  Each
+    stride is the product of the widths after it, so the digits of a
+    key are its exponent's and two exponents never share a key.  Both
+    sides of the Brion identity stay in that range: each of their
+    exponents is a lattice point, or a vertex v, moved by each b of dirs
+    at most once, with u's exponent a codimension or a count of the
+    vertex's binomial factors that give u, so at most n.
+    """
+    n = len(lo)
+    offsets = tuple(
+        lo_i + sum(min(0, b[i]) for b in dirs) for i, lo_i in enumerate(lo)
+    )
+    strides = [1]
+    width = n + 1
+    for i in range(n - 1, -1, -1):
+        strides.append(strides[-1] * width)
+        width = hi[i] - lo[i] + sum(abs(b[i]) for b in dirs) + 1
+    return _Packing((*offsets, 0), tuple(reversed(strides)))
+
+
+def _lift(terms: dict[int, int], shifts) -> dict[int, int]:
+    """Packed terms times (1 - z^b) for the b of each shift, in turn: a
+    copy, and each term moved by the shift and subtracted; zeros dropped."""
+    for s in shifts:
+        out = dict(terms)
+        get = out.get
+        for key, c in terms.items():
+            moved = key + s
+            out[moved] = get(moved, 0) - c
+        terms = {key: c for key, c in out.items() if c}
+    return terms
 
 
 def _denominator(nvars: int, dirs) -> LaurentPoly:
-    """The product of (1 - z^b) over dirs, expanded."""
-    den = {(0,) * nvars: 1}
-    for b in dirs:
-        den = _times_one_minus(den, b)
-    return LaurentPoly._of(nvars, den)
+    """The product of (1 - z^b) over dirs, expanded: 1 lifted over them."""
+    zero = (0,) * (nvars - 1)
+    pack = _packing(zero, zero, dirs)
+    return pack.unpacked(_lift({pack.origin: 1}, map(pack.shift, dirs)))
 
 
-def _vertex_sum(poly: Polytope) -> tuple[dict, list]:
-    """The vertex sum's numerator terms over prod (1 - z^b), and the
-    distinct directions b, in order of first appearance."""
+def _vertex_sum(poly: Polytope) -> tuple[_Packing, dict[int, int], list]:
+    """The vertex sum's numerator over prod (1 - z^b), packed; its
+    packing; and the distinct directions b, in order of first appearance.
+
+    Each vertex's numerator, the product of its factors, is packed and
+    lifted over the directions that vertex lacks.
+    """
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
     all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
-    total: dict = {}
+    pack = _packing(*poly.integer_box(), all_dirs)
+    total: dict[int, int] = {}
     for t in terms:
-        lifted = t.numerator.terms
-        for b in all_dirs:
-            if b not in t.canonical_dirs:
-                lifted = _times_one_minus(lifted, b)
-        for e, c in lifted.items():
-            total[e] = total.get(e, 0) + c
-    return {e: c for e, c in total.items() if c}, all_dirs
+        missing = [b for b in all_dirs if b not in t.canonical_dirs]
+        lifted = _lift(pack.packed(t.numerator.terms), map(pack.shift, missing))
+        for key, c in lifted.items():
+            total[key] = total.get(key, 0) + c
+    return pack, {key: c for key, c in total.items() if c}, all_dirs
 
 
 def brion_sum(poly: Polytope) -> RationalFunction:
     """Sum of all vertex terms over one common factored denominator, in
     n+1 variables as in vertex_term: the last, printed z{n+1}, is u = 1/(1+y)."""
-    num, dirs = _vertex_sum(poly)
-    n1 = poly.dim + 1
-    return RationalFunction(LaurentPoly._of(n1, num), _denominator(n1, dirs))
+    pack, num, dirs = _vertex_sum(poly)
+    return RationalFunction(pack.unpacked(num), _denominator(poly.dim + 1, dirs))
 
 
 def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
@@ -413,14 +497,12 @@ class BrionReport(NamedTuple):
 
 def brion_check(poly: Polytope) -> BrionReport:
     """The weighted lattice sum, and whether the vertex sum equals it:
-    exactly, as the lattice sum times each factor (1 - z^b) of the vertex
-    sum's denominator in turn, a shift and a subtraction, against the
-    vertex sum's numerator.  No rational function is built."""
-    num, dirs = _vertex_sum(poly)
+    exactly, as the lattice sum, packed as in _vertex_sum, lifted over
+    the vertex sum's directions and compared with its numerator.  No
+    rational function is built."""
+    pack, num, dirs = _vertex_sum(poly)
     lattice = weighted_sum_poly(poly)
-    crossed = lattice.terms
-    for b in dirs:
-        crossed = _times_one_minus(crossed, b)
+    crossed = _lift(pack.packed(lattice.terms), map(pack.shift, dirs))
     return BrionReport(lattice_sum=lattice, equal=crossed == num)
 
 

@@ -2,16 +2,16 @@
 
 Exponents may be negative.  Coefficients are kept as given, with zeros
 dropped: the generating functions carry u = 1/(1+y) as a last variable
-and have int coefficients.  Only the lattice sum that the brion command
-prints has YPoly coefficients: each point's weight c * u^k is cleared
-by YFrac.cleared to the common denominator (1+y)^n, so its n+1
-distinct coefficients are shared by every point, and printing formats
-each distinct coefficient once.
+and have int coefficients.  format_terms is the one monomial printer:
+LaurentPoly.__str__ prints through it, and so does
+latticegen.format_lattice_sum, which passes the text of each point's
+weight c * u^k cleared to (1+y)^n, made once per distinct (c, k).
 RationalFunction, the type of latticegen.brion_sum and vertex_genfun
 only, keeps an unreduced numerator/denominator pair, and equivalent
 cross-multiplies whole denominators, so no gcd is ever taken.
-latticegen.brion_check builds none: it multiplies the lattice sum by the
-vertex sum's binomials (1 - z^b) one shift at a time.
+latticegen.brion_check builds none: only its vertex numerators are
+LaurentPoly products, and the rest of the Brion identity runs on packed
+int exponents in latticegen, which brion_sum unpacks to LaurentPolys.
 
 LaurentPoly.at evaluates the chi command's vertex sum at a concrete
 (z, u), its int terms over one common denominator; the lattice sum is
@@ -47,9 +47,12 @@ class LaurentPoly:
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "LaurentPoly":
-        """From int-tuple exponents, as arithmetic makes them; zeros dropped."""
+        """From int-tuple exponents, as arithmetic makes them; zeros
+        dropped.  Takes terms over: every caller passes a dict of its own."""
         p = object.__new__(cls)
-        p.nvars, p.terms = nvars, {e: c for e, c in terms.items() if c}
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        p.nvars, p.terms = nvars, terms
         return p
 
     @classmethod
@@ -181,33 +184,56 @@ class LaurentPoly:
         return Fraction(num * total, den)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
         texts: dict = {}  # each distinct coefficient is formatted once
-        for expo in sorted(self.terms):
-            c = self.terms[expo]
-            factors = []
+
+        def text(c) -> str:
             # keyed by type too: 2 == 2.0, but they print differently
             cs = texts.get((type(c), c))
             if cs is None:
-                cs = str(c)
-                # anything but a nonnegative rational, such as -3 or y + 1
-                if not cs.replace("/", "", 1).isdigit():
-                    cs = f"({cs})"
-                texts[type(c), c] = cs
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                name = f"z{i + 1}" if self.nvars > 1 else "z"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors or cs != "1":
-                factors.insert(0, cs)
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+                cs = texts[type(c), c] = coefficient_text(c)
+            return cs
+
+        return format_terms(
+            self.nvars, ((e, text(self.terms[e])) for e in sorted(self.terms))
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.nvars}, {self.terms!r})"
+
+
+def coefficient_text(c) -> str:
+    """c as it prints before a monomial: in parentheses unless it is a
+    nonnegative rational, such as -3 or y + 1."""
+    cs = str(c)
+    return cs if cs.replace("/", "", 1).isdigit() else f"({cs})"
+
+
+class _Powers(dict):
+    """The texts of the powers of one variable, each made when first asked."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = self.name if e == 1 else f"{self.name}^{e}"
+        return text
+
+
+def format_terms(nvars: int, terms) -> str:
+    """The sum of (exponent, coefficient text) pairs, in the order given,
+    as LaurentPoly prints it: each term is its coefficient text and its
+    powers z{i}^e joined by *, the text left out when it is 1 before a
+    nonconstant monomial; with one variable it is z.  Only the first
+    nvars coordinates of an exponent print, so a caller can leave a
+    variable out.  Each power's text is made once."""
+    powers = [_Powers(f"z{i + 1}" if nvars > 1 else "z") for i in range(nvars)]
+    parts = []
+    for expo, cs in terms:
+        factors = [texts[e] for texts, e in zip(powers, expo) if e]
+        if cs != "1" or not factors:
+            factors.insert(0, cs)
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
 
 
 class RationalFunction:

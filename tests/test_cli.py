@@ -1136,6 +1136,30 @@ def test_other_value_errors_escape_main(capsys, monkeypatch):
         main(["vertices", "--builtin", "cube:2"])
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # a vertex past float range, at the figure's pixel coordinates
+    (("svg", "--builtin", "cube:2,1" + "0" * 310),
+     "integer division result too large for a float"),
+    # a row of 10**20 + 1 lattice points, past a machine-sized index
+    (("brion", "--builtin", "cube:1,100000000000000000000"),
+     "cannot fit 'int' into an index-sized integer"),
+])
+def test_overflow_exits_two_with_a_reason(capsys, argv, reason):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[0] == f"error: a value is too large: {reason}"
+    assert "Traceback" not in err
+
+
+def test_other_errors_escape_the_overflow_clause(capsys, monkeypatch):
+    def boom(ns):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(polarcount.cli, "_load_and_describe", boom)
+    with pytest.raises(ArithmeticError, match="boom"):
+        main(["vertices", "--builtin", "cube:2"])
+
+
 def test_svg_rejects_3d(capsys):
     code, _, err = run(capsys, "svg", "--builtin", "cube:3")
     assert code == 2

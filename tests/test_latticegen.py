@@ -20,7 +20,7 @@ from polarcount.latticegen import VertexTerm, box_points, vertex_term
 from polarcount.linalg import canonical_direction
 from polarcount.laurent import LaurentPoly, RationalFunction
 from polarcount.polytope import fmt_point
-from polarcount.ypoly import YFrac, YPoly
+from polarcount.ypoly import YFrac, YPoly, den_text
 from zoo import (
     affine_image,
     brion_zoo,
@@ -205,6 +205,19 @@ def test_format_lattice_sum_closed_forms():
     # the unit square: four corners, each u^2
     lattice = pc.brion_check(pc.hypercube(2, 1)).lattice_sum
     assert pc.format_lattice_sum(lattice) == "(1 + z2 + z1 + z1*z2) / (1+y)^2"
+
+
+def test_format_lattice_sum_prints_the_cleared_laurent_poly():
+    """The printed lattice sum is the LaurentPoly in z of its points'
+    weights cleared to (1+y)^n, as LaurentPoly prints it: both print
+    through one monomial printer, whatever keys the coefficient texts."""
+    for name, P in lattice_cases():
+        lattice = pc.weighted_sum_poly(P)
+        n = P.dim
+        cleared = LaurentPoly(n, {
+            e[:-1]: YFrac(c, e[-1]).cleared(n) for e, c in lattice.terms.items()
+        })
+        assert pc.format_lattice_sum(lattice) == f"({cleared}) / {den_text(n)}", name
 
 
 def test_brion_clears_each_codimension_once(capsys, monkeypatch):
@@ -612,6 +625,18 @@ def lattice_images(draw):
 @given(lattice_images())
 def test_brion_check_matches_cross_multiplication_on_images(P):
     assert assert_brion_matches_reference(P).equal
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_images())
+def test_brion_packing_far_from_the_origin(P):
+    """The packed keys' offsets and digit widths follow the box: moved to
+    (-1000, 7, -3), brion_sum still unpacks to the reference's tuple-keyed
+    vertex sum and brion_check still passes."""
+    identity = [[int(i == j) for j in range(P.dim)] for i in range(P.dim)]
+    assert assert_brion_matches_reference(
+        affine_image(P, identity, (-1000, 7, -3)[:P.dim])
+    ).equal
 
 
 def dropped_first(P, i):
