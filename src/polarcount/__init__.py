@@ -40,7 +40,6 @@ from .laurent import LaurentPoly, RationalFunction
 from .polarize import (
     PolarizationError,
     PolarizedCone,
-    cone_membership,
     crossing_pair,
     find_polarizing,
     is_polarizing,

@@ -42,8 +42,9 @@ lattice_points expands them into a dict of points.  Weighted
 quantities are computed symbolically in y; a concrete y only evaluates
 the symbolic answer.  In particular each side of the chi identity is
 written once: at a concrete (z, y) the vertex sum evaluates each
-vertex_term's factors through LaurentPoly.at at (z, u), u = 1/(1+y),
-and the lattice sum evaluates census_weight_y of the codim_sums at y.
+vertex's factors, z^v and one binomial over 1 - z^a per edge a, at
+(z, u), u = 1/(1+y), in Fractions, from the vertex and its edges; the
+lattice sum evaluates census_weight_y of the codim_sums at y.
 Enumeration and the truncated cone series hold for any simple polytope;
 everything else needs determinant +-1 edge bases at every vertex and
 integer vertices, and raises HypothesisError otherwise.
@@ -332,11 +333,6 @@ class VertexTerm(NamedTuple):
         return prod(self.factors[1:], start=self.factors[0])
 
 
-def _one_minus(b: tuple[int, ...]) -> LaurentPoly:
-    """1 - z^b, with u's exponent 0."""
-    return LaurentPoly._of(len(b) + 1, {(0,) * (len(b) + 1): 1, (*b, 0): -1})
-
-
 def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     """The vertex's term in n+1 variables; the last, printed z{n+1}, is u = 1/(1+y)."""
     require_lattice_hypotheses(poly, "the vertex generating function")
@@ -518,30 +514,36 @@ def _evaluation_point(poly: Polytope, z: Sequence) -> tuple[Fraction, ...]:
     return zt
 
 
+def _vertex_value(z: Sequence[Fraction], u: Fraction, apex, edges) -> Fraction:
+    """The vertex term z^apex * prod over the edges a of
+    (u + (1-u)*z^a) / (1 - z^a) at (z, u); PoleError at the first edge
+    with z^a = 1."""
+    num, den = prod(map(pow, z, apex)), 1
+    for a in edges:
+        za = prod(map(pow, z, a))
+        if za == 1:
+            raise PoleError(
+                f"z^{a} = 1 at vertex {fmt_point(apex)}: the point "
+                f"lies on a pole; perturb z"
+            )
+        num *= u + (1 - u) * za
+        den *= 1 - za
+    return num / den
+
+
 def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     """Sum of vertex terms evaluated at a concrete z with nonzero coordinates.
 
-    Each vertex_term factor is evaluated at (z, u) on its own, so the
-    expanded numerator, up to 3^n terms, is never built.
+    Each vertex's term is evaluated at (z, u), u = w.on_face, from its
+    point and its edges, a factor at a time, so no numerator (up to 3^n
+    terms) is expanded.
     """
     require_lattice_hypotheses(poly, "vertex-sum evaluation")
-    point = (*_evaluation_point(poly, z), w.on_face)
+    z, u = _evaluation_point(poly, z), w.on_face
     total = Fraction(0)
-    for i, v in enumerate(poly.vertices):
-        term = vertex_term(poly, i)
-        monomial, *binomials = term.factors
-        num, den = monomial.at(point), 1
-        for a, binom, b in zip(v.edges, binomials, term.canonical_dirs):
-            pole = _one_minus(b).at(point)
-            if not pole:
-                vertex = fmt_point(poly.cleared_vertices[0][i])  # P is integral
-                raise PoleError(
-                    f"z^{a} = 1 at vertex {vertex}: the point "
-                    f"lies on a pole; perturb z"
-                )
-            num *= binom.at(point)
-            den *= pole
-        total += num / den
+    # P is integral: the vertices' common denominator is 1
+    for apex, v in zip(poly.cleared_vertices[0], poly.vertices):
+        total += _vertex_value(z, u, apex, v.edges)
     return total
 
 

@@ -12,11 +12,9 @@ cross-multiplies whole denominators, so no gcd is ever taken.
 latticegen.brion_check builds none: only its vertex numerators are
 LaurentPoly products, and the rest of the Brion identity runs on packed
 int exponents in latticegen, which brion_sum unpacks to LaurentPolys.
-
-LaurentPoly.at evaluates the chi command's vertex sum at a concrete
-(z, u), its int terms over one common denominator; the lattice sum is
-read off the enumeration's rows in the same split of each coordinate
-(latticegen.codim_sums).
+LaurentPoly adds and multiplies but does not evaluate: the chi command
+evaluates each vertex's factors at a concrete (z, u) from the vertex
+and its edges (latticegen.chi_y_vertex_sum).
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ class LaurentPoly:
     def const(cls, nvars: int, c) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def monomial(cls, nvars: int, expo: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(expo): coeff})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -103,15 +97,6 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -139,49 +124,6 @@ class LaurentPoly:
 
     def coefficient(self, expo: Sequence[int]):
         return self.terms.get(tuple(expo), 0)
-
-    def at(self, point: Sequence) -> Fraction:
-        """The exact value at a point of rationals (ints or Fractions).
-
-        Needs int or Fraction coefficients.  A coordinate a/b whose
-        exponents span [lo, hi] contributes the int a**(e-lo) * b**(hi-e)
-        to a term with exponent e, and a**lo / b**hi once to the whole
-        sum; variables whose exponent is always 0 are skipped.  Each
-        coefficient is multiplied as given, so int coefficients sum as
-        ints, and one Fraction is built at the end, so a zero coordinate
-        under a negative exponent raises ZeroDivisionError.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
-        num = den = 1
-        tables = []
-        for i, column in enumerate(zip(*self.terms)):
-            lo, hi = min(column), max(column)
-            if lo == hi == 0:
-                continue
-            a, b = point[i].numerator, point[i].denominator
-            if lo >= 0:
-                num *= a**lo
-            else:
-                den *= a**-lo
-            if hi >= 0:
-                den *= b**hi
-            else:
-                num *= b**-hi
-            powers = {}
-            for e in column:
-                if e not in powers:
-                    powers[e] = a ** (e - lo) * b ** (hi - e)
-            tables.append((i, powers))
-        total = 0
-        for expo, c in self.terms.items():
-            t = c
-            for i, powers in tables:
-                t *= powers[expo[i]]
-            total += t
-        return Fraction(num * total, den)
 
     def __str__(self) -> str:
         texts: dict = {}  # each distinct coefficient is formatted once

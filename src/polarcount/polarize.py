@@ -155,22 +155,6 @@ def cone_point_slacks(cones: Sequence[PolarizedCone], x: Sequence) -> tuple[dict
     return dict(zip(rows, facet_slacks(tuple(rows.values()), num, den))), den
 
 
-def cone_membership(cone: PolarizedCone, x: Sequence) -> Optional[tuple]:
-    """Coordinates of x - vertex in the generator basis, as Fractions, when x
-    lies in the closed cone.
-
-    Membership requires every coordinate >= 0; returns None otherwise.
-    Coordinate k is slack_k / (<a_k, g_k> * den), built only for members.
-    """
-    slack, den = cone_point_slacks((cone,), x)
-    if slack_face_counts(cone, slack) is None:
-        return None
-    return tuple(
-        Fraction(slack[i], den * dot(a, g))
-        for i, (a, _), g in zip(cone.facets, cone.rows, cone.generators)
-    )
-
-
 # -- wall machinery ----------------------------------------------------
 #
 # The set of polarizing vectors is the complement of finitely many

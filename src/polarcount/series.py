@@ -184,9 +184,6 @@ class TruncatedSeries:
             self.den * q**n,
         )
 
-    def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den)
-
     def __str__(self) -> str:
         return format_series(self.coeffs)
 

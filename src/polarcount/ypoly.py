@@ -91,15 +91,6 @@ class YPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "YPoly":
-        return YPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other) -> "YPoly":
         other = _as_ypoly(other)
         if other is NotImplemented:

@@ -469,26 +469,42 @@ def test_chi_lattice_sum_matches_the_oracle_on_images(P, y, data):
     z = data.draw(st.tuples(*[st.sampled_from(_Z_CHOICES)] * P.dim))
     w = pc.WeightParam(y)
     assert pc.chi_y_lattice_sum(P, w, z) == lattice_sum_oracle(P, w, z)
+    try:
+        expected = vertex_sum_oracle(P, w, z)
+    except pc.PoleError as err:
+        with pytest.raises(pc.PoleError) as got:
+            pc.chi_y_vertex_sum(P, w, z)
+        assert str(got.value) == str(err)
+    else:
+        assert pc.chi_y_vertex_sum(P, w, z) == expected
 
 
 def test_chi_vertex_sum_expands_no_numerator(monkeypatch):
-    products = []
+    products, terms = [], []
     mul = LaurentPoly.__mul__
 
     def counted(a, b):
         products.append((a, b))
         return mul(a, b)
 
+    def counted_term(P, i):
+        terms.append(i)
+        return vertex_term(P, i)
+
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    monkeypatch.setattr(latticegen, "vertex_term", counted_term)
     z = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13))
     for P in (pc.hypercube(3, 2), pc.dilated_simplex(3, 4), pc.prism(2, 1)):
         value = pc.chi_y_vertex_sum(P, pc.WeightParam(Fraction(2, 3)), z)
         assert value == pc.chi_y_lattice_sum(P, pc.WeightParam(Fraction(2, 3)), z)
     assert products == []
-    # the patch is live: the expanded numerator multiplies
-    vertex_term(pc.hypercube(3, 2), 0).numerator
-    assert len(products) == 3
+    assert terms == []
+    # the patches are live: brion builds each vertex term and multiplies
+    # its numerator out
+    pc.brion_check(pc.hypercube(3, 2))
+    assert terms == list(range(8))
+    assert len(products) == 8 * 3
 
 
 def test_chi_pole_is_reported():
@@ -653,7 +669,7 @@ def flipped_first_binomial(P, i):
     if i:
         return t
     monomial, first, *rest = t.factors
-    return t._replace(factors=(monomial, -first, *rest))
+    return t._replace(factors=(monomial, first * -1, *rest))
 
 
 BROKEN_TERMS = {"dropped": dropped_first, "flipped": flipped_first_binomial}
@@ -676,7 +692,17 @@ def test_brion_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken)
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
 def test_chi_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken):
-    monkeypatch.setattr(latticegen, "vertex_term", BROKEN_TERMS[broken])
+    # chi evaluates each vertex term from the vertex and its edges: vertex
+    # 0's value is dropped, or negated as a flipped binomial negates it
+    value = latticegen._vertex_value
+
+    def patched(z, u, apex, edges):
+        term = value(z, u, apex, edges)
+        if any(apex):
+            return term
+        return 0 if broken == "dropped" else -term
+
+    monkeypatch.setattr(latticegen, "_vertex_value", patched)
     argv = ["chi", "--builtin", "cube:3,2", "--y", "2/3", "--z", "2,3,5"]
     assert main(argv) == 1
     out, err = capsys.readouterr()

@@ -57,20 +57,20 @@ def test_integral_exponents_of_other_types_accepted():
 
 
 def test_constructors():
-    z1 = LaurentPoly.monomial(2, (1, 0))
+    z1 = LaurentPoly(2, {(1, 0): 1})
     assert z1.terms == {(1, 0): YPoly((1,))}
     c = LaurentPoly.const(2, Fraction(1, 2))
     assert c.coefficient((0, 0)) == YPoly((Fraction(1, 2),))
-    m = LaurentPoly.monomial(2, (-1, 2), Y)
+    m = LaurentPoly(2, {(-1, 2): Y})
     assert m.coefficient((-1, 2)) == Y
 
 
 def test_arithmetic():
-    z1, z2 = LaurentPoly.monomial(2, (1, 0)), LaurentPoly.monomial(2, (0, 1))
+    z1, z2 = LaurentPoly(2, {(1, 0): 1}), LaurentPoly(2, {(0, 1): 1})
     p = (1 + z1) * (1 + z2)
     assert p.coefficient((1, 1)) == YPoly((1,))
     assert p.coefficient((0, 0)) == YPoly((1,))
-    assert (p - p) == LaurentPoly.zero(2)
+    assert p + -1 * p == LaurentPoly.zero(2)
     q = (1 + z1) ** 2
     assert q.coefficient((1, 0)) == YPoly((2,))
     assert (z1 * z2).coefficient((1, 1)) == YPoly((1,))
@@ -93,67 +93,17 @@ def test_equal_polys_hash_equal_across_coefficient_types():
 
 
 def test_negative_exponents_and_eval():
-    zinv = LaurentPoly.monomial(2, (-1, 0))
+    zinv = LaurentPoly(2, {(-1, 0): 1})
     assert value(zinv, (2, 7)) == Fraction(1, 2)
-    assert zinv * LaurentPoly.monomial(2, (1, 0)) == 1
+    assert zinv * LaurentPoly(2, {(1, 0): 1}) == 1
     with pytest.raises(ValueError):
-        zinv * LaurentPoly.monomial(1, (1,))
+        zinv * LaurentPoly(1, {(1,): 1})
 
 
 @given(polys2, polys2, points2)
 def test_eval_is_ring_homomorphism(p, q, z):
     assert value(p + q, z) == value(p, z) + value(q, z)
-    assert value(p - q, z) == value(p, z) - value(q, z)
     assert value(p * q, z) == value(p, z) * value(q, z)
-
-
-scalars = st.one_of(
-    st.integers(min_value=-9, max_value=9),
-    st.fractions(min_value=-9, max_value=9, max_denominator=5),
-)
-
-
-@st.composite
-def polys_and_points(draw):
-    """A polynomial in 1 to 3 variables, possibly zero, with int or
-    Fraction coefficients, and a point of int or Fraction coordinates,
-    some of them zero or negative."""
-    n = draw(st.integers(min_value=1, max_value=3))
-    expo = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
-    p = LaurentPoly(n, draw(st.dictionaries(expo, scalars, max_size=6)))
-    return p, draw(st.tuples(*[scalars] * n))
-
-
-@given(polys_and_points())
-def test_at_matches_value(case):
-    p, z = case
-    try:
-        expected = value(p, z)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            p.at(z)
-    else:
-        got = p.at(z)
-        assert type(got) is Fraction
-        assert got == expected
-
-
-def test_at_edge_cases():
-    z1 = LaurentPoly.monomial(2, (1, 0))
-    assert LaurentPoly.zero(2).at((3, 5)) == 0
-    assert LaurentPoly.const(2, Fraction(-2, 3)).at((0, 0)) == Fraction(-2, 3)
-    assert (z1 - 1).at((Fraction(-1, 2), 0)) == Fraction(-3, 2)
-    # a variable whose exponent is always 0 is never read
-    assert z1.at((Fraction(7, 3), object())) == Fraction(7, 3)
-    with pytest.raises(ValueError) as err:
-        z1.at((1,))
-    assert str(err.value) == "point has 1 coordinates, expected 2"
-    with pytest.raises(ValueError):
-        z1.at((1, 2, 3))
-    with pytest.raises(ZeroDivisionError):
-        LaurentPoly.monomial(2, (0, -1)).at((2, 0))
-    with pytest.raises(ZeroDivisionError):
-        (z1 + LaurentPoly.monomial(2, (-2, 1))).at((Fraction(0), 5))
 
 
 def test_rational_function_rejects_zero_denominator():
@@ -163,10 +113,10 @@ def test_rational_function_rejects_zero_denominator():
 
 
 def test_equivalence_by_cross_multiplication():
-    z = LaurentPoly.monomial(1, (1,))
+    z = LaurentPoly(1, {(1,): 1})
     one = LaurentPoly.const(1, 1)
     # (1 - z^2)/(1 - z) == (1 + z)/1
-    f = RationalFunction(one - z * z, one - z)
+    f = RationalFunction(one + -1 * z * z, one + -1 * z)
     g = RationalFunction(one + z, one)
     assert f.equivalent(g)
     assert not f.equivalent(RationalFunction(z, one))
@@ -180,9 +130,9 @@ def test_equivalence_by_cross_multiplication():
 
 
 def test_equivalence_skips_constant_one_denominators(monkeypatch):
-    z = LaurentPoly.monomial(2, (1, 0))
+    z = LaurentPoly(2, {(1, 0): 1})
     one = LaurentPoly.const(2, 1)
-    f = RationalFunction(one - z * z, one - z)
+    f = RationalFunction(one + -1 * z * z, one + -1 * z)
     g = RationalFunction(one + z, one)
     products = []
     mul = LaurentPoly.__mul__
