@@ -36,15 +36,17 @@ each coordinate from the facets' residuals, prunes every prefix that
 no point of the box completes, and yields the lattice points a row at
 a time, with the facets tight on the row and where the others are
 tight; its cost is the visited prefixes times the facets, not the box
-volume.  codim_sums reads the rows without listing the points: the
-census, or at a concrete z the sum of z^p per codimension.
-lattice_points expands them into a dict of points.  Weighted
-quantities are computed symbolically in y; a concrete y only evaluates
-the symbolic answer.  In particular each side of the chi identity is
-written once: at a concrete (z, y) the vertex sum evaluates each
-vertex's factors, z^v and one binomial over 1 - z^a per edge a, at
-(z, u), u = 1/(1+y), in Fractions, from the vertex and its edges; the
-lattice sum evaluates census_weight_y of the codim_sums at y.
+volume.  codim_sums reads the rows without listing the points, with
+the rows along the box's longest coordinate: the census, or at a
+concrete z the sum of z^p per codimension.  lattice_points walks the
+last coordinate last and expands the rows into a dict of points in
+lexicographic order.  Weighted quantities are computed symbolically in
+y; a concrete y only evaluates the symbolic answer.  In particular
+each side of the chi identity is written once: at a concrete (z, y)
+the vertex sum evaluates each vertex's factors, z^v and one binomial
+over 1 - z^a per edge a, at (z, u), u = 1/(1+y), in ints, from the
+vertex and its edges; the lattice sum evaluates census_weight_y of the
+codim_sums at y.
 Enumeration and the truncated cone series hold for any simple polytope;
 everything else needs determinant +-1 edge bases at every vertex and
 integer vertices, and raises HypothesisError otherwise.
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import gcd, prod
 from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -100,16 +102,32 @@ def box_points(lo: Sequence[int], hi: Sequence[int]):
     return iter_product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def lattice_rows(poly: Polytope):
-    """Each row of lattice points of the polytope, in lexicographic order,
-    as (prefix, first, last, row_tight, tight_at): the points
-    (*prefix, x) for first <= x <= last, row_tight facets tight on all
-    of them, and one entry x in tight_at for each other facet tight at
-    (*prefix, x), which may lie outside first..last.  A point's
-    codimension is row_tight plus the number of its entries in tight_at.
+def _walk_order(n: int, row: int) -> list[int]:
+    """The coordinates in walk order: all but row, in their order, then row."""
+    return [*range(row), *range(row + 1, n), row]
+
+
+def _longest_axis(lo: Sequence[int], hi: Sequence[int]) -> int:
+    """The coordinate of largest extent hi - lo in the box, the last of
+    those tied, so that a box of equal extents keeps the last."""
+    return max(range(len(lo)), key=lambda i: (hi[i] - lo[i], i))
+
+
+def lattice_rows(poly: Polytope, row: Optional[int] = None):
+    """Each row of lattice points of the polytope, as (prefix, first,
+    last, row_tight, tight_at): the points whose coordinate row is x for
+    first <= x <= last and whose other coordinates, in their order, are
+    prefix; row_tight facets tight on all of them, and one entry x in
+    tight_at for each other facet tight at that point with coordinate
+    row x, which may lie outside first..last.  A point's codimension is
+    row_tight plus the number of its entries in tight_at.  row is the
+    last coordinate when None: the points are then (*prefix, x), and the
+    rows come in lexicographic order.
 
     A depth-first walk over the coordinates of the integer box, on an
-    explicit stack, with the facets <a, x> >= b of Polytope.facets.
+    explicit stack, with the facets <a, x> >= b of Polytope.facets; the
+    coordinates, the box and the facets' columns are taken in walk order
+    (_walk_order), row last, and below k counts in that order.
     A node at level k is a prefix x_0..x_(k-1) carrying each facet's
     residual r = b - <a[:k], prefix>; each step along x_k subtracts a_k
     from it.  With R the most that the coordinates after k can add to
@@ -129,6 +147,9 @@ def lattice_rows(poly: Polytope):
     lo, hi = poly.integer_box()
     normals, offsets = zip(*poly.facets)
     columns = tuple(zip(*normals))
+    if row is not None:
+        order = _walk_order(len(lo), row)
+        lo, hi, columns = ([seq[i] for i in order] for seq in (lo, hi, columns))
     leaf = len(columns) - 1
     # ahead[k][f]: the most that coordinates k+1.. add to facet f in the box
     ahead = [(0,) * len(offsets)]
@@ -149,7 +170,7 @@ def lattice_rows(poly: Polytope):
                     first = max(first, -(-s // a))
                 elif a < 0:
                     last = min(last, s // a)
-            # pushed last to first, so that they pop in lexicographic order
+            # pushed last to first, so that they pop in ascending order
             child = tuple(r - a * last for r, a in zip(residual, column))
             for x in range(last, first - 1, -1):
                 stack.append(((*prefix, x), child))
@@ -197,18 +218,24 @@ def codim_sums(
     (1, ..., 1): sums is the census and scale is 1; else z has dim
     nonzero coordinates, or ValueError.
 
-    Read off lattice_rows without listing the points.  A coordinate
-    z_i = a/b over the box's [lo, hi] gives z_i**e = a**(e-lo) *
-    b**(hi-e) times a**lo / b**hi, and the product of the second factors
-    is the scale.  So a row (*prefix, first..last) of L points sums to
-    pre * a**(first-lo) * b**(hi-last) * G(L), with pre the prefix's int
-    part and G(L) = a**(L-1) + a**(L-2)*b + ... + b**(L-1), which is
-    (a**L - b**L)/(a - b), or L when z_n = 1.  Each facet tight at x
-    then moves that point's part from its codimension to the next.
+    Read off lattice_rows without listing the points, with the rows
+    along the coordinate of the integer box's largest extent, the last
+    of those tied (_longest_axis): the walk yields fewest rows there
+    when the polytope fills its box alike along each axis.  A
+    coordinate z_i = a/b over the box's [lo, hi] gives z_i**e =
+    a**(e-lo) * b**(hi-e) times a**lo / b**hi, and the product of the
+    second factors is the scale.  So a row of L points, first..last
+    along the row coordinate, sums to pre * a**(first-lo) *
+    b**(hi-last) * G(L), with pre the prefix's int part, a/b the row
+    coordinate's, and G(L) = a**(L-1) + a**(L-2)*b + ... + b**(L-1),
+    which is (a**L - b**L)/(a - b), or L when a = b.  Each facet tight
+    at x then moves that point's part from its codimension to the next.
     """
     sums = [0] * (len(poly.facets) + 1)
+    lo, hi = poly.integer_box()
+    row = _longest_axis(lo, hi)
     if z is None:
-        for _, first, last, row_tight, tight_at in lattice_rows(poly):
+        for _, first, last, row_tight, tight_at in lattice_rows(poly, row):
             sums[row_tight] += last - first + 1
             # moved[x]: x's codimension so far, as facets tight at x repeat
             moved: dict[int, int] = {}
@@ -220,36 +247,38 @@ def codim_sums(
                     sums[c + 1] += 1
         return {c: s for c, s in enumerate(sums) if s}, Fraction(1)
     z = _evaluation_point(poly, z)
-    lo, hi = poly.integer_box()
+    order = _walk_order(poly.dim, row)
     num = den = 1  # the scale
-    parts = []  # parts[i][e - lo[i]]: the int part of z_i**e
-    for c, lo_i, hi_i in zip(z, lo, hi):
-        a, b = c.numerator, c.denominator
+    parts = []  # parts[k][e - lo]: the int part of z_i**e, i = order[k]
+    for i in order:
+        a, b = z[i].numerator, z[i].denominator
+        lo_i, hi_i = lo[i], hi[i]
         num *= a ** max(lo_i, 0) * b ** max(-hi_i, 0)
         den *= a ** max(-lo_i, 0) * b ** max(hi_i, 0)
         apow = [a**k for k in range(hi_i - lo_i + 1)]
         bpow = [b**k for k in range(hi_i - lo_i + 1)]
         parts.append([p * q for p, q in zip(apow, reversed(bpow))])
-    # a, b, apow and bpow are the last coordinate's now; geometric[L] is
+    # a, b, apow and bpow are the row coordinate's now; geometric[L] is
     # G(L), as G(L+1) = a**L + b*G(L)
     geometric = [0]
     for p in apow:
         geometric.append(p + b * geometric[-1])
     *outer, part = parts
-    lo_n, hi_n = lo[-1], hi[-1]
-    for prefix, first, last, row_tight, tight_at in lattice_rows(poly):
+    outer_lo = [lo[i] for i in order[:-1]]
+    lo_r, hi_r = lo[row], hi[row]
+    for prefix, first, last, row_tight, tight_at in lattice_rows(poly, row):
         pre = 1
-        for outer_part, e, lo_i in zip(outer, prefix, lo):
+        for outer_part, e, lo_i in zip(outer, prefix, outer_lo):
             pre *= outer_part[e - lo_i]
         sums[row_tight] += pre * (
-            apow[first - lo_n] * bpow[hi_n - last] * geometric[last - first + 1]
+            apow[first - lo_r] * bpow[hi_r - last] * geometric[last - first + 1]
         )
         moved = {}
         for t in tight_at:
             if first <= t <= last:
                 c = moved.get(t, row_tight)
                 moved[t] = c + 1
-                point = pre * part[t - lo_n]
+                point = pre * part[t - lo_r]
                 sums[c] -= point
                 sums[c + 1] += point
     return {c: s for c, s in enumerate(sums) if s}, Fraction(num, den)
@@ -514,37 +543,63 @@ def _evaluation_point(poly: Polytope, z: Sequence) -> tuple[Fraction, ...]:
     return zt
 
 
-def _vertex_value(z: Sequence[Fraction], u: Fraction, apex, edges) -> Fraction:
+def _monomial(z, expo) -> tuple[int, int]:
+    """z^expo as an int numerator and denominator (N, D), z given as the
+    int pairs (p_i, q_i) of z_i = p_i/q_i: the powers of p_i over those
+    of q_i, swapped where expo_i < 0."""
+    num = den = 1
+    for (p, q), e in zip(z, expo):
+        if e > 0:
+            num *= p**e
+            den *= q**e
+        elif e < 0:
+            num *= q**-e
+            den *= p**-e
+    return num, den
+
+
+def _vertex_value(z, u, apex, edges) -> tuple[int, int]:
     """The vertex term z^apex * prod over the edges a of
-    (u + (1-u)*z^a) / (1 - z^a) at (z, u); PoleError at the first edge
-    with z^a = 1."""
-    num, den = prod(map(pow, z, apex)), 1
+    (u + (1-u)*z^a) / (1 - z^a) at (z, u), as an int numerator and
+    denominator, z as the pairs of _monomial and u = U/S as (U, S).
+    With z^a = N/D, an edge's factor is (U*D + (S-U)*N) / (S*(D-N));
+    PoleError at the first edge with N == D, that is z^a = 1."""
+    num, den = _monomial(z, apex)
+    U, S = u
     for a in edges:
-        za = prod(map(pow, z, a))
-        if za == 1:
+        N, D = _monomial(z, a)
+        if N == D:
             raise PoleError(
                 f"z^{a} = 1 at vertex {fmt_point(apex)}: the point "
                 f"lies on a pole; perturb z"
             )
-        num *= u + (1 - u) * za
-        den *= 1 - za
-    return num / den
+        num *= U * D + (S - U) * N
+        den *= S * (D - N)
+    return num, den
 
 
 def chi_y_vertex_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:
     """Sum of vertex terms evaluated at a concrete z with nonzero coordinates.
 
     Each vertex's term is evaluated at (z, u), u = w.on_face, from its
-    point and its edges, a factor at a time, so no numerator (up to 3^n
-    terms) is expanded.
+    point and its edges, a factor at a time and in ints (_vertex_value),
+    so no numerator (up to 3^n terms) is expanded.  The running sum is an
+    int numerator and denominator, reduced by their gcd once per vertex;
+    one Fraction is built at the end.
     """
     require_lattice_hypotheses(poly, "vertex-sum evaluation")
-    z, u = _evaluation_point(poly, z), w.on_face
-    total = Fraction(0)
+    z = [c.as_integer_ratio() for c in _evaluation_point(poly, z)]
+    u = w.on_face.as_integer_ratio()
+    num, den = 0, 1
     # P is integral: the vertices' common denominator is 1
     for apex, v in zip(poly.cleared_vertices[0], poly.vertices):
-        total += _vertex_value(z, u, apex, v.edges)
-    return total
+        vnum, vden = _vertex_value(z, u, apex, v.edges)
+        num = num * vden + vnum * den
+        den *= vden
+        g = gcd(num, den)
+        num //= g
+        den //= g
+    return Fraction(num, den)
 
 
 def chi_y_lattice_sum(poly: Polytope, w: WeightParam, z: Sequence) -> Fraction:

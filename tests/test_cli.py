@@ -159,9 +159,9 @@ def test_one_lattice_enumeration_per_command(capsys, monkeypatch, argv):
     calls = []
     walk = latticegen.lattice_rows
 
-    def counted(poly):
-        calls.append(poly)
-        return walk(poly)
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
 
     monkeypatch.setattr(latticegen, "lattice_rows", counted)
     code, _, _ = run(capsys, *argv)

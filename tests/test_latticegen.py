@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb, prod
 from pathlib import Path
 
@@ -135,6 +136,69 @@ def test_census_matches_the_point_dict_on_images(image):
     assert census == census_by_points(image)
     # the concrete-z route at z = (1, ..., 1) is the census too
     assert pc.codim_sums(image, (1,) * image.dim) == (census, 1)
+
+
+def permuted(P, sigma):
+    """P with coordinate k of each point taken from its coordinate
+    sigma[k]: the image under a permutation matrix."""
+    n = P.dim
+    return affine_image(P, [[int(j == sigma[k]) for j in range(n)] for k in range(n)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(P=any_image, data=st.data())
+def test_codim_sums_do_not_depend_on_the_coordinate_order(P, data):
+    # permuting the coordinates permutes the box's extents, so the walk
+    # runs its rows along a different coordinate of the same points
+    z = data.draw(st.tuples(*[st.sampled_from(_Z_CHOICES)] * P.dim))
+    census, sums = pc.codim_sums(P), pc.codim_sums(P, z)
+    for sigma in permutations(range(P.dim)):
+        Q = permuted(P, sigma)
+        assert pc.codim_sums(Q) == census, sigma
+        assert pc.codim_sums(Q, [z[i] for i in sigma]) == sums, sigma
+
+
+# the bench's seeded image of simplex:3,12: its box is 24 wide along the
+# first coordinate and 12 along the others
+SHEARED_SIMPLEX_3_12 = pc.Polytope(
+    [((1, -1, 1), 0), ((0, -1, 1), 0), ((0, 1, 0), 0), ((-1, 1, -2), -12)]
+)
+# [0, 2]^3 cut by x + y <= 3: equal extents, 8 rows along z, 9 along x or y
+CUT_CUBE = pc.Polytope(
+    [((1, 0, 0), 0), ((-1, 0, 0), -2), ((0, 1, 0), 0), ((0, -1, 0), -2),
+     ((0, 0, 1), 0), ((0, 0, -1), -2), ((-1, -1, 0), -3)]
+)
+
+
+@pytest.mark.parametrize(
+    "P, rows, lexicographic_rows",
+    [
+        (SHEARED_SIMPLEX_3_12, 91, 169),
+        (pc.dilated_simplex(3, 12), 91, 91),
+        (pc.hypercube(3, 6), 49, 49),
+        (CUT_CUBE, 8, 8),
+    ],
+    ids=["sheared simplex:3,12", "simplex:3,12", "cube:3,6", "cut cube"],
+)
+def test_codim_sums_walk_their_rows_along_the_longest_axis(
+    monkeypatch, P, rows, lexicographic_rows
+):
+    # equal extents keep the last coordinate, and so the rows of
+    # lattice_points; the sheared image's rows run along its first
+    walk = latticegen.lattice_rows
+    assert sum(1 for _ in walk(P)) == lexicographic_rows
+    walked = []
+
+    def counted(*args):
+        for r in walk(*args):
+            walked.append(r)
+            yield r
+
+    monkeypatch.setattr(latticegen, "lattice_rows", counted)
+    for z in (None, (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13))):
+        walked.clear()
+        pc.codim_sums(P, z)
+        assert len(walked) == rows, z
 
 
 @pytest.mark.parametrize(
@@ -479,6 +543,54 @@ def test_chi_lattice_sum_matches_the_oracle_on_images(P, y, data):
         assert pc.chi_y_vertex_sum(P, w, z) == expected
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [pc.hypercube(6, 2), pc.hypercube(8, 2)]
+    + [Q for _, Q in sheared_zoo() if Q.regular and Q.integral],
+    ids=["cube:6,2", "cube:8,2"]
+    + [name for name, Q in sheared_zoo() if Q.regular and Q.integral],
+)
+def test_chi_vertex_sum_in_ints_matches_the_oracle_at_negative_z(P):
+    # each p_i or q_i of z_i = p_i/q_i is a distinct prime, so no two
+    # powers cancel by accident; a negative p_i flips the sign of N or D
+    pairs = [(_PRIMES[2 * i], _PRIMES[2 * i + 1]) for i in range(P.dim)]
+    for signs in ((-1,) * P.dim, tuple((-1) ** i for i in range(P.dim))):
+        z = tuple(Fraction(s * p, q) for s, (p, q) in zip(signs, pairs))
+        for y in (Fraction(2, 3), Fraction(-5, 3)):
+            w = pc.WeightParam(y)
+            assert pc.chi_y_vertex_sum(P, w, z) == vertex_sum_oracle(P, w, z)
+
+
+# the sheared cube:3,2 moved to x about -1000 that CI also runs
+FARCUBE = {"dim": 3, "facets": [
+    [1, 0, 2, -1006], [-1, 0, -2, 1004], [0, 1, -1, 10],
+    [0, -1, 1, -12], [0, 0, 1, -3], [0, 0, -1, 1],
+]}
+
+
+def test_chi_pole_through_an_even_power_of_minus_one(capsys, tmp_path):
+    # z^(2, -1, -1) at z = (-1, 2, 1/2) is (-1)^2 * (1/2) * 2 = 1: N and D
+    # meet only once the even power has taken the sign off -1
+    P = pc.Polytope([(f[:-1], f[-1]) for f in FARCUBE["facets"]])
+    w, z = pc.WeightParam(Fraction(2, 3)), (-1, 2, Fraction(1, 2))
+    message = (
+        "z^(2, -1, -1) = 1 at vertex (-1004, 9, -1): the point lies on a "
+        "pole; perturb z"
+    )
+    with pytest.raises(pc.PoleError) as expected:
+        vertex_sum_oracle(P, w, z)
+    with pytest.raises(pc.PoleError) as got:
+        pc.chi_y_vertex_sum(P, w, z)
+    assert str(got.value) == str(expected.value) == message
+    path = tmp_path / "farcube.json"
+    path.write_text(json.dumps(FARCUBE))
+    assert main(["chi", str(path), "--y", "2/3", "--z=-1,2,1/2"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
+
 def test_chi_vertex_sum_expands_no_numerator(monkeypatch):
     products, terms = [], []
     mul = LaurentPoly.__mul__
@@ -692,15 +804,16 @@ def test_brion_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken)
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
 def test_chi_command_reports_a_broken_vertex_term(capsys, monkeypatch, broken):
-    # chi evaluates each vertex term from the vertex and its edges: vertex
-    # 0's value is dropped, or negated as a flipped binomial negates it
+    # chi evaluates each vertex term from the vertex and its edges, as an
+    # int numerator and denominator: vertex 0's value is dropped, or
+    # negated as a flipped binomial negates it
     value = latticegen._vertex_value
 
     def patched(z, u, apex, edges):
-        term = value(z, u, apex, edges)
+        num, den = value(z, u, apex, edges)
         if any(apex):
-            return term
-        return 0 if broken == "dropped" else -term
+            return num, den
+        return (0 if broken == "dropped" else -num), den
 
     monkeypatch.setattr(latticegen, "_vertex_value", patched)
     argv = ["chi", "--builtin", "cube:3,2", "--y", "2/3", "--z", "2,3,5"]
