@@ -197,8 +197,10 @@ def _weight_param(ns) -> WeightParam | None:
 def _cmd_vertices(ns) -> int:
     poly = _load_and_describe(ns)
     nums, den = poly.cleared_vertices
+    # each distinct direction is formatted once
+    fmt_edge = functools.cache(str)
     for i, (v, num) in enumerate(zip(poly.vertices, nums)):
-        edges = ", ".join(str(e) for e in v.edges)
+        edges = ", ".join(map(fmt_edge, v.edges))
         print(f"vertex {i}: {fmt_point(num, den)}  facets {list(v.active)}  "
               f"edges [{edges}]")
     return 0

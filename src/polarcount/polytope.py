@@ -16,19 +16,20 @@ found by walking the vertex graph with integer pivots, as
 reverse-search vertex enumeration does (Avis and Fukuda; lrs),
 simplified for simple polytopes.  Each vertex carries a tableau
 (_Tableau): the cleared point, its facet slacks, its edges d_i and the
-rate table R[f][i] = <a_f, d_i>.  The ratio test along d_k reads column
-k of R, and the neighbour's tableau is the parent's after one
-fraction-free pivot (_pivot) that swaps the relaxed facet for the
-blocking one, with |det| updated by the pivot's scale factors; a vertex
-is regular exactly when that |det| is 1.  The same pivot finds the
-start vertex (_first_vertex): a depth-first search over facet subsets
-in lexicographic order enters one facet per level, starting from the
-origin with the coordinate directions as free edges.  The cost is
-O(facets * dim) integer operations per pivot, rather than one solve per
-dim-subset of the facets.  A tie in a ratio test is a non-simple
-vertex, an edge no facet blocks is an unbounded ray, and a facet no
-vertex touches is redundant.  Membership queries (contains,
-active_facets, face_codim) read the same integer facet slacks.
+rate table R[f][i] = <a_f, d_i>.  The ratio test (_blocking) along d_k
+reads column k of R, once per edge, from the end the walk reaches
+first.  The neighbour's tableau is the parent's after one fraction-free
+pivot (_pivot) that swaps the relaxed facet for the blocking one, with
+no sort, and scales |det| by the pivot's factors; a vertex is regular
+exactly when that |det| is 1.  The same pivot finds the start vertex
+(_first_vertex): a depth-first search over facet subsets in
+lexicographic order enters one facet per level, starting from the
+origin with the coordinate directions as free edges.  A pivot costs
+O(facets * dim) integer operations, not one solve per dim-subset of the
+facets.  A tie in a ratio test is a non-simple vertex, an edge no facet
+blocks is an unbounded ray, and a facet no vertex touches is redundant.
+Membership queries (contains, active_facets, face_codim) read the same
+integer facet slacks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators, vec
@@ -136,42 +137,33 @@ class Polytope:
     def _walk(self) -> tuple[tuple, tuple, tuple, bool]:
         """Every vertex with its edges, by pivoting along the vertex graph.
 
-        The start vertex's tableau comes from _first_vertex's search,
-        which runs on _pivot too.  Every other vertex's tableau is its
-        parent's after one _pivot, made when the vertex is first queued
-        and dropped once it is popped.  The ratio test along edge k
-        reads column k of the rate table: a facet f with rate -R[f][k]
-        > 0 blocks the edge after slack / rate, and the nearest one is
-        entered.  The neighbour's active set is S with the relaxed facet
-        swapped for the blocking one.  A tie makes the neighbour
-        non-simple, and an edge no facet blocks is an unbounded ray.
-        Returns the vertices sorted by point, their cleared points
-        (cleared_vertices), the edges as sorted index pairs and the
-        regular flag.
+        The start's tableau comes from _first_vertex; every other
+        vertex's is its parent's after one _pivot, made when it is first
+        queued and dropped once it is popped.  Each edge is tested once,
+        by _blocking from the end the walk reaches first: the test from
+        u that enters facet j at w is recorded on w, which skips its
+        edge relaxing j, back to u.  That test could neither tie nor be
+        unbounded, as w's single blocking facet proves it simple, so the
+        errors are those of testing both ends.  A tie makes the
+        neighbour non-simple, and an edge no facet blocks is an
+        unbounded ray.  Returns the vertices sorted by point, their
+        cleared points, the edges as sorted index pairs and the regular
+        flag.
         """
         n, facets = self.dim, self.facets
         start, tab = _first_vertex(facets)
-        pending = {start: tab}
-        graph = {}
-        unbounded = {}
+        # a queued vertex's tableau and the facets whose edges are tested
+        pending = {start: (tab, [])}
+        graph, found, unbounded, todo = {}, [], {}, [start]
         regular = True
-        todo = [start]
         while todo:
             active = todo.pop()
-            tab = pending.pop(active)
+            tab, tested = pending.pop(active)
             regular = regular and tab.absdet == 1
-            neighbours = []
             for k, (relaxed, d, col) in enumerate(zip(active, tab.edges, tab.rates)):
-                # nearest facets along d: least slack / rate, rate = -<a, d> > 0
-                blocking, near_s, near_r = [], 0, 1
-                for i, r in enumerate(col):
-                    if r >= 0:
-                        continue
-                    s, rate = tab.slack[i], -r
-                    if not blocking or s * near_r < near_s * rate:
-                        blocking, near_s, near_r = [i], s, rate
-                    elif s * near_r == near_s * rate:
-                        blocking.append(i)
+                if relaxed in tested:
+                    continue
+                blocking, near_s, near_r = _blocking(col, tab.slack)
                 if not blocking:
                     unbounded.setdefault(active, d)
                     continue
@@ -187,17 +179,19 @@ class Polytope:
                 rest = active[:k] + active[k + 1:]
                 at = bisect_left(rest, j)
                 nxt = rest[:at] + (j,) + rest[at:]
-                neighbours.append(nxt)
-                if nxt not in graph and nxt not in pending:
-                    pending[nxt] = _pivot(tab, active, k, j)
+                found.append((active, nxt))
+                # nxt is not popped yet, or its test back would be skipped
+                if nxt not in pending:
+                    pending[nxt] = (_pivot(tab, active, k, j), [])
                     todo.append(nxt)
-            graph[active] = (tab.num, tab.den, tab.edges, neighbours)
+                pending[nxt][1].append(j)
+            graph[active] = (tab.num, tab.den, tab.edges)
 
         # num * (scale // den) orders the points as their Fractions do
-        scale = lcm(*(den for _, den, _, _ in graph.values()))
+        scale = lcm(*(den for _, den, _ in graph.values()))
         cleared = {
-            active: tuple(x * (scale // den) for x in num)
-            for active, (num, den, _, _) in graph.items()
+            active: num if den == scale else tuple(x * (scale // den) for x in num)
+            for active, (num, den, _) in graph.items()
         }
         order = sorted(graph, key=cleared.__getitem__)
         for active in order:
@@ -214,11 +208,7 @@ class Polytope:
                 )
         index = {active: k for k, active in enumerate(order)}
         vertices = tuple(Vertex(a, graph[a][2]) for a in order)
-        # each edge is listed at both ends; keep it once, from its lower end
-        edges = sorted(
-            (index[a], index[b]) for a in order for b in graph[a][3]
-            if index[a] < index[b]
-        )
+        edges = sorted(tuple(sorted((index[a], index[b]))) for a, b in found)
         nums = tuple(cleared[a] for a in order)
         return vertices, (nums, scale), tuple(edges), regular
 
@@ -301,17 +291,16 @@ def _first_vertex(facets: Sequence) -> tuple[tuple[int, ...], _Tableau]:
     Depth first over the dim-subsets of the integer facets in
     lexicographic order, on _pivot alone.  The root is the origin, whose
     edges are the coordinate directions, kept as free slots labelled
-    -dim..-1 so that _pivot's sort by label keeps them first; the rates
-    of slot k are a_f[k] and |det| is 1.  Facet i enters through the
-    first free slot with a nonzero rate on it, negated first when that
-    rate is positive, so that _pivot's rho is positive.  A facet with
-    zero rate on every free slot has its normal in the span of the
-    prefix's, so no extension has a unique solution and it is skipped.
-    The first full subset with no negative slack is the start vertex,
-    and its tableau is the one the walk takes: the point, the primitive
-    edges in facet order, the rates and |det| are all fixed by the
-    active set.  An explicit stack holds one child per level, made when
-    it is entered.
+    -dim..-1, below every facet, so _pivot puts each entered facet's
+    column last; the rates of slot k are a_f[k] and |det| is 1.  Facet
+    i enters through the first free slot with a nonzero rate on it.  A
+    facet with zero rate on every free slot has its normal in the span
+    of the prefix's, so no extension has a unique solution and it is
+    skipped.  The first full subset with no negative slack is the start
+    vertex, and its tableau is the one the walk takes: the point, the
+    primitive edges in facet order, the rates and |det| are all fixed
+    by the active set.  An explicit stack holds one child per level,
+    made when it is entered.
     """
     n = len(facets[0][0])
     root = _Tableau(
@@ -333,11 +322,6 @@ def _first_vertex(facets: Sequence) -> tuple[tuple[int, ...], _Tableau]:
             continue
         stack.append((labels, tab, i + 1))
         k = next(k for k in range(free) if tab.rates[k][i])
-        if tab.rates[k][i] > 0:
-            edges, rates = list(tab.edges), list(tab.rates)
-            edges[k] = tuple(-a for a in edges[k])
-            rates[k] = [-r for r in rates[k]]
-            tab = tab._replace(edges=tuple(edges), rates=rates)
         child = _pivot(tab, labels, k, i)
         labels = labels[:k] + labels[k + 1:] + (i,)
         if free > 1:
@@ -355,21 +339,38 @@ def _first_vertex(facets: Sequence) -> tuple[tuple[int, ...], _Tableau]:
     )
 
 
+def _blocking(col: Sequence[int], slack: Sequence[int]) -> tuple[list, int, int]:
+    """The ratio test along an edge with rates col: the facets f with
+    col[f] < 0 of least step slack[f] / -col[f], and that step as (s, r)."""
+    blocking, near_s, near_r = [], 0, 1
+    for i in [i for i, r in enumerate(col) if r < 0]:
+        s, r = slack[i], -col[i]
+        if not blocking or s * near_r < near_s * r:
+            blocking, near_s, near_r = [i], s, r
+        elif s * near_r == near_s * r:
+            blocking.append(i)
+    return blocking, near_s, near_r
+
+
 def _pivot(tab: _Tableau, active: tuple[int, ...], k: int, j: int) -> _Tableau:
     """The neighbour's tableau: leave active[k] along d_k, enter facet j.
 
-    With rho = -R[j][k] > 0 and s_j the slack of j, the neighbour is
-    (rho * num + s_j * d_k) / (rho * den) with slacks rho * S_f + s_j *
-    R[f][k], all divided by the gcd of the point.  Its edge for j is
-    -d_k, and for each other i it is (rho * d_i + R[j][i] * d_k) / g_i,
-    which keeps every facet of S - {k} tight, vanishes on j, and is
-    primitive after the division by its gcd g_i; its rates are
-    (rho * R[f][i] + R[j][i] * R[f][k]) / g_i, each division exact.  Only
-    the scaling of column i by rho / g_i changes |det|, so the new
-    |det| is |det| * rho^(dim-1) / prod g_i.  The edges are reordered
-    by facet index.  Cost: O(facets * dim).
+    d_k is negated first if R[j][k] > 0, as only a free slot of the
+    start search allows.  With rho = -R[j][k] > 0 and s_j the slack of
+    j, the neighbour is (rho * num + s_j * d_k) / (rho * den) with
+    slacks rho * S_f + s_j * R[f][k], all divided by the gcd of the
+    point.  Its edge for j is -d_k, and for each other i it is (rho *
+    d_i + R[j][i] * d_k) / g_i, which keeps every facet of S - {k}
+    tight, vanishes on j, and is primitive after the division by its
+    gcd g_i; its rates are (rho * R[f][i] + R[j][i] * R[f][k]) / g_i,
+    each division exact.  Only the scaling of column i by rho / g_i
+    changes |det|, so the new |det| is |det| * rho^(dim-1) / prod g_i.
+    j's column goes in at its place in the sorted labels, with no sort.
+    Cost: O(facets * dim).
     """
     col_k, d_k = tab.rates[k], tab.edges[k]
+    if col_k[j] > 0:  # a free slot of the start search, turned to face j
+        col_k, d_k = [-r for r in col_k], tuple(-a for a in d_k)
     rho, s_j = -col_k[j], tab.slack[j]
     num = [rho * x + s_j * a for x, a in zip(tab.num, d_k)]
     den = rho * tab.den
@@ -379,9 +380,8 @@ def _pivot(tab: _Tableau, active: tuple[int, ...], k: int, j: int) -> _Tableau:
         num = [x // g for x in num]
         den //= g
         slack = [s // g for s in slack]
-    columns = [(j, tuple(-a for a in d_k), [-r for r in col_k])]
-    content = 1
-    for i, (facet, d, col) in enumerate(zip(active, tab.edges, tab.rates)):
+    edges, rates, content = [], [], 1
+    for i, (d, col) in enumerate(zip(tab.edges, tab.rates)):
         if i == k:
             continue
         c = col[j]
@@ -398,11 +398,13 @@ def _pivot(tab: _Tableau, active: tuple[int, ...], k: int, j: int) -> _Tableau:
             # (rho * d_i) / rho: the edge and its column are unchanged
             g_i = rho
         content *= g_i
-        columns.append((facet, d, col))
-    columns.sort(key=itemgetter(0))
+        edges.append(d)
+        rates.append(col)
+    at = bisect_left(active, j) - (active[k] < j)
+    edges.insert(at, tuple(-a for a in d_k))
+    rates.insert(at, [-r for r in col_k])
     return _Tableau(
-        tuple(num), den, slack,
-        tuple(d for _, d, _ in columns), [col for _, _, col in columns],
+        tuple(num), den, slack, tuple(edges), rates,
         tab.absdet * rho ** (len(active) - 1) // content,
     )
 
@@ -437,9 +439,10 @@ def fmt_point(x: Sequence, den: int = 1) -> str:
 def _integer_row(facet) -> HalfSpace:
     """A (normal, offset) pair scaled by the lcm of its denominators."""
     row = (*facet[0], facet[1])
-    if not all(type(a) is int or type(a) is Fraction for a in row):
-        row = vec(row)  # strings, floats and subclasses, as Fractions
-    row, _ = clear_denominators(row)
+    if any(type(a) is not int for a in row):  # a row of ints is kept
+        if not all(type(a) is int or type(a) is Fraction for a in row):
+            row = vec(row)  # strings, floats and subclasses, as Fractions
+        row, _ = clear_denominators(row)
     if not any(row[:-1]):
         raise PolytopeError("facet normal must be nonzero")
     return HalfSpace(row[:-1], row[-1])
@@ -470,10 +473,8 @@ def hypercube(n: int, side=1) -> Polytope:
         raise PolytopeError("side must be positive")
     facets = []
     for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        facets.append((tuple(e), 0))
-        facets.append((tuple(-a for a in e), -Fraction(side)))
+        e = tuple(int(p == i) for p in range(n))
+        facets += [(e, 0), (tuple(-a for a in e), -Fraction(side))]
     return Polytope(facets)
 
 
@@ -483,11 +484,7 @@ def dilated_simplex(n: int, dilation=1) -> Polytope:
         raise PolytopeError("dimension must be at least 1")
     if Fraction(dilation) <= 0:
         raise PolytopeError("dilation must be positive")
-    facets = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        facets.append((tuple(e), 0))
+    facets = [(tuple(int(p == i) for p in range(n)), 0) for i in range(n)]
     facets.append(((-1,) * n, -Fraction(dilation)))
     return Polytope(facets)
 
@@ -526,11 +523,12 @@ def prism(dilation=1, height=1) -> Polytope:
 _NUMBER_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def _parse_number(x, where: str) -> Fraction:
+def _parse_number(x, where: str) -> int | Fraction:
+    """A JSON int as it is, or a 'p/q' string as a Fraction."""
     if isinstance(x, bool):
         raise PolytopeFormatError(f"{where}: booleans are not numbers")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         if not _NUMBER_RE.match(x.strip()):
             raise PolytopeFormatError(
@@ -566,7 +564,8 @@ def _reject_float(value):
 
 
 def from_dict(data: dict) -> Polytope:
-    """Build a polytope from {'dim': n, 'facets': [[u_1..u_n, offset], ...]}."""
+    """Build a polytope from {'dim': n, 'facets': [[u_1..u_n, offset], ...]},
+    each entry read as an int or a Fraction (_parse_number)."""
     if not isinstance(data, dict):
         raise PolytopeFormatError("top level must be an object")
     missing = {"dim", "facets"} - set(data)

@@ -147,6 +147,29 @@ def test_unbounded_ray_reported_after_the_walk():
     )
 
 
+def test_non_simple_vertex_met_deep_in_the_walk():
+    # [0, 2]^3 cut by x + y + z <= 4: the start (0, 0, 0) is simple, and
+    # the tie is met after three pivots, testing from (0, 0, 2)
+    with pytest.raises(pc.NonSimpleError) as err:
+        pc.Polytope([*pc.hypercube(3, 2).facets, ((-1, -1, -1), -4)])
+    assert str(err.value) == (
+        "vertex (2, 0, 2) lies on 4 facets (indices [1, 2, 5, 6]); "
+        "a simple 3-polytope allows exactly 3"
+    )
+
+
+def test_unbounded_ray_met_two_pivots_from_the_start():
+    # y above a convex chain with vertices (0, 0), (+-1, 1), (+-2, 4): the
+    # walk starts at (0, 0), the first subset, and the rays leave (+-2, 4),
+    # two pivots away
+    with pytest.raises(pc.UnboundedError) as err:
+        pc.Polytope([((1, 1), 0), ((-1, 1), 0), ((-3, 1), -2), ((3, 1), -2),
+                     ((-5, 1), -6), ((5, 1), -6)])
+    assert str(err.value) == (
+        "edge at vertex (-2, 4) along (-1, 5) never leaves the feasible region"
+    )
+
+
 def test_empty_region_detected():
     with pytest.raises(pc.UnboundedError):
         pc.Polytope([((1,), 1), ((-1,), 0)])
@@ -293,6 +316,32 @@ def test_from_dict_accepts_fraction_strings():
         {"dim": 1, "facets": [["1", 0], [-2, "-3/1"]]}
     )
     assert vertex_points(P) == [(0,), (Fraction(3, 2),)]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 2, -1006], [-1, 0, -2, 1004], [0, 1, -1, 10],
+     [0, -1, 1, -12], [0, 0, 1, -3], [0, 0, -1, 1]],
+    [[2, 1, 0], [0, 1, 0], [-1, -1, -3], [1, -2, -4]],
+], ids=["farcube", "quadrilateral"])
+def test_int_files_load_in_ints_like_their_fraction_strings(tmp_path, rows):
+    """A file of plain ints and the same file with 'p/1' strings build
+    equal polytopes, and the ints stay ints from the parse on."""
+    dim = len(rows[0]) - 1
+    loaded = []
+    for name, entries in (
+        ("ints", rows), ("strings", [[f"{a}/1" for a in row] for row in rows]),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": dim, "facets": entries}))
+        loaded.append(pc.from_file(path))
+    P, Q = loaded
+    assert P.facets == Q.facets
+    assert P.cleared_vertices == Q.cleared_vertices
+    assert P.vertices == Q.vertices
+    assert P.edges() == Q.edges()
+    assert all(type(a) is int for f in P.facets for a in (*f.normal, f.offset))
+    assert type(polytope._parse_number(-1006, "entry")) is int
+    assert polytope._parse_number("-1006/1", "entry") == Fraction(-1006)
 
 
 def test_file_errors(tmp_path):
@@ -514,6 +563,48 @@ def test_vertex_regularity_matches_edge_determinant_on_generated(facets):
 @given(image=high_dim_images())
 def test_vertex_regularity_matches_edge_determinant_above_dimension_three(image):
     assert_walked_tableaux(image)
+
+
+def assert_one_ratio_test_per_edge(facets):
+    """Constructing from facets runs _blocking n * V / 2 times, once per
+    edge, and the edges are the n * V / 2 of a simple polytope."""
+    calls = []
+    blocking = polytope._blocking
+
+    def counting(col, slack):
+        calls.append(col)
+        return blocking(col, slack)
+
+    with patch.object(polytope, "_blocking", counting):
+        P = pc.Polytope(facets)
+    assert 2 * len(calls) == P.dim * len(P.vertices) == 2 * len(P.edges())
+
+
+@pytest.mark.parametrize("P", construction_cases())
+def test_one_ratio_test_per_edge(P):
+    assert_one_ratio_test_per_edge(P.facets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(image=zoo_images())
+def test_one_ratio_test_per_edge_on_images(image):
+    assert_one_ratio_test_per_edge(image.facets)
+
+
+@settings(max_examples=20, deadline=None)
+@given(image=high_dim_images())
+def test_one_ratio_test_per_edge_above_dimension_three(image):
+    assert_one_ratio_test_per_edge(image.facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facets=facet_systems())
+def test_one_ratio_test_per_edge_on_generated(facets):
+    try:
+        pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    assert_one_ratio_test_per_edge(facets)
 
 
 def test_no_fraction_elimination_per_construction(monkeypatch):

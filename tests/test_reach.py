@@ -56,6 +56,7 @@ CORPUS = [
     (0, ["vertices", "--builtin", "cube:6"]),
     (0, ["vertices", "--builtin", "cube:7"]),
     (0, ["vertices", "--builtin", "simplex:10"]),
+    (0, ["vertices", "--builtin", "cube:10"]),
     (0, ["decompose", "--builtin", "cube:5,1", "--y=-5/3"]),
     (0, ["svg", "--builtin", "cube:2,3", "--y", "3/4"]),
     (0, ["svg", "{polytopes}/halfsquare.json", "--margin", "0"]),
@@ -67,6 +68,7 @@ CORPUS = [
     (2, ["vertices", "{nonutf8}"]),
     (2, ["vertices", "{deep}"]),
     (2, ["vertices", "{polytopes}/octahedron.json"]),
+    (2, ["vertices", "{cutcube}"]),
     (0, ["vertices", "{polytopes}/halfsquare.json"]),
     (2, ["vertices", "{empty}"]),
     (2, ["vertices", "{ray}"]),
@@ -112,6 +114,10 @@ def make_files(tmp: Path) -> dict[str, str]:
         "farcube": {"dim": 3, "facets": [
             [1, 0, 2, -1006], [-1, 0, -2, 1004], [0, 1, -1, 10],
             [0, -1, 1, -12], [0, 0, 1, -3], [0, 0, -1, 1]]},
+        # [0, 2]^3 cut by x + y + z <= 4, non-simple at (2, 0, 2)
+        "cutcube": {"dim": 3, "facets": [
+            [1, 0, 0, 0], [-1, 0, 0, -2], [0, 1, 0, 0], [0, -1, 0, -2],
+            [0, 0, 1, 0], [0, 0, -1, -2], [-1, -1, -1, -4]]},
         "empty": {"dim": 1, "facets": [[1, 1], [-1, 0]]},
         "ray": {"dim": 2, "facets": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]},
         "bool": {"dim": 1, "facets": [[True, 0], [-1, -1]]},
