@@ -61,7 +61,8 @@ from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import LaurentPoly, RationalFunction, coefficient_text, format_terms
-from .polarize import polarize_cones
+from .linalg import oriented
+from .polarize import polarize_cones, wall_directions
 from .polytope import Polytope, fmt_point
 from .weights import (
     CheckResult,
@@ -374,11 +375,10 @@ def vertex_term(poly: Polytope, vertex_index: int) -> VertexTerm:
     # the edges are primitive int vectors (Polytope construction), so the
     # canonical direction is the edge itself or its negation
     for a in v.edges:
-        if next(x for x in a if x) > 0:
-            b = a
+        b = oriented(a)
+        if b is a:
             binom = {u: 1, (*b, 0): 1, (*b, 1): -1}
         else:
-            b = tuple(-x for x in a)
             binom = {one: -1, u: 1, (*b, 1): -1}
         factors.append(LaurentPoly._of(n + 1, binom))
         dirs.append(b)
@@ -478,16 +478,16 @@ def _denominator(nvars: int, dirs) -> LaurentPoly:
     return pack.unpacked(_lift({pack.origin: 1}, map(pack.shift, dirs)))
 
 
-def _vertex_sum(poly: Polytope) -> tuple[_Packing, dict[int, int], list]:
+def _vertex_sum(poly: Polytope) -> tuple[_Packing, dict[int, int], tuple]:
     """The vertex sum's numerator over prod (1 - z^b), packed; its
-    packing; and the distinct directions b, in order of first appearance.
+    packing; and the directions b: the walls, polarize.wall_directions.
 
     Each vertex's numerator, the product of its factors, is packed and
     lifted over the directions that vertex lacks.
     """
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
-    all_dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
+    all_dirs = wall_directions(poly)
     pack = _packing(*poly.integer_box(), all_dirs)
     total: dict[int, int] = {}
     for t in terms:

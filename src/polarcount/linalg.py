@@ -9,13 +9,15 @@ _eliminate, which solve_linear, inverse and rank read for the rank and
 det reads for the product of its pivots.  No program path calls these
 four: polytope construction reaches every vertex by integer pivots, the
 tests use them as oracles for it, and the benchmark's tracer
-(bench/tracing.py) wraps them by name.
+(bench/tracing.py) wraps them by name.  dot, vadd and vsub are Fraction
+oracles for the tests too.  oriented is the one sign rule for a line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple
@@ -130,9 +132,11 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(a // g for a in ints)
 
 
+def oriented(p: Sequence[int]) -> tuple[int, ...]:
+    """p itself or -p, whichever has its first nonzero entry positive."""
+    return p if next(filter(None, p)) > 0 else tuple(map(neg, p))
+
+
 def canonical_direction(v: Sequence) -> tuple[int, ...]:
-    """Primitive vector for the line through v: sign fixed so the first
-    nonzero entry is positive."""
-    p = primitive(v)
-    first = next(a for a in p if a != 0)
-    return p if first > 0 else tuple(-a for a in p)
+    """Primitive vector for the line through v, oriented."""
+    return oriented(primitive(v))

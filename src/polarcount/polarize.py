@@ -6,17 +6,21 @@ the polarizing vector is positive, so that every generator of the new
 cone pairs negative.  The number of flips at a vertex determines the
 sign of that cone's contribution to the decomposition of the polytope's
 weighted characteristic function.
+
+The walls are the distinct oriented edge directions; find_polarizing and
+crossing_pair both take, in ints, the first point of the moment curve
+off finitely many hyperplanes (_moment_curve).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import canonical_direction, clear_denominators, dot, vadd, vec, vsub
+from .linalg import canonical_direction, clear_denominators, oriented, vec
 from .polytope import Polytope, facet_slacks, fmt_point
 
 
@@ -62,7 +66,8 @@ class PolarizedCone:
 
 def is_polarizing(poly: Polytope, xi: Sequence) -> bool:
     """True when xi pairs nonzero with every edge direction of poly."""
-    return _pairs_nonzero(poly, _cleared(poly, xi))
+    xint = _cleared(poly, xi)
+    return all(sum(map(mul, d, xint)) for d in wall_directions(poly))
 
 
 def _cleared(poly: Polytope, xi: Sequence) -> tuple[int, ...]:
@@ -72,30 +77,28 @@ def _cleared(poly: Polytope, xi: Sequence) -> tuple[int, ...]:
     return clear_denominators(vec(xi))[0]
 
 
-def _pairs_nonzero(poly: Polytope, xi: tuple[int, ...]) -> bool:
-    return all(sum(map(mul, d, xi)) for v in poly.vertices for d in v.edges)
+def _moment_curve(n: int, seed: int, normals: Sequence) -> tuple[int, ...]:
+    """The first (1, t, ..., t**(n-1)) with t >= seed and t != 0 that
+    pairs nonzero with every normal, each a nonzero int vector.
 
-
-def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
-    """Deterministic small polarizing vector.
-
-    Walks the moment curve (1, t, t**2, ...) for t = seed, seed+1, ...,
-    skipping t = 0.  An edge direction d pairs with the curve as a
-    nonzero polynomial in t of degree below dim, so it rules out at most
-    dim-1 values of t.  There are at most dim * vertices / 2 directions
-    up to sign, fewer than budget - 1 bad values in all, so the walk
-    always ends within the budget.
+    A normal pairs with the curve as a nonzero polynomial in t of degree
+    below n, so it rules out at most n-1 values of t: with t = 0, fewer
+    than budget values in all, and the walk always ends within it.
     """
-    n = poly.dim
-    edge_count = sum(len(v.edges) for v in poly.vertices)
-    budget = max(8, edge_count * max(1, n - 1) + 1)
+    budget = len(normals) * (n - 1) + 2
     for t in range(seed, seed + budget):
         if t == 0:
             continue
         xi = tuple(t**k for k in range(n))
-        if _pairs_nonzero(poly, xi):
-            return tuple(map(Fraction, xi))
+        if all(sum(map(mul, d, xi)) for d in normals):
+            return xi
     raise PolarizationError("could not find a polarizing vector")
+
+
+def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
+    """Deterministic small polarizing vector: the first point of the
+    moment curve from t = seed on that lies off every wall."""
+    return tuple(map(Fraction, _moment_curve(poly.dim, seed, wall_directions(poly))))
 
 
 def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
@@ -164,53 +167,39 @@ def cone_point_slacks(cones: Sequence[PolarizedCone], x: Sequence) -> tuple[dict
 
 
 def wall_directions(poly: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Distinct edge directions up to sign, canonically oriented."""
-    seen = []
-    for v in poly.vertices:
-        for d in v.edges:
-            c = canonical_direction(d)
-            if c not in seen:
-                seen.append(c)
-    return tuple(seen)
+    """Distinct edge directions up to sign, oriented, in order of first
+    appearance; the edges are primitive int vectors already, and only
+    the distinct ones are oriented."""
+    edges = dict.fromkeys(chain.from_iterable(v.edges for v in poly.vertices))
+    return tuple(dict.fromkeys(map(oriented, edges)))
+
 
 def crossing_pair(poly: Polytope, wall: Sequence, seed: int = 0) -> tuple[tuple, tuple]:
-    """Two polarizing vectors separated only by the given wall.
+    """Two polarizing int vectors separated only by the given wall.
 
     Returns (xi_minus, xi_plus) with <wall, xi_minus> < 0 < <wall, xi_plus>
     and identical pairing signs against every edge direction not parallel
-    to the wall.
+    to the wall.  With b the primitive wall, base = <b,b> r - <r,b> b
+    lies on it, and r, the moment curve's point from t = seed on, makes
+    each <d, base> = <r, <b,b> d - <d,b> b> a nonzero int for every other
+    wall d.  So M = 1 + max |<d,b>| keeps the sign of <d, M base -+ b>.
     """
-    beta = canonical_direction(wall)
-    others = [d for d in wall_directions(poly) if d != beta]
-    bb = dot(beta, beta)
-    rng = random.Random(seed)
-    base = None
-    for _ in range(10000):
-        r = tuple(Fraction(rng.randint(-99, 99)) for _ in range(poly.dim))
-        # exact projection onto the wall, scaled to stay rational
-        candidate = vsub(tuple(bb * a for a in r), tuple(dot(r, beta) * b for b in beta))
-        if all(a == 0 for a in candidate) and others:
-            continue
-        if all(dot(d, candidate) != 0 for d in others):
-            base = candidate
-            break
-    if base is None:
-        raise PolarizationError(
-            f"no generic point found on the wall {tuple(beta)}"
-        )
-    gaps = [
-        abs(dot(d, base)) / abs(dot(d, beta))
-        for d in others
-        if dot(d, beta) != 0
-    ]
-    step = min(gaps) / 2 if gaps else Fraction(1)
-    offset = tuple(step * b for b in beta)
-    minus = vsub(base, offset)
-    plus = vadd(base, offset)
+    b = canonical_direction(wall)
+    if len(b) != poly.dim:
+        raise ValueError(f"dimension mismatch: {poly.dim} vs {len(b)}")
+    bb = sum(x * x for x in b)
+    pairings = {d: sum(map(mul, d, b)) for d in wall_directions(poly) if d != b}
+    normals = [tuple(bb * x - db * y for x, y in zip(d, b)) for d, db in pairings.items()]
+    r = _moment_curve(poly.dim, seed, normals)
+    rb = sum(map(mul, r, b))
+    m = 1 + max(map(abs, pairings.values()), default=0)
+    base = [m * (bb * x - rb * y) for x, y in zip(r, b)]
+    minus = tuple(x - y for x, y in zip(base, b))
+    plus = tuple(x + y for x, y in zip(base, b))
     for xi in (minus, plus):
         if not is_polarizing(poly, xi):
             raise PolarizationError(
-                f"wall crossing around {tuple(beta)} produced a "
+                f"wall crossing around {b} produced a "
                 f"non-polarizing vector {fmt_point(xi)}"
             )
     return minus, plus

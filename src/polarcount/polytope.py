@@ -458,11 +458,17 @@ def _non_simple(num: Sequence[int], den: int, active: tuple, n: int) -> NonSimpl
 # -- builders ---------------------------------------------------------
 
 
+def _offset(size) -> int | Fraction:
+    """-size, an int when integral: _integer_row keeps an int row as it is."""
+    x = -Fraction(size)
+    return x.numerator if x.denominator == 1 else x
+
+
 def interval(length) -> Polytope:
     """[0, length] on the line."""
     if Fraction(length) <= 0:
         raise PolytopeError("interval length must be positive")
-    return Polytope([((1,), 0), ((-1,), -Fraction(length))])
+    return Polytope([((1,), 0), ((-1,), _offset(length))])
 
 
 def hypercube(n: int, side=1) -> Polytope:
@@ -474,7 +480,7 @@ def hypercube(n: int, side=1) -> Polytope:
     facets = []
     for i in range(n):
         e = tuple(int(p == i) for p in range(n))
-        facets += [(e, 0), (tuple(-a for a in e), -Fraction(side))]
+        facets += [(e, 0), (tuple(-a for a in e), _offset(side))]
     return Polytope(facets)
 
 
@@ -485,7 +491,7 @@ def dilated_simplex(n: int, dilation=1) -> Polytope:
     if Fraction(dilation) <= 0:
         raise PolytopeError("dilation must be positive")
     facets = [(tuple(int(p == i) for p in range(n)), 0) for i in range(n)]
-    facets.append(((-1,) * n, -Fraction(dilation)))
+    facets.append(((-1,) * n, _offset(dilation)))
     return Polytope(facets)
 
 
@@ -497,8 +503,8 @@ def trapezoid(width=2, height=1) -> Polytope:
         [
             ((1, 0), 0),
             ((0, 1), 0),
-            ((0, -1), -Fraction(height)),
-            ((-1, -1), -Fraction(width)),
+            ((0, -1), _offset(height)),
+            ((-1, -1), _offset(width)),
         ]
     )
 
@@ -511,9 +517,9 @@ def prism(dilation=1, height=1) -> Polytope:
         [
             ((1, 0, 0), 0),
             ((0, 1, 0), 0),
-            ((-1, -1, 0), -Fraction(dilation)),
+            ((-1, -1, 0), _offset(dilation)),
             ((0, 0, 1), 0),
-            ((0, 0, -1), -Fraction(height)),
+            ((0, 0, -1), _offset(height)),
         ]
     )
 

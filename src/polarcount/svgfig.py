@@ -30,7 +30,6 @@ from .latticegen import box_points, lattice_points
 from .polarize import polarize_cones
 from .polytope import Polytope, fmt_point
 from .weights import WeightParam
-from .ypoly import YFrac
 
 _PALETTE = (
     "#1f77b4",
@@ -189,7 +188,7 @@ def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str
             continue
         label = labels.get(codim)
         if label is None:
-            label = labels[codim] = str(YFrac(1, codim)(w.y))
+            label = labels[codim] = str(w.on_face**codim)
         out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#111"/>')
         out.append(
             f'<text x="{x + 6}" y="{y - 6}" '

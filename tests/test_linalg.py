@@ -11,6 +11,7 @@ from polarcount.linalg import (
     det,
     dot,
     inverse,
+    oriented,
     primitive,
     rank,
     solve_linear,
@@ -92,6 +93,13 @@ def test_canonical_direction_fixes_sign():
     assert canonical_direction((0, -2)) == (0, 1)
     assert canonical_direction((-3, 6)) == (1, -2)
     assert canonical_direction((3, -6)) == (1, -2)
+
+
+def test_oriented_keeps_or_negates_an_int_vector():
+    p = (0, 3, -6)
+    assert oriented(p) is p
+    assert oriented((0, -3, 6)) == p
+    assert oriented((-5,)) == (5,)
 
 
 @given(

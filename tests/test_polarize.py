@@ -3,10 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import polarcount as pc
+from polarcount import polarize
 from polarcount.linalg import canonical_direction, dot, vadd
-from zoo import SEEDS, decomposition_zoo, triangle_nonregular, vertex_points
+from zoo import (
+    SEEDS,
+    decomposition_zoo,
+    regular_zoo,
+    sheared_zoo,
+    triangle_nonregular,
+    vertex_points,
+    zoo_images,
+)
 
 
 def test_is_polarizing_on_trapezoid():
@@ -128,6 +138,78 @@ def test_membership_rejects_outside_points():
 def test_wall_directions_trapezoid():
     P = pc.trapezoid()
     assert set(pc.wall_directions(P)) == {(1, 0), (0, 1), (1, -1)}
+
+
+@pytest.mark.parametrize("name, P", decomposition_zoo() + sheared_zoo())
+def test_wall_directions_are_the_canonical_edge_lines(name, P):
+    # first appearance over the vertices' edges, in order: the order of
+    # the brion denominator's factors
+    edges = [d for v in P.vertices for d in v.edges]
+    assert pc.wall_directions(P) == tuple(
+        dict.fromkeys(canonical_direction(d) for d in edges)
+    )
+
+
+def test_moment_curve_can_need_its_last_step():
+    # t + 1, t - 1 and t - 2 rule out t = -1, 1, 2, and t = 0 is skipped:
+    # from seed -1 the first good t, 3, is the budget's last value
+    assert polarize._moment_curve(2, -1, [(1, 1), (-1, 1), (-2, 1)]) == (1, 3)
+    # (t + 1)(t + 2) and (t - 1)(t - 2): each rules out dim - 1 = 2 values
+    assert polarize._moment_curve(3, -2, [(2, 3, 1), (2, -3, 1)]) == (1, 3, 9)
+    assert polarize._moment_curve(1, 0, []) == (1,)
+    # a zero normal rules out every t; the walk stops at its budget
+    with pytest.raises(pc.PolarizationError):
+        polarize._moment_curve(2, 1, [(0, 0)])
+
+
+def assert_crossing_pairs(P):
+    """crossing_pair at every wall of P and seeds 0-3: int vectors on
+    either side of the wall, every other wall's sign kept, and the t of
+    the moment curve within the bound that _moment_curve proves."""
+    walls = pc.wall_directions(P)
+    n = P.dim
+    for b in walls:
+        for seed in range(4):
+            calls = []
+
+            def recorded(*args, search=polarize._moment_curve):
+                calls.append((args, search(*args)))
+                return calls[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polarize, "_moment_curve", recorded)
+                lo, hi = pc.crossing_pair(P, b, seed=seed)
+            assert all(type(a) is int for a in lo + hi), (b, seed)
+            assert dot(b, lo) < 0 < dot(b, hi), (b, seed)
+            for d in walls:
+                if d != b:
+                    assert dot(d, lo) * dot(d, hi) > 0, (b, d, seed)
+            [((_, _, normals), r)] = calls
+            assert len(normals) == len(walls) - 1
+            t = r[1] if n > 1 else seed + (seed == 0)
+            assert seed <= t < seed + len(normals) * (n - 1) + 2 and t != 0
+            assert r == tuple(t**k for k in range(n))
+
+
+@pytest.mark.parametrize("name, P", regular_zoo())
+def test_crossing_pair_on_the_zoo(name, P):
+    assert_crossing_pairs(P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(image=zoo_images())
+def test_crossing_pair_on_images(image):
+    assert_crossing_pairs(image)
+
+
+def test_crossing_pair_reads_the_wall_as_a_line():
+    assert pc.crossing_pair(pc.interval(3), (1,)) == ((-1,), (1,))
+    P = pc.trapezoid()
+    pair = pc.crossing_pair(P, (1, -1))
+    for wall in ((-1, 1), (2, -2), (Fraction(1, 2), Fraction(-1, 2))):
+        assert pc.crossing_pair(P, wall) == pair, wall
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        pc.crossing_pair(P, (1, -1, 0))
 
 
 def test_crossing_pair_splits_only_its_wall():

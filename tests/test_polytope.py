@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import polarcount as pc
 from conftest import DATA_DIR
-from polarcount import linalg, polytope
+from polarcount import cli, linalg, polytope
 from polarcount.latticegen import box_points
 from polarcount.linalg import (
     clear_denominators,
@@ -824,6 +824,20 @@ def assert_only_ints(P):
 @pytest.mark.parametrize("P", construction_cases())
 def test_polytope_data_holds_only_ints(P):
     assert_only_ints(P)
+
+
+@pytest.mark.parametrize("spec", [
+    "interval:3", "cube:3", "cube:3,2", "simplex:4", "simplex:3,4",
+    "trapezoid", "trapezoid:5,2", "prism", "prism:2,3",
+])
+def test_integral_builtins_load_as_ints(spec, tmp_path):
+    # an integral size is an int offset, so no builtin row is cleared
+    with patch.object(polytope, "clear_denominators", side_effect=AssertionError(spec)):
+        P = cli._build_builtin(spec)
+    assert all(type(x) is int for a, b in P.facets for x in (*a, b))
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps({"dim": P.dim, "facets": [[*a, b] for a, b in P.facets]}))
+    assert pc.from_file(path).facets == P.facets
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,8 @@ import inspect
 import io
 import json
 import pkgutil
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -49,6 +51,9 @@ CORPUS = [
     (0, ["brion", "--builtin", "cube:4,2"]),
     (0, ["brion", "--builtin", "simplex:2,32"]),
     (0, ["brion", "{farcube}"]),
+    (0, ["chi", "{farcube}", "--y", "2/3", "--z=2/3,-5/7,11/13"]),
+    (0, ["count", "{farcube}"]),
+    (2, ["chi", "{farcube}", "--y", "2/3", "--z=-1,2,1/2"]),
     (2, ["svg", "--builtin", "cube:2,1" + "0" * 310]),
     (2, ["brion", "--builtin", "cube:1,100000000000000000000"]),
     (0, ["decompose", "{polytopes}/triangle-nonregular.json"]),
@@ -105,6 +110,28 @@ CORPUS = [
     (2, ["vertices", "{float}"]),
     (2, ["vertices", "{digits}"]),
 ]
+
+
+def ci_commands() -> list:
+    """(expected exit code, argv) of each polarcount command in the CI
+    workflow's console-script step, its paths written as CORPUS writes
+    them.  An argv built with $(...) or $cmd is skipped: CORPUS lists it
+    expanded."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = text.split("- name: Installed console script", 1)[1].split("- name:", 1)[0]
+    out = []
+    for line in step.splitlines():
+        m = re.search(r"expect (\d+) (?:sh -c [\"'])?polarcount ([^;|]*)", line)
+        if m is None or "$(" in m[2] or "$cmd" in m[2]:
+            continue
+        argv = [
+            re.sub(r"^polytopes/", "{polytopes}/", re.sub(
+                r"^\$RUNNER_TEMP/(\w+)\.json$", r"{\1}", arg,
+            ).replace("$RUNNER_TEMP", "{tmp}"))
+            for arg in shlex.split(m[2])
+        ]
+        out.append((int(m[1]), argv))
+    return out
 
 
 def make_files(tmp: Path) -> dict[str, str]:
@@ -175,14 +202,12 @@ def roots() -> dict:
         "latticegen.cone_series_check": lambda: latticegen.cone_series_check(P, xi),
         "polarize.crossing_pair":
             lambda: polarize.crossing_pair(cube, (1, 0)),
-        "polarize.wall_directions": lambda: polarize.wall_directions(P),
     }
 
 
 PAPER_CHECKS = {
     "latticegen.coefficient_extract", "latticegen.multiplicity_check",
     "latticegen.cone_series_check", "polarize.crossing_pair",
-    "polarize.wall_directions",
 }
 
 # name -> why nothing reaches it: "protocol: ..." for a dunder, or
@@ -232,6 +257,15 @@ KEPT = {
     "polytope.from_file":
         "tests/test_weights.py::test_cli_mismatch_lines_are_the_point_route_lines: "
         "builds the polytope the command reads from the same file",
+    "linalg.dot":
+        "tests/test_membership.py::membership_oracle: the Fraction cone "
+        "coordinates of a point",
+    "linalg.vadd":
+        "tests/test_weights.py::sample_points_oracle: the Fraction midpoints "
+        "and offsets of the probes",
+    "linalg.vsub":
+        "tests/test_svg.py::fraction_clip: the Fraction clip of a wedge "
+        "against one line",
     "ypoly.YPoly.__call__":
         "tests/test_ypoly.py::assert_matches: a YFrac's reference value, its "
         "reduced numerator at y over (1+y)^power",
@@ -319,6 +353,12 @@ def commands(tmp_path_factory):
 def test_corpus_commands_exit_as_expected(commands):
     _, codes = commands
     assert [c for c in codes if c[0] != c[1]] == []
+
+
+def test_corpus_holds_every_ci_command():
+    commands = ci_commands()
+    assert len(commands) > 50, "the console-script step was not found"
+    assert [c for c in commands if c not in CORPUS] == []
 
 
 def test_no_command_reaches_a_root(commands, wrapped):
