@@ -34,13 +34,14 @@ lattice_rows, a depth-first walk over the coordinates of the integer
 box with the facets scaled to integer normals and offsets.  It bounds
 each coordinate from the facets' residuals, prunes every prefix that
 no point of the box completes, and yields the lattice points a row at
-a time, with the facets tight on the row and where the others are
-tight; its cost is the visited prefixes times the facets, not the box
-volume.  codim_sums reads the rows without listing the points, with
-the rows along the box's longest coordinate: the census, or at a
-concrete z the sum of z^p per codimension.  lattice_points walks the
-last coordinate last and expands the rows into a dict of points in
-lexicographic order.  Weighted quantities are computed symbolically in
+a time, with the number of facets tight on the whole row and the
+codimension of each point where another facet is tight, so it alone
+decides a point's codimension; its cost is the visited prefixes times
+the facets, not the box volume.  codim_sums reads the rows without
+listing the points, with the rows along the box's longest coordinate:
+the census, or at a concrete z the sum of z^p per codimension.
+lattice_points walks the last coordinate last and expands the rows
+into a dict of points in lexicographic order.  Weighted quantities are computed symbolically in
 y; a concrete y only evaluates the symbolic answer.  In particular
 each side of the chi identity is written once: at a concrete (z, y)
 the vertex sum evaluates each vertex's factors, z^v and one binomial
@@ -116,12 +117,11 @@ def _longest_axis(lo: Sequence[int], hi: Sequence[int]) -> int:
 
 def lattice_rows(poly: Polytope, row: Optional[int] = None):
     """Each row of lattice points of the polytope, as (prefix, first,
-    last, row_tight, tight_at): the points whose coordinate row is x for
+    last, row_tight, codims): the points whose coordinate row is x for
     first <= x <= last and whose other coordinates, in their order, are
-    prefix; row_tight facets tight on all of them, and one entry x in
-    tight_at for each other facet tight at that point with coordinate
-    row x, which may lie outside first..last.  A point's codimension is
-    row_tight plus the number of its entries in tight_at.  row is the
+    prefix; row_tight facets tight on all of them, and codims[x] the
+    codimension of the point at x where some other facet is tight too.
+    Every other point of the row has codimension row_tight.  row is the
     last coordinate when None: the points are then (*prefix, x), and the
     rows come in lexicographic order.
 
@@ -141,9 +141,9 @@ def lattice_rows(poly: Polytope, row: Optional[int] = None):
     visited prefixes times the facets, not the box volume.
 
     At the last level R = 0 and the rule bounds a row of points: a facet
-    with a_k != 0 is tight at x_k = r/a_k when that is an integer, and
-    one with a_k = 0 is tight on the whole row when r = 0.  Empty rows
-    are not yielded.
+    with a_k != 0 is tight at x_k = r/a_k when that is an integer (and
+    counts when that x_k is in the row), and one with a_k = 0 is tight
+    on the whole row when r = 0.  Empty rows are not yielded.
     """
     lo, hi = poly.integer_box()
     normals, offsets = zip(*poly.facets)
@@ -192,7 +192,11 @@ def lattice_rows(poly: Polytope, row: Optional[int] = None):
             if r % a == 0:
                 tight_at.append(r // a)
         if first <= last:
-            yield prefix, first, last, row_tight, tight_at
+            codims: dict[int, int] = {}
+            for x in tight_at:
+                if first <= x <= last:
+                    codims[x] = codims.get(x, row_tight) + 1
+            yield prefix, first, last, row_tight, codims
 
 
 def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
@@ -200,12 +204,11 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
     to the codimension of the smallest face containing it: the rows of
     lattice_rows, expanded."""
     points: dict[tuple[int, ...], int] = {}
-    for prefix, first, last, row_tight, tight_at in lattice_rows(poly):
-        codims = [row_tight] * (last - first + 1)
-        for t in tight_at:
-            if first <= t <= last:
-                codims[t - first] += 1
-        for x, c in zip(range(first, last + 1), codims):
+    for prefix, first, last, row_tight, codims in lattice_rows(poly):
+        row = [row_tight] * (last - first + 1)
+        for x, c in codims.items():
+            row[x - first] = c
+        for x, c in zip(range(first, last + 1), row):
             points[(*prefix, x)] = c
     return points
 
@@ -229,23 +232,17 @@ def codim_sums(
     along the row coordinate, sums to pre * a**(first-lo) *
     b**(hi-last) * G(L), with pre the prefix's int part, a/b the row
     coordinate's, and G(L) = a**(L-1) + a**(L-2)*b + ... + b**(L-1),
-    which is (a**L - b**L)/(a - b), or L when a = b.  Each facet tight
-    at x then moves that point's part from its codimension to the next.
+    which is (a**L - b**L)/(a - b), or L when a = b.  Each point of the
+    row's codims then moves its part from row_tight to its codimension.
     """
     sums = [0] * (len(poly.facets) + 1)
     lo, hi = poly.integer_box()
     row = _longest_axis(lo, hi)
     if z is None:
-        for _, first, last, row_tight, tight_at in lattice_rows(poly, row):
-            sums[row_tight] += last - first + 1
-            # moved[x]: x's codimension so far, as facets tight at x repeat
-            moved: dict[int, int] = {}
-            for t in tight_at:
-                if first <= t <= last:
-                    c = moved.get(t, row_tight)
-                    moved[t] = c + 1
-                    sums[c] -= 1
-                    sums[c + 1] += 1
+        for _, first, last, row_tight, codims in lattice_rows(poly, row):
+            sums[row_tight] += last - first + 1 - len(codims)
+            for c in codims.values():
+                sums[c] += 1
         return {c: s for c, s in enumerate(sums) if s}, Fraction(1)
     z = _evaluation_point(poly, z)
     order = _walk_order(poly.dim, row)
@@ -267,21 +264,17 @@ def codim_sums(
     *outer, part = parts
     outer_lo = [lo[i] for i in order[:-1]]
     lo_r, hi_r = lo[row], hi[row]
-    for prefix, first, last, row_tight, tight_at in lattice_rows(poly, row):
+    for prefix, first, last, row_tight, codims in lattice_rows(poly, row):
         pre = 1
         for outer_part, e, lo_i in zip(outer, prefix, outer_lo):
             pre *= outer_part[e - lo_i]
         sums[row_tight] += pre * (
             apow[first - lo_r] * bpow[hi_r - last] * geometric[last - first + 1]
         )
-        moved = {}
-        for t in tight_at:
-            if first <= t <= last:
-                c = moved.get(t, row_tight)
-                moved[t] = c + 1
-                point = pre * part[t - lo_r]
-                sums[c] -= point
-                sums[c + 1] += point
+        for x, c in codims.items():
+            point = pre * part[x - lo_r]
+            sums[row_tight] -= point
+            sums[c] += point
     return {c: s for c, s in enumerate(sums) if s}, Fraction(num, den)
 
 

@@ -15,7 +15,6 @@ off finitely many hyperplanes (_moment_curve).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
@@ -95,10 +94,10 @@ def _moment_curve(n: int, seed: int, normals: Sequence) -> tuple[int, ...]:
     raise PolarizationError("could not find a polarizing vector")
 
 
-def find_polarizing(poly: Polytope, seed: int = 1) -> tuple:
-    """Deterministic small polarizing vector: the first point of the
+def find_polarizing(poly: Polytope, seed: int = 1) -> tuple[int, ...]:
+    """Deterministic small polarizing int vector: the first point of the
     moment curve from t = seed on that lies off every wall."""
-    return tuple(map(Fraction, _moment_curve(poly.dim, seed, wall_directions(poly))))
+    return _moment_curve(poly.dim, seed, wall_directions(poly))
 
 
 def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:

@@ -27,31 +27,13 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .ypoly import YPoly
+from .ypoly import YPoly, polynomial_text
 
 
 def format_series(coeffs: Sequence) -> str:
-    """coeffs[k] * x**k summed, for int, Fraction or YPoly coefficients.
-
-    A constant YPoly is read as its scalar.  Zero terms are left out, a
-    negative rational is printed as a subtraction, and a YPoly is
-    parenthesized.
-    """
-    parts = []
-    for k, c in enumerate(coeffs):
-        if isinstance(c, YPoly) and c.degree < 1:
-            c = c.coefficient(0)
-        if c == 0:
-            continue
-        negative = not isinstance(c, YPoly) and c < 0
-        cs = f"({c})" if isinstance(c, YPoly) else str(abs(c))
-        xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        body = cs if not xs else (xs if cs == "1" else f"{cs}*{xs}")
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+    """coeffs[k] * x**k summed, for int, Fraction or YPoly coefficients,
+    printed by ypoly.polynomial_text."""
+    return polynomial_text(enumerate(coeffs), "x")
 
 
 class TruncatedSeries:

@@ -5,10 +5,13 @@ tangent cones that a polarizing vector xi gives it (polarize_cones,
 each a wedge tagged with its sign), the weight of every lattice point
 at a concrete y, and a legend and an arrow for xi.
 Output is plain SVG 1.1 text with nothing external.  Everything is
-computed in integers.  The outline and the cones' sign marks read the
-vertices as numerators over one denominator (Polytope.cleared_vertices),
-and each cone wedge is the viewport clipped by the cone's signed facet
-rows, its corners kept as homogeneous integer triples (X, Y, W).  The
+computed in integers.  One routine, _clip (Sutherland-Hodgman), cuts
+every region from the viewport, its corners kept as homogeneous integer
+triples (X, Y, W): the outline is the viewport clipped by every facet
+row of the polytope, started at the corner of least angle about the
+barycenter, and each cone wedge is the viewport clipped by the cone's
+signed facet rows.  The cones' sign marks read the vertices as
+numerators over one denominator (Polytope.cleared_vertices).  The
 lattice points of the box are integers, so their pixel coordinates are
 too, and each one's weight is read off latticegen.lattice_points.  A
 rational pixel coordinate p / q becomes a float only when it is
@@ -22,7 +25,6 @@ since SVG y points down).
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import gcd
 from typing import Sequence
 
@@ -85,33 +87,6 @@ def _clip(points: list, row) -> list:
     return out
 
 
-def _boundary_order(poly: Polytope) -> list[int]:
-    """Vertex indices in counterclockwise order, decided exactly.
-
-    Directions from the barycenter are compared scaled by the vertex
-    count times the common denominator, so they stay integers.
-    """
-    nums, _ = poly.cleared_vertices
-    m = len(nums)
-    sx, sy = (sum(col) for col in zip(*nums))
-    dirs = [(i, (m * x - sx, m * y - sy)) for i, (x, y) in enumerate(nums)]
-
-    def half(d) -> int:
-        # 0 for the upper half (including positive x axis), 1 below
-        if d[1] > 0 or (d[1] == 0 and d[0] > 0):
-            return 0
-        return 1
-
-    def compare(a, b) -> int:
-        ha, hb = half(a[1]), half(b[1])
-        if ha != hb:
-            return ha - hb
-        cross = a[1][0] * b[1][1] - a[1][1] * b[1][0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return [i for i, _ in sorted(dirs, key=cmp_to_key(compare))]
-
-
 def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str:
     """SVG text for a 2-dimensional polytope polarized by xi.
 
@@ -165,8 +140,25 @@ def render_svg(poly: Polytope, xi: Sequence, w: WeightParam, margin: int) -> str
                 f'stroke-opacity="0.5" stroke-width="1"/>'
             )
 
+    # P lies in the box, so the box clipped by every facet is P, its
+    # corners counterclockwise; printed from the corner of least angle
+    # about the barycenter (sx, sy) / m, on the upper half plane with
+    # the positive x ray and not the negative one
+    corners = world
+    for row in poly.facets:
+        corners = _clip(corners, row)
     nums, den = poly.cleared_vertices
-    outline = " ".join(pt_attr((*nums[i], den)) for i in _boundary_order(poly))
+    m = len(nums) * den
+    sx, sy = (sum(col) for col in zip(*nums))
+
+    def upper(corner) -> bool:
+        x, y, w = corner
+        dy = y * m - sy * w
+        return dy > 0 or (dy == 0 and x * m - sx * w > 0)
+
+    start = next(i for i, p in enumerate(corners)
+                 if upper(p) and not upper(corners[i - 1]))
+    outline = " ".join(pt_attr(p) for p in corners[start:] + corners[:start])
     out.append(
         f'<polygon points="{outline}" fill="none" stroke="#111" '
         f'stroke-width="2"/>'

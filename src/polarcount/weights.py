@@ -15,7 +15,8 @@ membership and its zero counts (r1, r2) off the masks of the negative and
 zero slacks.  The cones' net signs by (r1, r2), read as a u-polynomial, are
 compared with u**codim; only where the two differ are both evaluated at y.
 check_decomposition runs that test on every row and makes Fractions
-only for a row where the two sides disagree, to report it.
+only for a row where the two sides disagree, to report both, read off
+that row's one slack vector.
 """
 
 from __future__ import annotations
@@ -116,12 +117,13 @@ def _signed_cone_sum(flat: list, slack) -> dict:
 
 
 def _check(facets, flat: list, num: Sequence[int], den: int, w) -> tuple:
-    """(signed cone sum, verdict) at num / den, off one slack vector:
-    u**codim against the sum as u-polynomials and, where they differ, at w.y."""
+    """(face codim, signed cone sum, verdict) at num / den, off one slack
+    vector: u**codim against the sum as u-polynomials and, where they
+    differ, at w.y; codim is None outside the polytope."""
     slack = facet_slacks(facets, num, den)
     codim = slack_codim(slack)
     rhs = YFrac.combination(_signed_cone_sum(flat, enumerate(slack)))
-    return rhs, rhs.u == ({} if codim is None else {codim: 1}) or (
+    return codim, rhs, rhs.u == ({} if codim is None else {codim: 1}) or (
         w is not None and (0 if codim is None else w.on_face**codim) == rhs(w.y))
 
 
@@ -130,11 +132,12 @@ def check_decomposition_at(poly: Polytope, cones: Sequence[PolarizedCone], x: Se
     """Compare polytope weight with the signed cone sum at one point.
 
     Both sides are YFracs, compared as check_decomposition compares
-    them; with w given they are returned evaluated at w.y, as Fractions.
+    them, and read off one slack vector; with w given they are returned
+    evaluated at w.y, as Fractions.
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
-    rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
-    lhs = polytope_weight_y(poly, xt)
+    codim, rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
+    lhs = YFrac(0) if codim is None else YFrac.weight(codim, 0)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=equal)
@@ -149,7 +152,7 @@ def check_decomposition(poly: Polytope, cones: Sequence[PolarizedCone],
     into Fractions."""
     facets, flat = poly.facets, _flat(cones)
     return [check_decomposition_at(poly, cones, tuple(Fraction(a, den) for a in num), w)
-            for num, den in rows if not _check(facets, flat, num, den, w)[1]]
+            for num, den in rows if not _check(facets, flat, num, den, w)[2]]
 
 
 def sample_points(poly: Polytope, xi: Sequence, rng: Optional[random.Random] = None,

@@ -13,6 +13,8 @@ YPoly is a dense polynomial in y over Q: the y form's numerator, and the
 coefficient ring of the series family and of the printed lattice sum.
 YPoly.__call__ runs Horner's rule on y's numerator and denominator,
 each coefficient as given, and builds one Fraction at the end.
+polynomial_text prints a polynomial in one variable, a YPoly in y and
+a series in x (series.format_series), by one set of sign and unit rules.
 Coefficients are stored as int whenever they are integral and as
 Fraction otherwise; since hash(2) == hash(Fraction(2)), equality,
 hashing and printing do not depend on the stored type.
@@ -137,26 +139,33 @@ class YPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{mag}y" if k == 1 else f"{mag}y^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return polynomial_text(
+            ((k, self.coeffs[k]) for k in range(self.degree, -1, -1)), "y")
 
     def __repr__(self) -> str:
         return f"YPoly({self.coeffs!r})"
+
+
+def polynomial_text(terms, var: str) -> str:
+    """The sum of c * var**k over the (k, c) pairs of terms, in their
+    order, for int, Fraction or YPoly c (a constant YPoly read as its
+    scalar): zero terms left out, no unit magnitude before var, a
+    negative scalar as a subtraction, a YPoly parenthesized; 0 if none."""
+    parts = []
+    for k, c in terms:
+        if isinstance(c, YPoly) and c.degree < 1:
+            c = c.coefficient(0)
+        if c == 0:
+            continue
+        negative = not isinstance(c, YPoly) and c < 0
+        cs = f"({c})" if isinstance(c, YPoly) else str(abs(c))
+        xs = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        body = cs if not xs else (xs if cs == "1" else f"{cs}*{xs}")
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) if parts else "0"
 
 
 def _as_ypoly(x):

@@ -138,6 +138,29 @@ def test_census_matches_the_point_dict_on_images(image):
     assert pc.codim_sums(image, (1,) * image.dim) == (census, 1)
 
 
+def assert_rows_decide_codims(P):
+    """Along every row coordinate, each row's codims has its keys in
+    first..last, and every point of the row has face_codim
+    codims.get(x, row_tight)."""
+    for row in range(P.dim):
+        for prefix, first, last, row_tight, codims in latticegen.lattice_rows(P, row):
+            assert all(first <= x <= last for x in codims)
+            for x in range(first, last + 1):
+                point = (*prefix[:row], x, *prefix[row:])
+                assert P.face_codim(point) == codims.get(x, row_tight), (point, row)
+
+
+@pytest.mark.parametrize("P", row_scan_cases())
+def test_rows_decide_each_points_codimension(P):
+    assert_rows_decide_codims(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=zoo_images())
+def test_rows_decide_each_points_codimension_on_images(image):
+    assert_rows_decide_codims(image)
+
+
 def permuted(P, sigma):
     """P with coordinate k of each point taken from its coordinate
     sigma[k]: the image under a permutation matrix."""

@@ -65,6 +65,7 @@ CORPUS = [
     (0, ["decompose", "--builtin", "cube:5,1", "--y=-5/3"]),
     (0, ["svg", "--builtin", "cube:2,3", "--y", "3/4"]),
     (0, ["svg", "{polytopes}/halfsquare.json", "--margin", "0"]),
+    (0, ["svg", "{diamond}", "--margin", "0"]),
     (0, ["svg", "--builtin", "trapezoid:7/2,3/2", "--y", "5"]),
     (0, ["svg", "--builtin", "cube:2,3", "--y", "1/2", "--out", "{tmp}/f.svg"]),
     (0, ["--help"]),
@@ -145,6 +146,9 @@ def make_files(tmp: Path) -> dict[str, str]:
         "cutcube": {"dim": 3, "facets": [
             [1, 0, 0, 0], [-1, 0, 0, -2], [0, 1, 0, 0], [0, -1, 0, -2],
             [0, 0, 1, 0], [0, 0, -1, -2], [-1, -1, -1, -4]]},
+        # a vertex on the +x ray from the barycenter (1, 1)
+        "diamond": {"dim": 2, "facets": [
+            [1, 1, 1], [-1, 1, -1], [-1, -1, -3], [1, -1, -1]]},
         "empty": {"dim": 1, "facets": [[1, 1], [-1, 0]]},
         "ray": {"dim": 2, "facets": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]},
         "bool": {"dim": 1, "facets": [[True, 0], [-1, -1]]},

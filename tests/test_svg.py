@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, hypot, isfinite
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import polarcount as pc
 from polarcount.linalg import clear_denominators, dot, vadd, vsub
-from polarcount.svgfig import _clip, _unit, render_svg
+from polarcount.svgfig import _UNIT, _clip, _fmt, _unit, render_svg
+from zoo import facet_systems
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -62,6 +64,90 @@ def test_outline_and_orientation():
     assert len(outline) == 1
     corners = outline[0].get("points").split()
     assert len(corners) == 4
+
+
+def boundary_order(poly) -> list[int]:
+    """Vertex indices in counterclockwise order, by an angular sort about
+    the barycenter: the figure's earlier outline order, kept as the oracle.
+
+    Directions from the barycenter are compared scaled by the vertex
+    count times the common denominator, so they stay integers.
+    """
+    nums, _ = poly.cleared_vertices
+    m = len(nums)
+    sx, sy = (sum(col) for col in zip(*nums))
+    dirs = [(i, (m * x - sx, m * y - sy)) for i, (x, y) in enumerate(nums)]
+
+    def half(d) -> int:
+        # 0 for the upper half (including positive x axis), 1 below
+        if d[1] > 0 or (d[1] == 0 and d[0] > 0):
+            return 0
+        return 1
+
+    def compare(a, b) -> int:
+        ha, hb = half(a[1]), half(b[1])
+        if ha != hb:
+            return ha - hb
+        cross = a[1][0] * b[1][1] - a[1][1] * b[1][0]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return [i for i, _ in sorted(dirs, key=cmp_to_key(compare))]
+
+
+def outline_oracle(poly, margin) -> str:
+    """The outline's points attribute: the vertices in boundary_order,
+    placed in Fractions."""
+    nums, den = poly.cleared_vertices
+    lo, hi = poly.integer_box(margin)
+    height = (hi[1] - lo[1]) * _UNIT + 2 * _UNIT
+
+    def attr(x, y) -> str:
+        px = _UNIT + (Fraction(x, den) - lo[0]) * _UNIT
+        py = height - _UNIT - (Fraction(y, den) - lo[1]) * _UNIT
+        return f"{_fmt(px)},{_fmt(py)}"
+
+    return " ".join(attr(*nums[i]) for i in boundary_order(poly))
+
+
+def outline_points(poly, margin) -> str:
+    _, root = render_parsed(poly=poly, margin=margin)
+    [outline] = [p for p in root.findall(f"{SVG_NS}polygon") if p.get("stroke") == "#111"]
+    return outline.get("points")
+
+
+def diamond():
+    """A vertex on each axis ray from the barycenter (1, 1): the +x ray's
+    (2, 1) starts the outline, the -x ray's (0, 1) does not."""
+    return pc.Polytope([((1, 1), 1), ((-1, 1), -1), ((-1, -1), -3), ((1, -1), -1)])
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize(
+    "poly",
+    [diamond(), pc.trapezoid(), pc.trapezoid(Fraction(7, 2), Fraction(3, 2)),
+     pc.hypercube(2, 3), pc.dilated_simplex(2, 3), pc.hypercube(2, Fraction(3, 2))],
+    ids=["diamond", "trapezoid", "trapezoid:7/2,3/2", "cube:2,3", "simplex:2,3",
+         "halfsquare"],
+)
+def test_outline_is_the_vertices_in_angular_order(poly, margin):
+    assert outline_points(poly, margin) == outline_oracle(poly, margin)
+
+
+def test_diamond_outline_starts_on_the_positive_x_ray():
+    assert outline_points(diamond(), 0) == "120,80 80,40 40,80 80,120"
+
+
+@settings(max_examples=500, deadline=None)
+@given(facets=facet_systems(max_dim=2))
+def test_outline_is_the_vertices_in_angular_order_on_generated_polygons(facets):
+    # about one drawn system in eight builds; those have up to six
+    # vertices, rational ones among them
+    try:
+        poly = pc.Polytope(facets)
+    except pc.PolytopeError:
+        return
+    for margin in (0, 1, 2):
+        assert outline_points(poly, margin) == outline_oracle(poly, margin)
 
 
 def test_cones_drawn_with_signs():

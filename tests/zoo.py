@@ -186,10 +186,11 @@ def high_dim_images(draw):
 
 
 @st.composite
-def facet_systems(draw):
-    """n+1 to n+4 facets with distinct primitive normals, so no two define
-    the same half-space; most are rejected, some are simple polytopes."""
-    n = draw(st.integers(2, 3))
+def facet_systems(draw, max_dim=3):
+    """n+1 to n+4 facets with distinct primitive normals, 2 <= n <= max_dim,
+    so no two define the same half-space; most are rejected, some are
+    simple polytopes."""
+    n = draw(st.integers(2, max_dim))
     normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive)
     normals = draw(st.lists(normal, min_size=n + 1, max_size=n + 4, unique=True))
     offsets = draw(st.lists(st.integers(-3, 0), min_size=len(normals), max_size=len(normals)))
