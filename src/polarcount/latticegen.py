@@ -626,14 +626,23 @@ def coefficient_extract(poly: Polytope, xi: Sequence, alpha: Sequence[int]) -> Y
     directly from the lattice series, with no polytope-side shortcut.
     """
     require_lattice_hypotheses(poly, "coefficient extraction")
-    cones = polarize_cones(poly, xi)
-    return signed_cone_sum_y(cones, tuple(int(a) for a in alpha))
+    point = _lattice_point(alpha)
+    return signed_cone_sum_y(polarize_cones(poly, xi), point)
 
 
 def multiplicity(poly: Polytope, alpha: Sequence[int]) -> YFrac:
     """Predicted z^alpha coefficient: (1/(1+y))**codim inside, else 0."""
     require_lattice_hypotheses(poly, "multiplicity prediction")
-    return polytope_weight_y(poly, tuple(int(a) for a in alpha))
+    return polytope_weight_y(poly, _lattice_point(alpha))
+
+
+def _lattice_point(alpha: Sequence) -> tuple[int, ...]:
+    """alpha as ints; ValueError when a coordinate is not an integer."""
+    alpha = tuple(alpha)
+    point = tuple(map(int, alpha))
+    if point != alpha:
+        raise ValueError(f"alpha must be a lattice point, got ({', '.join(map(str, alpha))})")
+    return point
 
 
 class MultiplicityReport(NamedTuple):

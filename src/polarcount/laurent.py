@@ -54,10 +54,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars: int, c) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: c})
 

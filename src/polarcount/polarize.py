@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import canonical_direction, clear_denominators, oriented, vec
-from .polytope import Polytope, facet_slacks, fmt_point
+from .polytope import Polytope, fmt_point
 
 
 class PolarizationError(ValueError):
@@ -131,30 +131,6 @@ def polarize_cones(poly: Polytope, xi: Sequence) -> tuple[PolarizedCone, ...]:
             )
         )
     return tuple(cones)
-
-
-def slack_face_counts(cone: PolarizedCone, slack) -> Optional[tuple[int, int]]:
-    """(unflipped zeros, flipped zeros) of a point in the closed cone, or None.
-
-    slack maps a facet index to the point's slack (polytope.facet_slacks);
-    a zero slack is a zero coordinate, and the signs read as PolarizedCone says.
-    """
-    zeros = flipped_zeros = 0
-    for i, f in zip(cone.facets, cone.flipped):
-        s = slack[i]
-        if s == 0:
-            zeros += 1
-            flipped_zeros += f
-        elif (s < 0) != f:
-            return None
-    return zeros - flipped_zeros, flipped_zeros
-
-
-def cone_point_slacks(cones: Sequence[PolarizedCone], x: Sequence) -> tuple[dict, int]:
-    """(slack, den): x = num / den and its slacks over the cones' facets."""
-    rows = {i: r for cone in cones for i, r in zip(cone.facets, cone.rows)}
-    num, den = clear_denominators(x)
-    return dict(zip(rows, facet_slacks(tuple(rows.values()), num, den))), den
 
 
 # -- wall machinery ----------------------------------------------------

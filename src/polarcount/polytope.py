@@ -28,8 +28,7 @@ origin with the coordinate directions as free edges.  A pivot costs
 O(facets * dim) integer operations, not one solve per dim-subset of the
 facets.  A tie in a ratio test is a non-simple vertex, an edge no facet
 blocks is an unbounded ray, and a facet no vertex touches is redundant.
-Membership queries (contains, active_facets, face_codim) read the same
-integer facet slacks.
+The one point query, face_codim, reads the same integer facet slacks.
 """
 
 from __future__ import annotations
@@ -214,15 +213,6 @@ class Polytope:
 
     # -- queries -----------------------------------------------------
 
-    def _slacks(self, x: Sequence) -> list[int]:
-        return facet_slacks(self.facets, *clear_denominators(x))
-
-    def contains(self, x: Sequence) -> bool:
-        return min(self._slacks(x)) >= 0
-
-    def active_facets(self, x: Sequence) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self._slacks(x)) if s == 0)
-
     def face_codim(self, x: Sequence) -> Optional[int]:
         """Codimension of the smallest face containing x; None outside.
 
@@ -230,24 +220,11 @@ class Polytope:
         dim for a vertex, 1 on the relative interior of a facet, 0 inside.
         x is cleared to one denominator and read off its facet slacks.
         """
-        return slack_codim(self._slacks(x))
+        return slack_codim(facet_slacks(self.facets, *clear_denominators(x)))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs of adjacent vertex indices, each pair once, in sorted order."""
         return self._edges
-
-    def barycenter(self) -> tuple:
-        nums, den = self.cleared_vertices
-        den *= len(nums)
-        return tuple(Fraction(sum(col), den) for col in zip(*nums))
-
-    def bounding_box(self) -> tuple[tuple, tuple]:
-        nums, den = self.cleared_vertices
-        columns = list(zip(*nums))
-        return (
-            tuple(Fraction(min(col), den) for col in columns),
-            tuple(Fraction(max(col), den) for col in columns),
-        )
 
     def integer_box(self, margin: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if margin < 0:

@@ -12,7 +12,9 @@ The check runs on integer rows (num, den) from sample_points; both sides
 read the row's slacks over the facets (polytope.facet_slacks).  Each cone,
 flattened once to bit masks of its unflipped and flipped facets, reads
 membership and its zero counts (r1, r2) off the masks of the negative and
-zero slacks.  The cones' net signs by (r1, r2), read as a u-polynomial, are
+zero slacks (_signed_cone_sum): the module's one cone rule, which
+cone_face_counts reads for one cone and signed_cone_sum_y for all of
+them.  The cones' net signs by (r1, r2), read as a u-polynomial, are
 compared with u**codim; only where the two differ are both evaluated at y.
 check_decomposition runs that test on every row and makes Fractions
 only for a row where the two sides disagree, to report both, read off
@@ -29,7 +31,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import clear_denominators
-from .polarize import PolarizedCone, cone_point_slacks, slack_face_counts
+from .polarize import PolarizedCone
 from .polytope import Polytope, facet_slacks, slack_codim
 from .ypoly import YFrac
 
@@ -59,9 +61,10 @@ def cone_face_counts(
 
     None when x is outside.  The two counts locate the smallest cone
     face containing x, split by generator orientation; their sum is the
-    codimension of that face.
+    codimension of that face.  They are the one key of _signed_cone_sum's
+    table for this cone alone.
     """
-    return slack_face_counts(cone, cone_point_slacks((cone,), x)[0])
+    return next(iter(_signed_cone_sum(_flat((cone,)), _cone_slacks((cone,), x))), None)
 
 
 def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
@@ -74,7 +77,11 @@ def cone_weight_y(cone: PolarizedCone, x: Sequence) -> YFrac:
 
 def polytope_weight_y(poly: Polytope, x: Sequence) -> YFrac:
     """Symbolic weight of x against the polytope: (1/(1+y))**codim, 0 outside."""
-    codim = poly.face_codim(x)
+    return _face_weight(poly.face_codim(x))
+
+
+def _face_weight(codim: Optional[int]) -> YFrac:
+    """u**codim on a face of that codimension, 0 outside (codim None)."""
     return YFrac(0) if codim is None else YFrac.weight(codim, 0)
 
 
@@ -87,8 +94,13 @@ class CheckResult(NamedTuple):
 
 def signed_cone_sum_y(cones: Sequence[PolarizedCone], x: Sequence) -> YFrac:
     """Sign-weighted sum of the cone weights of x."""
-    slack = cone_point_slacks(cones, x)[0]
-    return YFrac.combination(_signed_cone_sum(_flat(cones), slack.items()))
+    return YFrac.combination(_signed_cone_sum(_flat(cones), _cone_slacks(cones, x)))
+
+
+def _cone_slacks(cones: Sequence[PolarizedCone], x: Sequence):
+    """(facet, slack) of x for each facet of the cones, each facet once."""
+    rows = {i: r for cone in cones for i, r in zip(cone.facets, cone.rows)}
+    return zip(rows, facet_slacks(tuple(rows.values()), *clear_denominators(x)))
 
 
 def _flat(cones: Sequence[PolarizedCone]) -> list[tuple[int, int, int]]:
@@ -100,7 +112,11 @@ def _flat(cones: Sequence[PolarizedCone]) -> list[tuple[int, int, int]]:
 
 def _signed_cone_sum(flat: list, slack) -> dict:
     """{(r1, r2): net sign} over the cones containing a point, from its
-    (facet, slack) pairs over all their facets, read as slack_face_counts."""
+    (facet, slack) pairs over all their facets.
+
+    A cone holds the point when no unflipped facet's slack is negative
+    and no flipped facet's slack is positive (PolarizedCone's signed
+    slacks); r1 and r2 count its unflipped and flipped zero slacks."""
     neg = zero = 0
     for i, s in slack:
         if s < 0:
@@ -137,7 +153,7 @@ def check_decomposition_at(poly: Polytope, cones: Sequence[PolarizedCone], x: Se
     """
     xt = tuple(a if type(a) is Fraction else Fraction(a) for a in x)
     codim, rhs, equal = _check(poly.facets, _flat(cones), *clear_denominators(xt), w)
-    lhs = YFrac(0) if codim is None else YFrac.weight(codim, 0)
+    lhs = _face_weight(codim)
     if w is not None:
         lhs, rhs = lhs(w.y), rhs(w.y)
     return CheckResult(point=xt, lhs=lhs, rhs=rhs, equal=equal)

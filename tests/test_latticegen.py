@@ -331,7 +331,7 @@ def test_weighted_count_specializations():
         pts = pc.lattice_points(P)
         assert pc.weighted_count(P, pc.WeightParam(0)) == len(pts), name
         half_sum = sum(
-            Fraction(1, 2) ** len(P.active_facets(p)) for p in pts
+            Fraction(1, 2) ** P.face_codim(p) for p in pts
         )
         assert pc.weighted_count(P, pc.WeightParam(1)) == half_sum, name
         symbolic = pc.weighted_count_y(P)
@@ -692,6 +692,30 @@ def test_multiplicity_both_routes_agree():
             assert rep.predicted == YFrac(1, inside)
 
 
+def test_multiplicity_rejects_a_non_lattice_alpha():
+    # truncating (1/2, 0) or (0.9, 0) to the vertex (0, 0) would report
+    # 1/(1+y)^2, where the polytope weight at (1/2, 0) is 1/(1+y)
+    P = pc.hypercube(2)
+    xi = pc.find_polarizing(P, seed=1)
+    routes = (
+        lambda a: pc.multiplicity(P, a),
+        lambda a: pc.coefficient_extract(P, xi, a),
+        lambda a: pc.multiplicity_check(P, xi, a),
+    )
+    for alpha, text in (((Fraction(1, 2), 0), "(1/2, 0)"), ((0.9, 0), "(0.9, 0)")):
+        for route in routes:
+            with pytest.raises(ValueError) as err:
+                route(alpha)
+            assert str(err.value) == f"alpha must be a lattice point, got {text}"
+    assert pc.multiplicity(P, (Fraction(1), Fraction(0))) == YFrac(1, 2)
+    assert pc.multiplicity(P, (Fraction(2), 0)) == YFrac(0)
+    rep = pc.multiplicity_check(P, xi, (Fraction(2), 0))
+    assert rep.equal and rep.extracted == YFrac(0)
+    # the hypotheses gate speaks first
+    with pytest.raises(pc.HypothesisError):
+        pc.multiplicity(triangle_nonregular(), (Fraction(1, 2), 0))
+
+
 def test_cone_series_check_needs_no_hypotheses():
     for P in (pc.trapezoid(), triangle_nonregular(), square_half()):
         xi = pc.find_polarizing(P, seed=2)
@@ -728,7 +752,7 @@ def brion_by_equivalent(P):
 
     terms = [latticegen.vertex_term(P, i) for i in range(len(P.vertices))]
     dirs = list(dict.fromkeys(b for t in terms for b in t.canonical_dirs))
-    num = LaurentPoly.zero(n1)
+    num = LaurentPoly(n1)
     for t in terms:
         lifted = t.numerator
         for b in dirs:
@@ -795,7 +819,7 @@ def dropped_first(P, i):
     t = vertex_term(P, i)
     if i:
         return t
-    return VertexTerm(i, (LaurentPoly.zero(P.dim + 1),), t.canonical_dirs)
+    return VertexTerm(i, (LaurentPoly(P.dim + 1),), t.canonical_dirs)
 
 
 def flipped_first_binomial(P, i):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import polarcount as pc
 import polarcount.cli as cli
-from polarcount.linalg import clear_denominators, vadd, vsub
-from polarcount.polarize import slack_face_counts
-from polarcount.polytope import facet_slacks, fmt_point, slack_codim
+from polarcount.linalg import vadd, vsub
+from polarcount.polytope import fmt_point
 from polarcount.weights import CheckResult
 from polarcount.ypoly import Y, YFrac
 from conftest import DATA_DIR
 from zoo import (
-    SEEDS, decomposition_zoo, facet_systems, row_points, vertex_points, zoo_images,
+    SEEDS, barycenter_oracle, bounding_box_oracle, decomposition_zoo, facet_systems,
+    row_points, vertex_points, zoo_images,
 )
 
 SPOT_YS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(7, 5))
@@ -102,7 +102,7 @@ def test_y_zero_reduces_to_half_open_cover():
             weight = pc.cone_weight_y(cone, x)(0)
             assert weight == (1 if counts is not None and counts[1] == 0 else 0)
         signed = sum(c.sign for c in covering)
-        assert signed == (1 if P.contains(x) else 0)
+        assert signed == (0 if P.face_codim(x) is None else 1)
 
 
 def test_sample_points_cover_faces_and_exterior():
@@ -112,7 +112,7 @@ def test_sample_points_cover_faces_and_exterior():
     for x in vertex_points(P):
         assert x in pts
     assert len(pts) == len(set(pts))
-    exterior = [x for x in pts if not P.contains(x)]
+    exterior = [x for x in pts if P.face_codim(x) is None]
     assert len(exterior) >= 2 * len(P.vertices) - 1
     interior = [x for x in pts if P.face_codim(x) == 0]
     assert interior
@@ -138,6 +138,8 @@ def test_check_many_seeds_and_chambers():
 # sample_points builds its rows over one integer denominator.  The
 # oracles below are the direct routes: one YFrac sum over the cones,
 # evaluated at y as Fractions, and one Fraction operation per coordinate.
+# Each cone's counts are cone_face_counts, one cone at a time, which
+# tests/test_membership.py pins against the Fraction cone coordinates.
 
 ORACLE_YS = (None, Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
              Fraction(-5, 3))
@@ -145,12 +147,11 @@ ORACLE_YS = (None, Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
 
 def check_oracle(poly, cones, x, w=None):
     xt = tuple(Fraction(a) for a in x)
-    slack = facet_slacks(poly.facets, *clear_denominators(xt))
-    c = slack_codim(slack)
+    c = poly.face_codim(xt)
     lhs = YFrac(0) if c is None else YFrac(1, c)
     rhs = YFrac(0)
     for cone in cones:
-        counts = slack_face_counts(cone, slack)
+        counts = pc.cone_face_counts(cone, xt)
         if counts is not None:
             wgt = YFrac.weight(*counts)
             rhs = rhs + wgt if cone.sign > 0 else rhs - wgt
@@ -171,8 +172,8 @@ def sample_points_oracle(poly, xi, rng=None, random_count=20):
         for p in incident[1:]:
             acc = vadd(acc, p)
         pts.append(tuple(a / len(incident) for a in acc))
-    pts.append(poly.barycenter())
-    lo, hi = poly.bounding_box()
+    pts.append(barycenter_oracle(poly))
+    lo, hi = bounding_box_oracle(poly)
     span = max(b - a for a, b in zip(lo, hi))
     step = int(span) + 1
     xiv = tuple(Fraction(a) for a in xi)
@@ -281,11 +282,10 @@ INT_ORACLE_YS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-1, 2),
 
 def concrete_check_oracle(poly, cones, x, w):
     xt = tuple(Fraction(a) for a in x)
-    slack = facet_slacks(poly.facets, *clear_denominators(xt))
-    codim = slack_codim(slack)
+    codim = poly.face_codim(xt)
     table = {}
     for cone in cones:
-        counts = slack_face_counts(cone, slack)
+        counts = pc.cone_face_counts(cone, xt)
         if counts is not None:
             table[counts] = table.get(counts, 0) + cone.sign
     a, b, n = w.y.numerator, w.y.denominator, poly.dim

@@ -27,6 +27,23 @@ def row_points(rows) -> list[tuple]:
     return [tuple(Fraction(a, den) for a in num) for num, den in rows]
 
 
+def barycenter_oracle(poly) -> tuple:
+    """The mean of the vertex points, one Fraction sum per coordinate."""
+    pts = vertex_points(poly)
+    acc = (Fraction(0),) * poly.dim
+    for x in pts:
+        acc = tuple(a + b for a, b in zip(acc, x))
+    return tuple(a / len(pts) for a in acc)
+
+
+def bounding_box_oracle(poly) -> tuple[tuple, tuple]:
+    """(lo, hi): the Fraction min and max of the vertex points per coordinate."""
+    pts = vertex_points(poly)
+    lo = tuple(min(x[i] for x in pts) for i in range(poly.dim))
+    hi = tuple(max(x[i] for x in pts) for i in range(poly.dim))
+    return lo, hi
+
+
 def triangle_nonregular() -> pc.Polytope:
     """(0,0), (2,0), (0,1): simple and integral but not regular."""
     return pc.Polytope([((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)])
