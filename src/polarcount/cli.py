@@ -281,7 +281,8 @@ def _cmd_brion(ns) -> int:
     poly = _load_and_describe(ns)
     report = latticegen.brion_check(poly)
     print(f"vertex terms: {len(poly.vertices)}")
-    print(f"weighted lattice sum: {latticegen.format_lattice_sum(report.lattice_sum)}")
+    lattice_sum = latticegen.format_lattice_sum(poly.dim, report.rows)
+    print(f"weighted lattice sum: {lattice_sum}")
     if not report.equal:
         print("check: FAIL (vertex sum differs from lattice sum)")
         return 1

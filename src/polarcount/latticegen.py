@@ -11,21 +11,23 @@ and the sum over vertices collapses to the polynomial
     sum over lattice points p of u^(codim of p) * z^p.
 
 Both sides have int coefficients in n+1 variables, z_1..z_n and then
-u; the denominators are products of (1 - z^b) alone.  The vertex sum
-runs on packed exponents: each monomial z^e u^k is one int key,
-sum of (e_i - off_i) * stride_i + k, in a dict of int coefficients, so
-multiplying by a monomial is one int addition.  The offsets and digit
-widths are the integer box's, widened by the vertex sum's directions
-(_packing says why no two exponents share a key).  _vertex_sum packs
-each vertex's numerator, the LaurentPoly product of its factors, and
-lifts it over the directions the vertex lacks by shift-and-subtract
-(_lift); brion_check packs the lattice sum, lifts it over every
-direction the same way and compares the two dicts.  brion_sum and
-_denominator read the same kernel and unpack its keys by divmod to
-LaurentPolys; only they and vertex_genfun build a RationalFunction.
-format_lattice_sum
-prints the lattice sum in y, over (1+y)^n, each distinct coefficient
-and codimension's text made once.
+u; the denominators are products of (1 - z^b) alone.  brion_check runs
+in one variable t, by Kronecker's substitution z_i -> t^stride_i,
+u -> t: each monomial z^e u^k becomes t^key, key the sum of
+e_i * stride_i + k, so multiplying two monomials is one int addition.
+The digit widths are the integer box's, widened by the vertex sum's
+directions (_packing says why no two exponents in range share a key).
+_vertex_sum puts each factor of a vertex's term in t, multiplies them
+with LaurentPoly's product, and lifts the numerators over the
+directions their vertices lack by shift-and-subtract (_lift), on dicts
+of int keys.  brion_check packs the lattice sum straight from the rows
+of lattice_rows, a row's keys one z_n stride apart with each point's
+codimension as u's digit, lifts it over every direction the same way
+and compares the two dicts; its report keeps the rows, which
+format_lattice_sum prints in y, over (1+y)^n, in their lexicographic
+order, each codimension's text made once.  brion_sum and _denominator
+read the same kernel and unpack its keys by divmod to LaurentPolys in
+n+1 variables; only they and vertex_genfun build a RationalFunction.
 The per-vertex signs are already absorbed: rewriting a geometric series
 along a flipped direction produces exactly one minus sign per flip.
 
@@ -41,13 +43,14 @@ the facets, not the box volume.  codim_sums reads the rows without
 listing the points, with the rows along the box's longest coordinate:
 the census, or at a concrete z the sum of z^p per codimension.
 lattice_points walks the last coordinate last and expands the rows
-into a dict of points in lexicographic order.  Weighted quantities are computed symbolically in
-y; a concrete y only evaluates the symbolic answer.  In particular
-each side of the chi identity is written once: at a concrete (z, y)
-the vertex sum evaluates each vertex's factors, z^v and one binomial
-over 1 - z^a per edge a, at (z, u), u = 1/(1+y), in ints, from the
-vertex and its edges; the lattice sum evaluates census_weight_y of the
-codim_sums at y.
+into a dict of points in lexicographic order, and weighted_sum_poly
+into a tuple-keyed LaurentPoly.  Weighted quantities are computed
+symbolically in y; a concrete y only evaluates the symbolic answer.
+In particular each side of the chi identity is written once: at a
+concrete (z, y) the vertex sum evaluates each vertex's factors, z^v
+and one binomial over 1 - z^a per edge a, at (z, u), u = 1/(1+y), in
+ints, from the vertex and its edges; the lattice sum evaluates
+census_weight_y of the codim_sums at y.
 Enumeration and the truncated cone series hold for any simple polytope;
 everything else needs determinant +-1 edge bases at every vertex and
 integer vertices, and raises HypothesisError otherwise.
@@ -56,7 +59,7 @@ integer vertices, and raises HypothesisError otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 from math import gcd, prod
 from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
@@ -204,13 +207,19 @@ def lattice_points(poly: Polytope) -> dict[tuple[int, ...], int]:
     to the codimension of the smallest face containing it: the rows of
     lattice_rows, expanded."""
     points: dict[tuple[int, ...], int] = {}
-    for prefix, first, last, row_tight, codims in lattice_rows(poly):
-        row = [row_tight] * (last - first + 1)
-        for x, c in codims.items():
-            row[x - first] = c
-        for x, c in zip(range(first, last + 1), row):
+    for prefix, first, *rest in lattice_rows(poly):
+        for x, c in enumerate(_row_codims(first, *rest), first):
             points[(*prefix, x)] = c
     return points
+
+
+def _row_codims(first: int, last: int, row_tight: int, codims: dict) -> list[int]:
+    """The codimension of each point of a row of lattice_rows, first to
+    last; OverflowError when the row has more points than a list holds."""
+    row = [row_tight] * (last - first + 1)
+    for x, c in codims.items():
+        row[x - first] = c
+    return row
 
 
 def codim_sums(
@@ -291,26 +300,32 @@ def format_census(census: dict[int, int]) -> str:
     return " + ".join(str(YFrac(census[c], c)) for c in sorted(census))
 
 
-def format_lattice_sum(lattice_sum: LaurentPoly) -> str:
-    """Render a weighted lattice sum in y: (sum of c*(1+y)^(n-k) * z^p) /
-    (1+y)^n, each c * u^k * z^p cleared to the power n.
+def format_lattice_sum(n: int, rows) -> str:
+    """Render the weighted lattice sum of the rows of lattice_rows, the
+    sum of u^k * z^p over their points p of codimension k, in y:
+    (sum of (1+y)^(n-k) * z^p) / (1+y)^n, in the rows' order.
 
-    Only n+1 codimensions k occur, so each distinct (c, k) is cleared
-    and its text made once, and its points share that text.
+    Only n+1 codimensions k occur, so each u^k is cleared and its text
+    made once, and its points share that text.
     """
-    n = lattice_sum.nvars - 1
-    texts: dict[tuple[int, int], str] = {}
+    texts = _ClearedTexts(n)
+    terms = (
+        (prefix, zip(count(first), map(texts.__getitem__, _row_codims(first, *rest))))
+        for prefix, first, *rest in rows
+    )
+    return f"({format_terms(n, terms)}) / {den_text(n)}"
 
-    def terms():
-        for e in sorted(lattice_sum.terms):
-            key = (lattice_sum.terms[e], e[-1])
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = coefficient_text(YFrac(*key).cleared(n))
-            yield e, text
 
-    # u's exponent, the last, is in the text and does not print
-    return f"({format_terms(n, terms())}) / {den_text(n)}"
+class _ClearedTexts(dict):
+    """The text of u^k cleared to (1+y)^n, by codimension k, each made
+    when first asked."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = coefficient_text(YFrac(1, k).cleared(self.n))
+        return text
 
 
 # -- weighted counts ----------------------------------------------------
@@ -387,37 +402,39 @@ def vertex_genfun(poly: Polytope, vertex_index: int) -> RationalFunction:
 
 
 class _Packing(NamedTuple):
-    """Exponents (e_1..e_n, k) of z^e u^k packed into one int, the key
-    sum of (e_i - offsets[i]) * strides[i] over all n+1 variables; the
-    strides decrease, and u's offset is 0 and its stride 1.
+    """Kronecker's substitution z_i -> t^strides[i], u -> t: z^e u^k goes
+    to t^key, key the sum of e_i * strides[i] over all n+1 variables,
+    u's stride 1 last.  The strides decrease, and offsets[i] is the
+    least exponent of z_i in range, u's 0.
 
-    _packing sizes the digits so that each key is one exponent's.  Then
-    a product is a sum of keys: z^b u^j moves a key by shift((*b, j)).
+    _packing sizes the digits so that each key in range is one
+    exponent's: key minus the key of z^offsets has the digits
+    e_i - offsets[i].  The substitution is a ring map, so a product of
+    monomials is a sum of keys.
     """
 
     offsets: tuple[int, ...]
     strides: tuple[int, ...]
 
-    @property
-    def origin(self) -> int:
-        """The key of z^0 u^0."""
-        return -sum(map(mul, self.offsets, self.strides))
-
-    def shift(self, expo: Sequence[int]) -> int:
-        """How far multiplying by z^e u^k moves a key; an exponent
-        without its last entry, u's, has k = 0."""
+    def key(self, expo: Sequence[int]) -> int:
+        """The key of z^e u^k; an exponent without its last entry, u's,
+        has k = 0."""
         return sum(map(mul, expo, self.strides))
 
-    def packed(self, terms: dict) -> dict[int, int]:
-        """Terms keyed by exponent tuples, rekeyed by their packed keys."""
-        origin, strides = self.origin, self.strides
-        return {origin + sum(map(mul, e, strides)): c for e, c in terms.items()}
+    def in_t(self, poly: LaurentPoly) -> LaurentPoly:
+        """poly under the substitution, a LaurentPoly in t alone."""
+        strides = self.strides
+        return LaurentPoly._of(
+            1, {(sum(map(mul, e, strides)),): c for e, c in poly.terms.items()}
+        )
 
     def unpacked(self, terms: dict[int, int]) -> LaurentPoly:
-        """The LaurentPoly of packed terms, each key split by divmod."""
+        """The LaurentPoly of terms keyed by keys, each split by divmod."""
+        base = self.key(self.offsets)
         out = {}
         for key, c in terms.items():
             expo = []
+            key -= base
             for off, stride in zip(self.offsets, self.strides):
                 d, key = divmod(key, stride)
                 expo.append(d + off)
@@ -435,9 +452,10 @@ def _packing(lo: Sequence[int], hi: Sequence[int], dirs) -> _Packing:
     stride is the product of the widths after it, so the digits of a
     key are its exponent's and two exponents never share a key.  Both
     sides of the Brion identity stay in that range: each of their
-    exponents is a lattice point, or a vertex v, moved by each b of dirs
+    exponents is a lattice point, or a vertex, moved by each b of dirs
     at most once, with u's exponent a codimension or a count of the
-    vertex's binomial factors that give u, so at most n.
+    vertex's binomial factors that give u, so at most n.  So do the
+    partial products of a vertex's factors.
     """
     n = len(lo)
     offsets = tuple(
@@ -452,15 +470,20 @@ def _packing(lo: Sequence[int], hi: Sequence[int], dirs) -> _Packing:
 
 
 def _lift(terms: dict[int, int], shifts) -> dict[int, int]:
-    """Packed terms times (1 - z^b) for the b of each shift, in turn: a
-    copy, and each term moved by the shift and subtracted; zeros dropped."""
+    """Packed terms, none zero, times (1 - z^b) for the key of each b in
+    shifts, in turn: a copy, and each term moved by the key and
+    subtracted, a term that cancels deleted."""
     for s in shifts:
         out = dict(terms)
         get = out.get
         for key, c in terms.items():
             moved = key + s
-            out[moved] = get(moved, 0) - c
-        terms = {key: c for key, c in out.items() if c}
+            d = get(moved, 0) - c
+            if d:
+                out[moved] = d
+            else:
+                del out[moved]
+        terms = out
     return terms
 
 
@@ -468,26 +491,32 @@ def _denominator(nvars: int, dirs) -> LaurentPoly:
     """The product of (1 - z^b) over dirs, expanded: 1 lifted over them."""
     zero = (0,) * (nvars - 1)
     pack = _packing(zero, zero, dirs)
-    return pack.unpacked(_lift({pack.origin: 1}, map(pack.shift, dirs)))
+    return pack.unpacked(_lift({0: 1}, map(pack.key, dirs)))
 
 
 def _vertex_sum(poly: Polytope) -> tuple[_Packing, dict[int, int], tuple]:
     """The vertex sum's numerator over prod (1 - z^b), packed; its
     packing; and the directions b: the walls, polarize.wall_directions.
 
-    Each vertex's numerator, the product of its factors, is packed and
-    lifted over the directions that vertex lacks.
+    Each vertex's numerator is the LaurentPoly product in t of its
+    factors, each put in t by the packing, so no product runs on n+1
+    variables; it is lifted over the directions that vertex lacks.
     """
     require_lattice_hypotheses(poly, "the vertex generating-function sum")
     terms = [vertex_term(poly, i) for i in range(len(poly.vertices))]
     all_dirs = wall_directions(poly)
     pack = _packing(*poly.integer_box(), all_dirs)
     total: dict[int, int] = {}
+    get = total.get
     for t in terms:
+        first, *rest = map(pack.in_t, t.factors)
+        numerator = prod(rest, start=first)
         missing = [b for b in all_dirs if b not in t.canonical_dirs]
-        lifted = _lift(pack.packed(t.numerator.terms), map(pack.shift, missing))
+        lifted = _lift(
+            {key: c for (key,), c in numerator.terms.items()}, map(pack.key, missing)
+        )
         for key, c in lifted.items():
-            total[key] = total.get(key, 0) + c
+            total[key] = get(key, 0) + c
     return pack, {key: c for key, c in total.items() if c}, all_dirs
 
 
@@ -508,20 +537,37 @@ def weighted_sum_poly(poly: Polytope) -> LaurentPoly:
     return LaurentPoly._of(n1, {(*p, c): 1 for p, c in lattice_points(poly).items()})
 
 
+def _packed_lattice_sum(pack: _Packing, rows) -> dict[int, int]:
+    """The weighted lattice sum of the rows of lattice_rows, packed: a
+    row's keys step by z_n's stride from its first point's, and each
+    point's codimension adds to its key as u's digit."""
+    *outer, step = pack.strides[:-1]
+    terms: dict[int, int] = {}
+    for prefix, first, *rest in rows:
+        start = sum(map(mul, prefix, outer)) + first * step
+        keys = map(add, count(start, step), _row_codims(first, *rest))
+        terms.update(dict.fromkeys(keys, 1))
+    return terms
+
+
 class BrionReport(NamedTuple):
-    lattice_sum: LaurentPoly
+    """The lattice side of the Brion identity, as the rows of
+    lattice_rows that format_lattice_sum prints, and whether the vertex
+    sum equals it."""
+
+    rows: tuple
     equal: bool
 
 
 def brion_check(poly: Polytope) -> BrionReport:
-    """The weighted lattice sum, and whether the vertex sum equals it:
-    exactly, as the lattice sum, packed as in _vertex_sum, lifted over
-    the vertex sum's directions and compared with its numerator.  No
-    rational function is built."""
+    """The rows of lattice_rows(poly), and whether the vertex sum equals
+    their weighted lattice sum: exactly, as that sum, packed as in
+    _vertex_sum, lifted over the vertex sum's directions and compared
+    with its numerator.  No rational function is built."""
     pack, num, dirs = _vertex_sum(poly)
-    lattice = weighted_sum_poly(poly)
-    crossed = _lift(pack.packed(lattice.terms), map(pack.shift, dirs))
-    return BrionReport(lattice_sum=lattice, equal=crossed == num)
+    rows = tuple(lattice_rows(poly))
+    crossed = _lift(_packed_lattice_sum(pack, rows), map(pack.key, dirs))
+    return BrionReport(rows=rows, equal=crossed == num)
 
 
 # -- pointwise evaluation -------------------------------------------------

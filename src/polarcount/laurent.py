@@ -3,15 +3,19 @@
 Exponents may be negative.  Coefficients are kept as given, with zeros
 dropped: the generating functions carry u = 1/(1+y) as a last variable
 and have int coefficients.  format_terms is the one monomial printer:
-LaurentPoly.__str__ prints through it, and so does
-latticegen.format_lattice_sum, which passes the text of each point's
-weight c * u^k cleared to (1+y)^n, made once per distinct (c, k).
+it prints rows of terms that share all but their last exponent, each
+row's shared text made once.  LaurentPoly.__str__ prints its sorted
+terms through it, and so does latticegen.format_lattice_sum, which
+passes the rows of the lattice walk with the text of each point's
+weight u^k cleared to (1+y)^n, made once per codimension k.
 RationalFunction, the type of latticegen.brion_sum and vertex_genfun
 only, keeps an unreduced numerator/denominator pair, and equivalent
 cross-multiplies whole denominators, so no gcd is ever taken.
-latticegen.brion_check builds none: only its vertex numerators are
-LaurentPoly products, and the rest of the Brion identity runs on packed
-int exponents in latticegen, which brion_sum unpacks to LaurentPolys.
+latticegen.brion_check builds none: its vertex numerators are
+LaurentPoly products in one variable t, each factor put in t by
+Kronecker's substitution, where multiplying two exponents is one int
+addition; the rest of the Brion identity runs on int keys in
+latticegen, which brion_sum unpacks to LaurentPolys in n+1 variables.
 LaurentPoly adds and multiplies but does not evaluate: the chi command
 evaluates each vertex's factors at a concrete (z, u) from the vertex
 and its edges (latticegen.chi_y_vertex_sum).
@@ -20,6 +24,7 @@ and its edges (latticegen.chi_y_vertex_sum).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from operator import add
 from typing import Mapping, Sequence
 
@@ -98,10 +103,18 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict[Expo, object] = {}
+        get = out.get
+        if self.nvars == 1:
+            # in one variable an exponent is one int, and so is their sum
+            for (e1,), c1 in self.terms.items():
+                for (e2,), c2 in other.terms.items():
+                    key = (e1 + e2,)
+                    out[key] = get(key, 0) + c1 * c2
+            return LaurentPoly._of(1, out)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
+                out[key] = get(key, 0) + c1 * c2
         return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
@@ -131,9 +144,12 @@ class LaurentPoly:
                 cs = texts[type(c), c] = coefficient_text(c)
             return cs
 
-        return format_terms(
-            self.nvars, ((e, text(self.terms[e])) for e in sorted(self.terms))
-        )
+        # the sorted exponents, in runs that share all but the last entry
+        rows = groupby(sorted(self.terms), key=lambda e: e[:-1])
+        return format_terms(self.nvars, (
+            (head, [(e[-1], text(self.terms[e])) for e in run])
+            for head, run in rows
+        ))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.nvars}, {self.terms!r})"
@@ -157,20 +173,29 @@ class _Powers(dict):
         return text
 
 
-def format_terms(nvars: int, terms) -> str:
-    """The sum of (exponent, coefficient text) pairs, in the order given,
-    as LaurentPoly prints it: each term is its coefficient text and its
-    powers z{i}^e joined by *, the text left out when it is 1 before a
-    nonconstant monomial; with one variable it is z.  Only the first
-    nvars coordinates of an exponent print, so a caller can leave a
-    variable out.  Each power's text is made once."""
-    powers = [_Powers(f"z{i + 1}" if nvars > 1 else "z") for i in range(nvars)]
+def format_terms(nvars: int, rows) -> str:
+    """The sum of the terms of rows, in the order given, as LaurentPoly
+    prints it.  A row is (head, tail): head the exponents of the first
+    nvars - 1 variables, shared by the row's terms, and tail its pairs
+    (e, text) of the last variable's exponent and the coefficient's
+    text.  A term is its coefficient text and its powers z{i}^e joined
+    by *, the text left out when it is 1 before a nonconstant monomial;
+    with one variable it is z.  Each power's text is made once, and each
+    head's once per row."""
+    names = [f"z{i + 1}" if nvars > 1 else "z" for i in range(nvars)]
+    *powers, last = map(_Powers, names)
     parts = []
-    for expo, cs in terms:
-        factors = [texts[e] for texts, e in zip(powers, expo) if e]
-        if cs != "1" or not factors:
-            factors.insert(0, cs)
-        parts.append("*".join(factors))
+    for head, tail in rows:
+        head_text = "*".join([texts[e] for texts, e in zip(powers, head) if e])
+        lead = f"{head_text}*" if head_text else ""
+        for e, cs in tail:
+            monomial = lead + last[e] if e else head_text
+            if not monomial:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(monomial)
+            else:
+                parts.append(f"{cs}*{monomial}")
     return " + ".join(parts) or "0"
 
 

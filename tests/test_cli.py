@@ -258,6 +258,41 @@ def test_brion_frozen_output(capsys, tmp_path, monkeypatch, spec):
     assert out == expected
 
 
+@pytest.mark.parametrize("spec", ["cube:3,2", "cube4-2-sheared.json"])
+def test_brion_builds_no_tuple_keyed_product_and_no_point_dict(
+    capsys, tmp_path, monkeypatch, spec
+):
+    """brion multiplies each vertex's factors in the one variable t, and
+    packs and prints the lattice side from the walk's rows: with the
+    expanded numerator, the point dict and the tuple-keyed lattice sum
+    made to raise, and every product checked to be in one variable, it
+    still prints its frozen output."""
+    def built(*args, **kwargs):
+        raise AssertionError("brion took the tuple-keyed route")
+
+    mul = polarcount.LaurentPoly.__mul__
+    nvars = []
+
+    def counted(a, b):
+        nvars.append(a.nvars)
+        return mul(a, b)
+
+    monkeypatch.setattr(latticegen.VertexTerm, "numerator", property(built))
+    monkeypatch.setattr(latticegen, "lattice_points", built)
+    monkeypatch.setattr(latticegen, "weighted_sum_poly", built)
+    monkeypatch.setattr(polarcount.LaurentPoly, "__mul__", counted)
+    source = ["--builtin", spec]
+    if spec in _BRION_FILES:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / spec).write_text(json.dumps(_BRION_FILES[spec]) + "\n")
+        source = [spec]
+    code, out, _ = run(capsys, "brion", *source)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("check: PASS")
+    assert hashlib.sha256(out.encode()).hexdigest() == _BRION_FROZEN[spec]
+    assert nvars and set(nvars) == {1}
+
+
 # (exit code, sha256 of the whole stdout, first stderr line or None) of
 # chi runs: the lattice ladder's rungs and the sheared cube4-2 file of
 # _BRION_FILES, at +-p/q z of distinct primes, y on both sides of -1,

@@ -287,24 +287,59 @@ def test_census_and_format():
 
 def test_format_lattice_sum_closed_forms():
     # interval [0, 2]: the ends weigh u, the midpoint 1 = (1+y) * u
-    lattice = pc.brion_check(pc.interval(2)).lattice_sum
-    assert pc.format_lattice_sum(lattice) == "(1 + (y + 1)*z + z^2) / (1+y)"
+    rows = pc.brion_check(pc.interval(2)).rows
+    assert pc.format_lattice_sum(1, rows) == "(1 + (y + 1)*z + z^2) / (1+y)"
     # the unit square: four corners, each u^2
-    lattice = pc.brion_check(pc.hypercube(2, 1)).lattice_sum
-    assert pc.format_lattice_sum(lattice) == "(1 + z2 + z1 + z1*z2) / (1+y)^2"
+    rows = pc.brion_check(pc.hypercube(2, 1)).rows
+    assert pc.format_lattice_sum(2, rows) == "(1 + z2 + z1 + z1*z2) / (1+y)^2"
+
+
+def cleared_lattice_sum(P):
+    """The reference printing of the lattice sum: the tuple-keyed
+    weighted_sum_poly, each point's weight cleared to (1+y)^n, printed
+    by LaurentPoly over (1+y)^n."""
+    n = P.dim
+    cleared = LaurentPoly(n, {
+        e[:-1]: YFrac(c, e[-1]).cleared(n)
+        for e, c in pc.weighted_sum_poly(P).terms.items()
+    })
+    return f"({cleared}) / {den_text(n)}"
+
+
+def assert_prints_the_cleared_laurent_poly(P, name=None):
+    """brion_check's rows print, through format_lattice_sum, as the
+    reference does: both print through one monomial printer, one from
+    the walk's rows and one from sorted exponent tuples."""
+    rows = pc.brion_check(P).rows
+    assert rows == tuple(pc.lattice_rows(P)), name
+    assert pc.format_lattice_sum(P.dim, rows) == cleared_lattice_sum(P), name
 
 
 def test_format_lattice_sum_prints_the_cleared_laurent_poly():
-    """The printed lattice sum is the LaurentPoly in z of its points'
-    weights cleared to (1+y)^n, as LaurentPoly prints it: both print
-    through one monomial printer, whatever keys the coefficient texts."""
     for name, P in lattice_cases():
-        lattice = pc.weighted_sum_poly(P)
-        n = P.dim
-        cleared = LaurentPoly(n, {
-            e[:-1]: YFrac(c, e[-1]).cleared(n) for e, c in lattice.terms.items()
-        })
-        assert pc.format_lattice_sum(lattice) == f"({cleared}) / {den_text(n)}", name
+        assert_prints_the_cleared_laurent_poly(P, name)
+
+
+def test_format_lattice_sum_edge_cases():
+    # 1-d: the one variable prints as z
+    P = pc.interval(3)
+    assert pc.format_lattice_sum(1, pc.brion_check(P).rows) == (
+        "(1 + (y + 1)*z + (y + 1)*z^2 + z^3) / (1+y)"
+    )
+    # a lattice point at the origin prints as a bare coefficient term:
+    # the interior point of [-1, 1]^2, weight 1, and a corner, weight u^2
+    centered = affine_image(pc.hypercube(2, 2), [[1, 0], [0, 1]], (-1, -1))
+    text = pc.format_lattice_sum(2, pc.brion_check(centered).rows)
+    assert " + (y^2 + 2*y + 1) + " in text
+    text = pc.format_lattice_sum(2, pc.brion_check(pc.hypercube(2, 1)).rows)
+    assert text.startswith("(1 + z2")
+    # rows far from the origin: negative exponents
+    far = affine_image(pc.hypercube(2, 1), [[1, 0], [0, 1]], (-1000, -7))
+    assert pc.format_lattice_sum(2, pc.brion_check(far).rows) == (
+        "(z1^-1000*z2^-7 + z1^-1000*z2^-6 + z1^-999*z2^-7 + z1^-999*z2^-6) / (1+y)^2"
+    )
+    for P in (pc.interval(3), centered, far):
+        assert_prints_the_cleared_laurent_poly(P)
 
 
 def test_brion_clears_each_codimension_once(capsys, monkeypatch):
@@ -418,7 +453,7 @@ def test_brion_interval_closed_form():
     )
     assert report.equal
     assert pc.brion_sum(P).equivalent(expected)
-    assert report.lattice_sum == expected.num
+    assert rows_poly(P.dim, report.rows) == expected.num
 
 
 def test_weighted_sum_poly_square():
@@ -764,12 +799,23 @@ def brion_by_equivalent(P):
     return lhs, rhs, lhs.equivalent(rhs)
 
 
+def rows_poly(n, rows):
+    """The weighted lattice sum of rows of lattice_rows, one term
+    u^codim * z^p per point p, as a LaurentPoly in z and then u."""
+    terms = {}
+    for prefix, first, last, row_tight, codims in rows:
+        for x in range(first, last + 1):
+            terms[(*prefix, x, codims.get(x, row_tight))] = 1
+    return LaurentPoly(n + 1, terms)
+
+
 def assert_brion_matches_reference(P):
     report = pc.brion_check(P)
     lhs, rhs, equal = brion_by_equivalent(P)
     vertex_sum = pc.brion_sum(P)
     assert (vertex_sum.num, vertex_sum.den) == (lhs.num, lhs.den)
-    assert report.lattice_sum == rhs.num
+    assert report.rows == tuple(pc.lattice_rows(P))
+    assert rows_poly(P.dim, report.rows) == rhs.num
     assert report.equal == equal
     return report
 
@@ -800,6 +846,12 @@ def lattice_images(draw):
 @given(lattice_images())
 def test_brion_check_matches_cross_multiplication_on_images(P):
     assert assert_brion_matches_reference(P).equal
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_images())
+def test_format_lattice_sum_prints_the_cleared_laurent_poly_on_images(P):
+    assert_prints_the_cleared_laurent_poly(P)
 
 
 @settings(max_examples=40, deadline=None)
